@@ -6,6 +6,16 @@ small BlockContext adapter.  The lower global basis is produced by the
 standard recursion up the crystal order: each correction coefficient is the
 unique solution of c - bar(c) = r with c in q.Q[q], read off from the
 positive-degree part of r.
+
+Each block's canonical data is computed once per algebra: `typeA_block` and
+`theta_block` return the same BlockContext for the same block key (cached on
+the WordAlgebra or ThetaModule instance), and the context keeps the bar
+matrix and the lower and upper global bases it produced.  A matrix is stored
+only after its unitriangularity, bar-invariance or duality check passed; a
+`bar=` or `lower=` supplied by the caller is used but its result is not
+stored, unless it is the block's own memoized matrix.  `multiplicity_polys` is not memoized, so its direct/adjoint
+cross-check runs on every call.  Returned matrices are shared and must not be
+mutated.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .linalg import identity, inverse, mat_mul, mat_vec, solve_vector
+from .linalg import inverse, is_identity, mat_mul, mat_vec, solve_vector
 from .ratfunc import RatFunc
 from .wordalg import content_key
 
@@ -43,7 +53,10 @@ class TransitionMatrix:
 
 
 class BlockContext:
-    """One graded block: its basis, bar action, Gram matrix and operator maps."""
+    """One graded block: its basis, bar action, Gram matrix and operator maps.
+
+    `bar`, `lower` and `upper` hold the checked matrices once computed.
+    """
 
     def __init__(self, kind, label, basis, bar_column, gram, e_matrix, f_matrix, shift):
         self.kind = kind
@@ -54,6 +67,9 @@ class BlockContext:
         self._e_matrix = e_matrix
         self._f_matrix = f_matrix
         self._shift = shift
+        self.bar = None
+        self.lower = None
+        self.upper = None
 
     def basis(self):
         return self._basis
@@ -79,6 +95,9 @@ class BlockContext:
 def typeA_block(alg, content):
     """Block context for a content block of the free algebra model."""
     key = content_key(content)
+    hit = alg._contexts.get(key)
+    if hit is not None:
+        return hit
     basis = alg.basis_of_content(dict(key))
 
     def bar_column(idx):
@@ -91,7 +110,7 @@ def typeA_block(alg, content):
             raise ValueError(f"content has no letter {i}")
         return typeA_block(alg, c)
 
-    return BlockContext(
+    ctx = alg._contexts[key] = BlockContext(
         kind="typeA",
         label=f"content {dict(key)}",
         basis=basis,
@@ -101,11 +120,15 @@ def typeA_block(alg, content):
         f_matrix=lambda i: alg.fmul_matrix(i, dict(key)),
         shift=shift,
     )
+    return ctx
 
 
 def theta_block(module, sym_content):
     """Block context for a symmetrized-content block of the symmetric module."""
     key = content_key(sym_content)
+    hit = module._contexts.get(key)
+    if hit is not None:
+        return hit
     basis = module.block(key)["theta_basis"]
 
     def bar_column(idx):
@@ -123,7 +146,7 @@ def theta_block(module, sym_content):
             raise ValueError(f"block has no letter of absolute value {abs(i)}")
         return theta_block(module, c)
 
-    return BlockContext(
+    ctx = module._contexts[key] = BlockContext(
         kind="theta",
         label=f"symmetrized content {dict(key)}",
         basis=basis,
@@ -133,6 +156,7 @@ def theta_block(module, sym_content):
         f_matrix=lambda i: module.F_matrix(i, key),
         shift=shift,
     )
+    return ctx
 
 
 class TriangularityError(ArithmeticError):
@@ -141,6 +165,8 @@ class TriangularityError(ArithmeticError):
 
 def bar_matrix(ctx):
     """B with bar(P(n)) = sum_m B_{mn} P(m); unitriangular with Laurent entries."""
+    if ctx.bar is not None:
+        return ctx.bar
     basis = ctx.basis()
     n = len(basis)
     cols = [ctx.bar_column(c) for c in range(n)]
@@ -163,7 +189,8 @@ def bar_matrix(ctx):
                     f"{ctx.label}: bar entry {B[r][c]} at ({basis[r]}, {basis[c]}) "
                     "is not a Laurent polynomial"
                 )
-    return TransitionMatrix(ctx.label, basis, B)
+    ctx.bar = TransitionMatrix(ctx.label, basis, B)
+    return ctx.bar
 
 
 def _split_antisymmetric(r):
@@ -177,6 +204,10 @@ def _split_antisymmetric(r):
 
 def global_lower(ctx, bar=None):
     """C with G(n) = sum_m C_{mn} P(m): bar-invariant, off-diagonal in q.Q[q]."""
+    if bar is ctx.bar:  # the block's own memoized matrix counts as no argument
+        bar = None
+    if bar is None and ctx.lower is not None:
+        return ctx.lower
     B = bar if bar is not None else bar_matrix(ctx)
     n = B.size()
     M = B.entries
@@ -197,11 +228,18 @@ def global_lower(ctx, bar=None):
     barC = [[x.bar() for x in row] for row in C]
     if mat_mul(M, barC) != C:
         raise ArithmeticError(f"{ctx.label}: lower global basis is not bar-invariant")
-    return TransitionMatrix(ctx.label, B.basis, C)
+    result = TransitionMatrix(ctx.label, B.basis, C)
+    if bar is None:
+        ctx.lower = result
+    return result
 
 
 def global_upper(ctx, lower=None):
     """Coordinates of the form-dual basis: U = (Gram . C)^{-T}."""
+    if lower is ctx.lower:  # the block's own memoized matrix counts as no argument
+        lower = None
+    if lower is None and ctx.upper is not None:
+        return ctx.upper
     C = lower if lower is not None else global_lower(ctx)
     G = ctx.gram()
     GC = mat_mul(G, C.entries)
@@ -209,11 +247,12 @@ def global_upper(ctx, lower=None):
     UT = inverse(GC)  # U^T, since U^T (G C) = I is the duality
     U = [[UT[c][r] for c in range(n)] for r in range(n)]
     check = mat_mul([[U[r][c] for r in range(n)] for c in range(n)], GC)
-    from .linalg import is_identity
-
     if not is_identity(check):
         raise ArithmeticError(f"{ctx.label}: upper/lower duality failed")
-    return TransitionMatrix(ctx.label, C.basis, U)
+    result = TransitionMatrix(ctx.label, C.basis, U)
+    if lower is None:
+        ctx.upper = result
+    return result
 
 
 def balanced_split(ctx, coords, lower=None):
@@ -261,8 +300,8 @@ def multiplicity_polys(i, ctx, side):
 
     C_src = global_lower(ctx)
     C_tgt = global_lower(tgt)
-    U_src = global_upper(ctx, C_src)
-    U_tgt = global_upper(tgt, C_tgt)
+    U_src = global_upper(ctx)
+    U_tgt = global_upper(tgt)
 
     # route 1: op applied to upper vectors, expanded in the target upper basis
     direct = {}

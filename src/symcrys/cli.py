@@ -63,6 +63,16 @@ def parse_window(text):
     return win
 
 
+def algebra_window(text, mode):
+    """A window the algebra (or, in theta mode, the module) can be built on."""
+    win = parse_window(text)
+    if any(b - a != 2 for a, b in zip(win, win[1:])):
+        raise UsageError(f"window must be a contiguous odd interval, got {text!r}")
+    if mode == "theta":
+        require_symmetric(win)
+    return win
+
+
 def require_symmetric(window):
     if set(window) != {-i for i in window}:
         raise UsageError(
@@ -166,7 +176,7 @@ def cmd_crystal_graph(args):
 # ---------------------------------------------------------------------------
 
 def cmd_expand(args):
-    window = parse_window(args.window)
+    window = algebra_window(args.window, "typeA")
     alg = WordAlgebra(window)
     m = mseg_from_arg(args.multisegment)
     for seg in m.entries:
@@ -207,13 +217,13 @@ def _word_from_arg(text):
 
 
 def cmd_coords(args):
-    window = parse_window(args.window)
+    window = algebra_window(args.window, args.mode)
     word = _word_from_arg(args.word)
     for k in word:
         if k not in window:
             raise UsageError(f"letter {k} outside window {list(window)}")
     if args.mode == "theta":
-        module = ThetaModule(require_symmetric(window))
+        module = ThetaModule(window)
         v = module.from_words({word: RatFunc(1)})
         coords = module.theta_coords(v)
     else:
@@ -227,11 +237,36 @@ def cmd_coords(args):
 # bar-matrix / global-basis / multiplicity
 # ---------------------------------------------------------------------------
 
-def _block_context(args, content):
-    window = parse_window(args.window)
-    if args.mode == "theta":
-        module = ThetaModule(require_symmetric(window))
-        return theta_block(module, content)
+def _block_context(args):
+    """Validate a block request (window, content, --index), then build its block.
+
+    In theta mode the content is a symmetrized content: its keys are the
+    positive indices of the window.
+    """
+    window = algebra_window(args.window, args.mode)
+    theta = args.mode == "theta"
+    content = content_from_arg(args.content)
+    for k, n in content.items():
+        if n < 0:
+            raise UsageError(f"content count {n} of index {k} is negative")
+        if k not in window:
+            raise UsageError(f"content index {k} outside window {list(window)}")
+        if theta and k < 0:
+            raise UsageError(
+                f"content index {k} is negative; theta mode takes a symmetrized "
+                "content, keyed by positive indices"
+            )
+    index = getattr(args, "index", None)
+    if index is not None:
+        if index not in window:
+            raise UsageError(f"--index {index} outside window {list(window)}")
+        letter = abs(index) if theta else index
+        if args.side == "E" and not content.get(letter):
+            raise UsageError(
+                f"--side E needs letter {letter} in the content, got {args.content}"
+            )
+    if theta:
+        return theta_block(ThetaModule(window), content)
     return typeA_block(WordAlgebra(window), content)
 
 
@@ -254,23 +289,18 @@ def _print_matrix(tm, fmt):
 
 
 def cmd_bar_matrix(args):
-    ctx = _block_context(args, content_from_arg(args.content))
-    _print_matrix(bar_matrix(ctx), args.format)
+    _print_matrix(bar_matrix(_block_context(args)), args.format)
     return 0
 
 
 def cmd_global_basis(args):
-    ctx = _block_context(args, content_from_arg(args.content))
-    C = global_lower(ctx)
-    if args.upper:
-        _print_matrix(global_upper(ctx, C), args.format)
-    else:
-        _print_matrix(C, args.format)
+    ctx = _block_context(args)
+    _print_matrix(global_upper(ctx) if args.upper else global_lower(ctx), args.format)
     return 0
 
 
 def cmd_multiplicity(args):
-    ctx = _block_context(args, content_from_arg(args.content))
+    ctx = _block_context(args)
     polys = multiplicity_polys(args.index, ctx, args.side)
     table, warnings = q1_specialization(polys)
     items = sorted(polys.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
@@ -397,14 +427,13 @@ def _theta_symcontents(window, max_degree):
 
 
 def suite_gram(mode, window, max_degree):
-    alg = WordAlgebra(window)
     checked = 0
     fails = []
-    for ck in _typeA_contents(window, max_degree):
-        g = alg.gram_matrix(dict(ck))
+    for ctx in _contexts(mode, window, max_degree):
+        g = ctx.gram()
         checked += 1
         if rank(g) != len(g):
-            _fail(fails, f"singular Gram matrix on content {dict(ck)}")
+            _fail(fails, f"singular Gram matrix on {ctx.label}")
     return checked, fails
 
 
@@ -579,7 +608,7 @@ def suite_qboson_relations(mode, window, max_degree):
 def suite_multiplicity_consistency(mode, window, max_degree):
     checked = 0
     fails = []
-    for ctx in _contexts(mode, window, min(max_degree, 3)):
+    for ctx in _contexts(mode, window, max_degree):
         for i in window:
             for side in ("E", "F"):
                 try:
@@ -611,9 +640,16 @@ SUITES = {
 }
 
 
+# suites that never build an algebra, and so accept any window
+CRYSTAL_SUITES = {"crystal-axioms", "oracle-cross-check"}
+
+
 def cmd_verify(args):
-    window = parse_window(args.window)
     names = [args.suite] if args.suite else sorted(SUITES)
+    if set(names) <= CRYSTAL_SUITES:
+        window = parse_window(args.window)
+    else:
+        window = algebra_window(args.window, "typeA")
     bad = 0
     for name in names:
         fn = SUITES.get(name)

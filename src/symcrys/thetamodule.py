@@ -91,6 +91,7 @@ class ThetaModule:
         self._ptheta_cache = {}
         self._E_mat = {}
         self._F_mat = {}
+        self._contexts = {}  # BlockContexts, filled by symcrys.canonical
 
     # -- constructors -----------------------------------------------------
 

@@ -5,7 +5,12 @@ in U_q^- (i.e. modulo the Serre ideal) is mediated by the boson-adjoint
 bilinear form, which is nondegenerate on the quotient: a homogeneous word vector is
 zero in U_q^- iff it pairs to zero with every word of its content.  PBW
 elements, their coordinates (via Gram systems) and the modified root
-operators are computed per content block; blocks are cached on the algebra.
+operators are computed per content block.  Results are cached on the algebra
+instance: PBW elements by multisegment, and per content block the basis, the
+Gram matrix, the e'_i/f_i block matrices and (through `_contexts`, filled by
+`symcrys.canonical`) the block's bar matrix and global bases.  A fresh
+algebra starts cold.  Cached word vectors and matrices are shared between
+callers, who must not mutate them.
 """
 
 from __future__ import annotations
@@ -134,11 +139,13 @@ class WordAlgebra:
         self._form_cache = {}
         self._eprime_word = {}
         self._pbw_seg = {}
+        self._pbw = {}
         self._gram = {}
         self._basis = {}
         self._eprime_mat = {}
         self._fmul_mat = {}
         self._words = {}
+        self._contexts = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -308,6 +315,9 @@ class WordAlgebra:
 
     def pbw_element(self, m):
         """P(m): ordered product of divided segment powers, PBW-descending."""
+        hit = self._pbw.get(m)
+        if hit is not None:
+            return hit
         out = self.one()
         for seg in m.segments_desc_pbw():
             mult = m.entries[seg]
@@ -315,6 +325,7 @@ class WordAlgebra:
             for _ in range(mult):
                 out = self.mul(out, piece)
             out = out.scale(RatFunc(1) / RatFunc(qfact(mult)))
+        self._pbw[m] = out
         return out
 
     def basis_of_content(self, content):

@@ -1,6 +1,7 @@
 import pytest
 
 from symcrys.canonical import (
+    TransitionMatrix,
     TriangularityError,
     balanced_split,
     bar_matrix,
@@ -11,7 +12,7 @@ from symcrys.canonical import (
     theta_block,
     typeA_block,
 )
-from symcrys.linalg import mat_mul
+from symcrys.linalg import identity, mat_mul
 from symcrys.multisegment import Multisegment, Segment
 from symcrys.ratfunc import RatFunc, parse_ratfunc
 from symcrys.thetamodule import ThetaModule
@@ -216,3 +217,99 @@ def test_q1_integrality(mod):
     table, _ = q1_specialization(polys)
     for v in table.values():
         assert v.denominator == 1
+
+
+# -- per-algebra memo of block contexts and their matrices -------------------
+
+# (block factory, algebra constructor, an index raising the letter 1) per setting
+SETTINGS = [(typeA_block, lambda: WordAlgebra(WIN), 1),
+            (theta_block, lambda: ThetaModule(WIN), -1)]
+
+
+@pytest.mark.parametrize("factory,make,idx", SETTINGS)
+def test_block_factory_returns_one_context_per_key(factory, make, idx):
+    a = make()
+    ctx = factory(a, {1: 1, 3: 1})
+    assert factory(a, {3: 1, 1: 1, -3: 0}) is ctx  # zero counts are dropped
+    assert ctx.shifted(idx, +1) is factory(a, {1: 2, 3: 1})
+    assert ctx.shifted(idx, -1) is factory(a, {3: 1})
+    assert factory(make(), {1: 1, 3: 1}) is not ctx
+
+
+def _count_bar_columns(ctx, calls):
+    inner = ctx._bar_column
+
+    def counted(idx):
+        calls.append((ctx.label, idx))
+        return inner(idx)
+
+    ctx._bar_column = counted
+
+
+@pytest.mark.parametrize("factory,make,idx", SETTINGS)
+def test_multiplicity_reuses_the_memoized_bases(factory, make, idx):
+    ctx = factory(make(), {1: 1, 3: 1})
+    tgt = ctx.shifted(idx, +1)
+    calls = []
+    _count_bar_columns(ctx, calls)
+    _count_bar_columns(tgt, calls)
+    first = multiplicity_polys(idx, ctx, "F")
+    # every bar column of both blocks is computed exactly once
+    assert sorted(calls) == sorted(
+        [(ctx.label, k) for k in range(len(ctx.basis()))]
+        + [(tgt.label, k) for k in range(len(tgt.basis()))]
+    )
+
+    ctx = factory(make(), {1: 1, 3: 1})
+    tgt = ctx.shifted(idx, +1)
+    global_upper(ctx)
+    global_upper(tgt)
+    calls = []
+    _count_bar_columns(ctx, calls)
+    _count_bar_columns(tgt, calls)
+    assert multiplicity_polys(idx, ctx, "F") == first
+    assert multiplicity_polys(idx, tgt, "E")
+    assert calls == []
+
+
+@pytest.mark.parametrize("factory,make,idx", SETTINGS)
+def test_explicit_bar_and_lower_are_used_not_stored(factory, make, idx):
+    ctx = factory(make(), {1: 1, 3: 1})
+    n = len(ctx.basis())
+    assert n >= 2
+    ident = TransitionMatrix(ctx.label, ctx.basis(), identity(n))
+    # the identity is a valid bar matrix whose lower basis is the identity
+    assert global_lower(ctx, ident).entries == identity(n)
+    assert ctx.bar is None and ctx.lower is None
+    U_ident = global_upper(ctx, ident)
+    assert ctx.lower is None and ctx.upper is None
+    C = global_lower(ctx)
+    assert C.entries != identity(n)
+    assert ctx.bar is bar_matrix(ctx) and ctx.lower is C
+    U = global_upper(ctx)
+    assert U.entries != U_ident.entries
+    assert ctx.upper is U and global_upper(ctx) is U
+    # passing the block's own memoized matrices is the same as passing none
+    assert global_lower(ctx, ctx.bar) is C and global_upper(ctx, C) is U
+
+
+@pytest.mark.parametrize("factory,make,letters", [
+    (typeA_block, lambda: WordAlgebra(WIN), WIN),
+    (theta_block, lambda: ThetaModule(WIN), (1, 3)),
+])
+def test_memoized_matrices_equal_fresh_ones(factory, make, letters):
+    keys = [{}] + [{a: 1} for a in letters] + [
+        {a: 2} if a == b else {a: 1, b: 1} for a in letters for b in letters if a <= b
+    ]
+    shared = make()
+    # fill the memo through multiplicity_polys and shifted contexts first
+    for key in keys:
+        if sum(key.values()) < 2:
+            for i in WIN:
+                multiplicity_polys(i, factory(shared, key), "F")
+    for key in keys:
+        ctx = factory(shared, key)
+        fresh = factory(make(), key)
+        assert bar_matrix(ctx).entries == bar_matrix(fresh).entries
+        assert global_lower(ctx).entries == global_lower(fresh).entries
+        assert global_upper(ctx).entries == global_upper(fresh).entries

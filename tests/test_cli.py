@@ -152,6 +152,13 @@ def test_verify_small_crystal_suite(capsys):
     )
     assert code == 0
     assert "PASS" in out
+    # the crystal suites build no algebra, so a gapped window is accepted
+    code, out, _ = run(
+        capsys, "verify", "--suite", "crystal-axioms", "--mode", "theta",
+        "--window=-3,3", "--max-degree", "2",
+    )
+    assert code == 0
+    assert "PASS" in out
 
 
 # -- error handling ----------------------------------------------------------
@@ -174,3 +181,45 @@ def test_out_of_window_segment_named(capsys):
     code, _, err = run(capsys, "expand", '[{"i":5,"j":5,"mult":1}]')
     assert code == 2
     assert "5" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["bar-matrix", "--window", "1,3", '{"5":1}'], "5"),
+    (["bar-matrix", "--window", "1,3", '{"1":-1}'], "-1"),
+    (["bar-matrix", "--window", "1,5", '{"1":1}'], "1,5"),
+    (["bar-matrix", "--mode", "theta", "--window=-1,1", '{"-1":1}'], "-1"),
+    (["multiplicity", "--window", "1,3", '{"1":1}', "--index", "5"], "--index 5"),
+    (["multiplicity", "--window", "1,3", "{}", "--index", "1", "--side", "E"], "letter 1"),
+    (["verify", "--suite", "gram", "--mode", "typeA", "--window", "1,5"], "1,5"),
+])
+def test_malformed_requests_exit_2(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and named in err
+
+
+def test_verify_gram_follows_the_mode(capsys):
+    counts = {}
+    for mode in ("typeA", "theta"):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "gram", "--mode", mode, "--max-degree", "3",
+        )
+        assert code == 0
+        counts[mode] = int(re.search(r"gram: PASS \((\d+) identities", out).group(1))
+    assert counts == {"typeA": 34, "theta": 9}
+
+
+def test_multiplicity_consistency_honours_max_degree(capsys):
+    checked = []
+    for degree in ("3", "4"):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "multiplicity-consistency", "--mode", "typeA",
+            "--window", "1,3", "--max-degree", degree,
+        )
+        assert code == 0
+        checked.append(out)
+    assert checked == [
+        "multiplicity-consistency: PASS (30 identities checked)\n",
+        "multiplicity-consistency: PASS (48 identities checked)\n",
+    ]

@@ -94,6 +94,14 @@ def test_pbw_element_examples(alg):
     assert alg.pbw_element(M((1, 1, 2))) == alg.f(1, 1).scale(R("1") / R("q + q^-1"))
 
 
+def test_pbw_element_is_cached_per_algebra(alg):
+    m = M((-1, 1, 1), (3, 3, 2))
+    first = alg.pbw_element(m)
+    assert alg.pbw_element(M((-1, 1, 1), (3, 3, 2))) is first
+    fresh = WordAlgebra(WIN).pbw_element(m)
+    assert fresh is not first and fresh == first
+
+
 def test_pbw_coords_examples(alg):
     m = M((1, 3, 1))
     assert alg.pbw_coords(alg.pbw_element(m)) == {m: R("1")}
