@@ -22,6 +22,8 @@ def _lcm_poly(a, b):
 
 def _clear_row(row):
     """list[RatFunc] -> (list[LaurentPoly],) with denominators cleared."""
+    if all(x.in_A() for x in row):
+        return [x.num for x in row]
     den = LaurentPoly.one()
     for x in row:
         if not x.is_zero():

@@ -1,20 +1,65 @@
 """Exact arithmetic in Q(q): Laurent polynomials, rational functions, quantum integers.
 
-Everything here is immutable and exact (integer/Fraction coefficients, no
-floats).  RatFunc values are kept in a normal form so that equality is
-structural: numerator and denominator share no polynomial factor, the
-denominator is a primitive integer polynomial with nonzero positive constant
-coefficient, and any overall power of q lives in the numerator.
+Everything here is immutable and exact; floats are refused.  A LaurentPoly
+stores an integral coefficient as an int and keeps a Fraction only for a
+coefficient that is not integral.  An int and a Fraction of the same value
+compare, hash and print alike, so the storage never shows in equality or in
+printed strings.
+
+RatFunc values are kept in a normal form so that equality is structural:
+numerator and denominator share no polynomial factor, the denominator is a
+primitive integer polynomial with nonzero positive constant coefficient, and
+any overall power of q lives in the numerator.  Most values are Laurent
+polynomials (denominator 1): their sums, differences and products are built
+directly, without normalisation.  Other values are normalised with a gcd
+taken by a primitive remainder sequence over the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
+
+_new = object.__new__
+
+
+def _exact(c):
+    """An exact coefficient: an int when integral, else a Fraction."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def _quo(a, b):
+    """The exact quotient a / b of two coefficients, an int when integral."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _settle(d):
+    """Turn the integral Fractions among the values of d into ints, in place."""
+    for e, c in d.items():
+        if c.__class__ is not int and c.denominator == 1:
+            d[e] = c.numerator
+    return d
+
+
+def _poly(d):
+    """Trusted constructor: d maps exponents to nonzero, settled coefficients."""
+    p = _new(LaurentPoly)
+    p.coeffs = d
+    return p
 
 
 class LaurentPoly:
-    """Laurent polynomial in q with Fraction coefficients, stored sparsely."""
+    """Laurent polynomial in q with exact (int or Fraction) coefficients, stored sparsely."""
 
     __slots__ = ("coeffs",)
 
@@ -22,8 +67,9 @@ class LaurentPoly:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
-                if c != 0:
+                if c.__class__ is not int:
+                    c = _exact(c)
+                if c:
                     d[int(e)] = c
         self.coeffs = d
 
@@ -39,7 +85,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c):
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def q_power(n):
@@ -77,31 +123,38 @@ class LaurentPoly:
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = d.get(e, 0) + c
-            if s == 0:
-                d.pop(e, None)
-            else:
+            if not s:
+                del d[e]
+            elif s.__class__ is int or s.denominator != 1:
                 d[e] = s
-        return LaurentPoly(d)
+            else:
+                d[e] = s.numerator
+        return _poly(d)
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, LaurentPoly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         d = {}
+        get = d.get
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = d.get(e, 0) + c1 * c2
-                if s == 0:
-                    d.pop(e, None)
-                else:
-                    d[e] = s
-        return LaurentPoly(d)
+                d[e] = get(e, 0) + c1 * c2
+        out = {}
+        for e, c in d.items():
+            if c:
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                out[e] = c
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -118,18 +171,20 @@ class LaurentPoly:
         return out
 
     def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPoly()
-        return LaurentPoly({e: c * v for e, v in self.coeffs.items()})
+        c = _exact(c)
+        if not c:
+            return _poly({})
+        return _poly(_settle({e: c * v for e, v in self.coeffs.items()}))
 
     def shift(self, n):
         """Multiply by q^n."""
-        return LaurentPoly({e + n: c for e, c in self.coeffs.items()})
+        if not n:
+            return self
+        return _poly({e + n: c for e, c in self.coeffs.items()})
 
     def bar(self):
         """The involution q -> q^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return _poly({-e: c for e, c in self.coeffs.items()})
 
     def subs_one(self):
         """Exact evaluation at q = 1."""
@@ -149,7 +204,7 @@ class LaurentPoly:
             rdeg = max(r)
             if rdeg < ddeg:
                 break
-            f = r[rdeg] / dlead
+            f = _quo(r[rdeg], dlead)
             qout[rdeg - ddeg] = f
             for e, c in other.coeffs.items():
                 e2 = e + rdeg - ddeg
@@ -158,7 +213,7 @@ class LaurentPoly:
                     r.pop(e2, None)
                 else:
                     r[e2] = s
-        return LaurentPoly(qout), LaurentPoly(r)
+        return _poly(qout), _poly(_settle(r))
 
     def __str__(self):
         return format_poly(self)
@@ -167,13 +222,93 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)!r})"
 
 
+_ZERO = _poly({})
+_ONE = _poly({0: 1})
+
+
+def _content(coeffs):
+    """(L, G) with G / L the positive rational content of a nonzero coefficient dict.
+
+    L is the lcm of the denominators and G the gcd of the numerators once
+    scaled by L, so multiplying by Fraction(L, G) leaves a primitive integer
+    polynomial.
+    """
+    den = lcm(*[c.denominator for c in coeffs.values() if c.__class__ is not int])
+    if den == 1:
+        return 1, gcd(*coeffs.values())
+    return den, gcd(*[c.numerator * (den // c.denominator) for c in coeffs.values()])
+
+
+def _primitive_dense(p):
+    """Dense coefficient list (constant term first) of p over its content."""
+    coeffs = p.coeffs
+    den, g = _content(coeffs)
+    out = [0] * (max(coeffs) + 1)
+    if den == 1:
+        for e, c in coeffs.items():
+            out[e] = c // g
+    else:
+        for e, c in coeffs.items():
+            out[e] = c.numerator * (den // c.denominator) // g
+    return out
+
+
+def _prem(a, b):
+    """A remainder of lc(b)^k * a by b, for dense integer lists with len(a) >= len(b) >= 2.
+
+    Each step multiplies by lc(b) only when lc(b) does not divide the leading
+    coefficient, so the result is the Euclidean remainder times a nonzero
+    integer.  Trailing zeros are removed.
+    """
+    r = list(a)
+    nb = len(b) - 1
+    lb = b[-1]
+    while len(r) > nb:
+        lr = r[-1]
+        s = len(r) - 1 - nb
+        if lr % lb:
+            r = [lb * c for c in r]
+            f = lr
+        else:
+            f = lr // lb
+        for i, c in enumerate(b):
+            r[s + i] -= f * c
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _prs_gcd(a, b):
+    """A gcd over Z of two nonzero primitive dense integer lists, by a primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        if not r:
+            return b
+        g = gcd(*r)
+        a, b = b, [c // g for c in r]
+    return [1]
+
+
 def poly_gcd(a, b):
-    """Monic gcd in Q[q] of two ordinary polynomials (min_exp >= 0)."""
-    while not b.is_zero():
-        a, b = b, a.divmod_poly(b)[1]
-    if a.is_zero():
-        return a
-    return a.scale(1 / a.coeffs[a.max_exp()])
+    """Monic gcd in Q[q] of two ordinary polynomials (min_exp >= 0).
+
+    The gcd is taken over Z on the content-free integer polynomials, by a
+    primitive remainder sequence, and made monic at the end.
+    """
+    if not a.coeffs:
+        a, b = b, a
+    if not a.coeffs:
+        return _poly({})
+    if min(a.coeffs) < 0 or (b.coeffs and min(b.coeffs) < 0):
+        raise ValueError("poly_gcd needs ordinary polynomials (no negative powers of q)")
+    g = _primitive_dense(a)
+    if b.coeffs:
+        g = _prs_gcd(g, _primitive_dense(b))
+    lead = g[-1]
+    return _poly({e: _quo(c, lead) for e, c in enumerate(g) if c})
 
 
 def qint(k):
@@ -190,69 +325,83 @@ def qfact(k):
     return reduce(lambda acc, nu: acc * qint(nu), range(1, k + 1), LaurentPoly.one())
 
 
+def _as_poly(x):
+    if isinstance(x, LaurentPoly):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return LaurentPoly({0: x})
+    raise TypeError(f"RatFunc needs an int, a Fraction or a LaurentPoly, not {type(x).__name__}")
+
+
+def _laurent(p):
+    """Trusted constructor of the RatFunc p / 1."""
+    r = _new(RatFunc)
+    r.num = p
+    r.den = _ONE
+    return r
+
+
 class RatFunc:
     """Element of Q(q) as a normalized quotient of Laurent polynomials."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.const(num)
-        if den is None:
-            den = LaurentPoly.one()
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly.const(den)
-        if den.is_zero():
+        num = _as_poly(num)
+        den = _ONE if den is None else _as_poly(den)
+        dc = den.coeffs
+        if not dc:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num = LaurentPoly.zero()
-            self.den = LaurentPoly.one()
+        nc = num.coeffs
+        self.den = _ONE
+        if not nc:
+            self.num = _ZERO
+            return
+        if len(dc) == 1:
+            # A monomial denominator c q^e: the value is Laurent.
+            (e, c), = dc.items()
+            if c == 1:
+                self.num = num.shift(-e)
+            else:
+                self.num = _poly({k - e: _quo(v, c) for k, v in nc.items()})
             return
         # Move q-power shifts into the numerator, cancel the polynomial gcd,
         # then rescale so the denominator is a primitive integer polynomial
         # with positive constant coefficient.
-        vn, vd = num.min_exp(), den.min_exp()
+        vn, vd = min(nc), min(dc)
         num = num.shift(-vn)
         den = den.shift(-vd)
         g = poly_gcd(num, den)
-        if g.max_exp() > 0:
+        if max(g.coeffs) > 0:
+            g = _poly({e: c for e, c in enumerate(_primitive_dense(g)) if c})
             num = num.divmod_poly(g)[0]
             den = den.divmod_poly(g)[0]
-        c0 = den.coeffs[den.min_exp()]
-        lcm = 1
-        for c in den.coeffs.values():
-            lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-        gg = 0
-        for c in den.coeffs.values():
-            gg = _gcd_int(gg, c.numerator * (lcm // c.denominator))
-        scale = Fraction(lcm, gg)
-        if c0 < 0:
+        den_l, den_g = _content(den.coeffs)
+        scale = _quo(den_l, den_g)
+        if den.coeffs[0] < 0:
             scale = -scale
         self.num = num.scale(scale).shift(vn - vd)
-        self.den = den.scale(scale)
+        if len(den.coeffs) > 1:
+            self.den = den.scale(scale)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def from_poly(p):
-        return RatFunc(p)
-
-    @staticmethod
     def zero():
-        return RatFunc(0)
+        return _laurent(_ZERO)
 
     @staticmethod
     def one():
-        return RatFunc(1)
+        return _laurent(_ONE)
 
     @staticmethod
     def q_power(n):
-        return RatFunc(LaurentPoly.q_power(n))
+        return _laurent(LaurentPoly.q_power(n))
 
     # -- structure ------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -265,29 +414,29 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.coeffs)
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(other)
-        if isinstance(other, LaurentPoly):
-            return RatFunc(other)
         if isinstance(other, RatFunc):
             return other
+        if isinstance(other, (int, Fraction, LaurentPoly)):
+            return RatFunc(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return _laurent(self.num + o.num)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
+        r = _new(RatFunc)
         r.num = -self.num
         r.den = self.den
         return r
@@ -296,15 +445,22 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return _laurent(self.num - o.num)
         return self + (-o)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den is _ONE and o.den is _ONE:
+            return _laurent(self.num * o.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -319,6 +475,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, n):
@@ -335,6 +493,8 @@ class RatFunc:
 
     def bar(self):
         """The field involution q -> q^{-1}."""
+        if self.den is _ONE:
+            return _laurent(self.num.bar())
         return RatFunc(self.num.bar(), self.den.bar())
 
     def subs_one(self):
@@ -348,7 +508,7 @@ class RatFunc:
 
     def in_A(self):
         """Member of A = Q[q, q^{-1}]: the denominator is a unit monomial."""
-        return self.den == LaurentPoly.one()
+        return self.den is _ONE or self.den == _ONE
 
     def in_A0(self):
         """Regular at q = 0 (the denominator has nonzero constant term)."""
@@ -371,20 +531,13 @@ class RatFunc:
     def positive_part(self):
         """Sum of the strictly positive q-degree terms (requires in_A())."""
         p = self.laurent()
-        return RatFunc(LaurentPoly({e: c for e, c in p.coeffs.items() if e > 0}))
+        return _laurent(_poly({e: c for e, c in p.coeffs.items() if e > 0}))
 
     def __str__(self):
         return format_ratfunc(self)
 
     def __repr__(self):
         return f"RatFunc({format_ratfunc(self)!r})"
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +571,9 @@ def format_ratfunc(x):
     if x.is_zero():
         return "0"
     # display with integer coefficients on both sides
-    lcm = 1
-    for c in x.num.coeffs.values():
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    num = x.num.scale(lcm)
-    den = x.den.scale(lcm)
+    den_l = lcm(*[c.denominator for c in x.num.coeffs.values()])
+    num = x.num.scale(den_l)
+    den = x.den.scale(den_l)
     if den == LaurentPoly.one():
         return format_poly(num)
     return f"({format_poly(num)})/({format_poly(den)})"

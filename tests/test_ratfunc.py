@@ -144,3 +144,38 @@ def test_qint_qfact_identities():
 @settings(max_examples=60, deadline=None)
 def test_bar_swaps_A0_Ainf(a):
     assert a.in_A0() == a.bar().in_Ainf()
+
+
+# -- reflected operators and non-exact input --------------------------------
+
+@pytest.mark.parametrize("op", [
+    lambda x: "x" / x,
+    lambda x: "x" - x,
+    lambda x: x / "x",
+    lambda x: x - "x",
+    lambda x: "x" + x,
+    lambda x: 0.5 * x,
+])
+def test_foreign_operand_raises_type_error(op):
+    with pytest.raises(TypeError):
+        op(RatFunc(1))
+
+
+def test_reflected_ops_with_exact_numbers():
+    x = R("q + 1")
+    assert 2 - x == R("1 - q")
+    assert 1 / x == RatFunc(1) / x
+    assert Fraction(1, 2) / x == RatFunc(1) / (2 * x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LaurentPoly({0: 0.1}),
+    lambda: LaurentPoly.const(0.5),
+    lambda: LaurentPoly.one().scale(0.5),
+    lambda: RatFunc(0.5),
+    lambda: RatFunc(1, 2.0),
+    lambda: RatFunc("1"),
+])
+def test_non_exact_coefficients_rejected(make):
+    with pytest.raises(TypeError, match="float|str"):
+        make()
