@@ -680,12 +680,6 @@ def build_parser():
         sp.add_argument("--window", default="-3,-1,1,3", help="comma-separated odd indices")
         sp.add_argument("--max-degree", type=int, default=4)
         sp.add_argument("--format", choices=["text", "json", "dot"], default="text")
-        sp.add_argument(
-            "--parallel",
-            type=int,
-            default=1,
-            help="accepted for compatibility; execution is serial",
-        )
 
     sp = sub.add_parser("crystal-graph", help="breadth-first crystal graph from the empty multisegment")
     common(sp)

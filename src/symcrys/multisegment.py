@@ -4,6 +4,13 @@ Indices are odd integers.  The crystal operators come in two independent
 implementations: the closed formulas (epsilon / etilde / ftilde) and the
 plus-minus signature algorithm (signature_ops); they must agree everywhere
 and the test suite cross-checks them exhaustively.
+
+Segments are interned per process: `Segment(i, j)` validates a pair the first
+time it is made and afterwards returns that same immutable instance, so
+segments compare by identity and carry a stored hash.  A multisegment's hash
+is computed on first use.  Results of `add`/`remove`, the enumerators and the
+crystal operators are built from segments already known to be valid and are
+not re-validated; the public `Multisegment(...)` constructor checks its input.
 """
 
 from __future__ import annotations
@@ -11,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 
 def cartan(i, j):
@@ -23,18 +29,50 @@ def cartan(i, j):
     return 0
 
 
-@dataclass(frozen=True, order=False)
+_SEGMENTS = {}  # (i, j) -> the interned Segment; holds only valid pairs
+
+
 class Segment:
-    """The interval of odd integers from i to j, denoted <i,j>."""
+    """The interval of odd integers from i to j, denoted <i,j>.
 
-    i: int
-    j: int
+    One immutable instance per (i, j), validated when first made.
+    """
 
-    def __post_init__(self):
-        if self.i % 2 == 0 or self.j % 2 == 0:
-            raise ValueError(f"segment endpoints must be odd: <{self.i},{self.j}>")
-        if self.i > self.j:
-            raise ValueError(f"segment needs i <= j: <{self.i},{self.j}>")
+    __slots__ = ("i", "j", "_hash")
+
+    def __new__(cls, i, j):
+        seg = _SEGMENTS.get((i, j))
+        if seg is not None:
+            return seg
+        try:
+            integral = int(i) == i and int(j) == j
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise TypeError(f"segment endpoints must be integers: <{i!r},{j!r}>")
+        i, j = int(i), int(j)  # an integral float is stored as the int it equals
+        if i % 2 == 0 or j % 2 == 0:
+            raise ValueError(f"segment endpoints must be odd: <{i},{j}>")
+        if i > j:
+            raise ValueError(f"segment needs i <= j: <{i},{j}>")
+        seg = object.__new__(cls)
+        object.__setattr__(seg, "i", i)
+        object.__setattr__(seg, "j", j)
+        object.__setattr__(seg, "_hash", hash((i, j)))
+        _SEGMENTS[i, j] = seg
+        return seg
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Segment is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Segment is immutable; cannot delete {name!r}")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Segment, (self.i, self.j)
 
     def indices(self):
         return range(self.i, self.j + 1, 2)
@@ -55,6 +93,9 @@ class Segment:
 
     def __str__(self):
         return f"<{self.i}>" if self.i == self.j else f"<{self.i},{self.j}>"
+
+    def __repr__(self):
+        return f"Segment(i={self.i!r}, j={self.j!r})"
 
 
 def cmp_pbw(s1, s2):
@@ -86,11 +127,19 @@ class Multisegment:
                 if mult:
                     d[seg] = d.get(seg, 0) + mult
         self.entries = d
-        self._hash = hash(frozenset(d.items()))
+        self._hash = None
+
+    @classmethod
+    def _trusted(cls, entries):
+        """Wrap a dict of valid segments to positive counts; no checks, no copy."""
+        m = object.__new__(cls)
+        m.entries = entries
+        m._hash = None
+        return m
 
     @staticmethod
     def empty():
-        return Multisegment()
+        return Multisegment._trusted({})
 
     @staticmethod
     def single(i, j=None, mult=1):
@@ -102,7 +151,10 @@ class Multisegment:
         return self.entries == other.entries
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self.entries.items()))
+        return h
 
     def __bool__(self):
         return bool(self.entries)
@@ -112,21 +164,37 @@ class Multisegment:
 
     def mult(self, i, j=None):
         """Multiplicity of <i,j>; 0 for formally invalid index pairs."""
-        if j is None:
-            j = i
-        if i > j or i % 2 == 0 or j % 2 == 0:
-            return 0
-        return self.entries.get(Segment(i, j), 0)
+        seg = _SEGMENTS.get((i, i if j is None else j))
+        return 0 if seg is None else self.entries.get(seg, 0)
 
     def add(self, seg, n=1):
+        if seg.__class__ is not Segment:
+            seg = Segment(*seg)
         d = dict(self.entries)
-        d[seg] = d.get(seg, 0) + n
-        if d[seg] < 0:
+        c = d.get(seg, 0) + n
+        if c < 0:
             raise ValueError(f"removing absent segment {seg}")
-        return Multisegment(d)
+        if c:
+            d[seg] = c
+        else:
+            d.pop(seg, None)
+        return Multisegment._trusted(d)
 
     def remove(self, seg, n=1):
         return self.add(seg, -n)
+
+    def swap(self, old, new):
+        """remove(old).add(new) with one copy of the entries; `old` must be present."""
+        d = dict(self.entries)
+        c = d.get(old, 0) - 1
+        if c < 0:
+            raise ValueError(f"removing absent segment {old}")
+        if c:
+            d[old] = c
+        else:
+            del d[old]
+        d[new] = d.get(new, 0) + 1
+        return Multisegment._trusted(d)
 
     def content(self):
         """Letter count per index: <i,j> contributes 1 to each of i, i+2, ..., j."""
@@ -212,50 +280,59 @@ cry_sort_key = functools.cmp_to_key(cmp_cry_multiseg_raw)
 # crystal operators, closed-formula route
 # ---------------------------------------------------------------------------
 
-def _A_values(i, m):
-    """A_k^{(i)}(m) for odd k from i up to beyond the support of m."""
+def _A_extremes(i, m):
+    """(eps, k_e, k_f) for the values A_k = A_k^{(i)}(m) at odd k >= i.
+
+    A_k = sum over k' >= k of mult<i,k'> - mult<i+2,k'+2>, which is 0 beyond
+    the support of m.  eps = max(0, max_k A_k), and k_e / k_f are the largest
+    and smallest k with A_k = eps.  One pass over the segments collects the
+    differences; a suffix sum from the top of the support accumulates them.
+    """
     top = i
-    for seg in m.entries:
-        if seg.i == i:
-            top = max(top, seg.j)
-        if seg.i == i + 2:
-            top = max(top, seg.j - 2)
-    ks = list(range(i, top + 3, 2))
-    out = {}
-    acc = 0
-    for k in reversed(ks):
-        acc += m.mult(i, k) - m.mult(i + 2, k + 2)
-        out[k] = acc
-    return out
+    diff = {}
+    for seg, n in m.entries.items():
+        a = seg.i
+        if a == i:
+            k = seg.j
+            diff[k] = diff.get(k, 0) + n
+        elif a == i + 2:
+            k = seg.j - 2
+            diff[k] = diff.get(k, 0) - n
+        else:
+            continue
+        if k > top:
+            top = k
+    eps = acc = 0
+    k_e = k_f = top + 2
+    for k in range(top, i - 1, -2):
+        acc += diff.get(k, 0)
+        if acc > eps:
+            eps, k_e, k_f = acc, k, k
+        elif acc == eps:
+            k_f = k
+    return eps, k_e, k_f
 
 
 def epsilon(i, m):
     """epsilon_i(m) = max(0, max_k A_k^{(i)}(m))."""
-    vals = _A_values(i, m)
-    return max(0, max(vals.values()))
+    return _A_extremes(i, m)[0]
 
 
 def etilde(i, m):
     """The modified root operator, or None when epsilon_i(m) = 0."""
-    vals = _A_values(i, m)
-    eps = max(0, max(vals.values()))
+    eps, k_e, _ = _A_extremes(i, m)
     if eps == 0:
         return None
-    k_e = max(k for k, v in vals.items() if v == eps)
-    out = m.remove(Segment(i, k_e))
-    if k_e != i:
-        out = out.add(Segment(i + 2, k_e))
-    return out
+    if k_e == i:
+        return m.remove(Segment(i, i))
+    return m.swap(Segment(i, k_e), Segment(i + 2, k_e))
 
 
 def ftilde(i, m):
-    vals = _A_values(i, m)
-    eps = max(0, max(vals.values()))
-    k_f = min(k for k, v in vals.items() if v == eps)
-    out = m.add(Segment(i, k_f))
-    if k_f != i:
-        out = out.remove(Segment(i + 2, k_f))
-    return out
+    _, _, k_f = _A_extremes(i, m)
+    if k_f == i:
+        return m.add(Segment(i, i))
+    return m.swap(Segment(i + 2, k_f), Segment(i, k_f))
 
 
 # ---------------------------------------------------------------------------
@@ -266,37 +343,42 @@ def signature_ops(i, m):
     """(epsilon, etilde result, ftilde result) via the +/- signature algorithm.
 
     Scans the segments <i,j> (sign -) and <i+2,j> (sign +) in decreasing
-    crystal order and cancels +- pairs.
+    crystal order and cancels +- pairs.  Equal signs of one segment are kept
+    as one run [segment, copies]; the reduced signature is -...- +...+.
     """
-    signs = []  # (sign, segment)
     relevant = []
-    for seg in m.entries:
+    for seg, n in m.entries.items():
         if seg.i == i:
-            relevant.append((seg, "-"))
+            relevant.append((seg.cry_key(), "-", seg, n))
         elif seg.i == i + 2:
-            relevant.append((seg, "+"))
-    relevant.sort(key=lambda sv: sv[0].cry_key(), reverse=True)
-    for seg, sign in relevant:
-        signs.extend((sign, seg) for _ in range(m.entries[seg]))
-    reduced = []
-    for item in signs:
-        if reduced and reduced[-1][0] == "+" and item[0] == "-":
-            reduced.pop()
-        else:
-            reduced.append(item)
-    minus = [seg for sign, seg in reduced if sign == "-"]
-    plus = [seg for sign, seg in reduced if sign == "+"]
-    eps = len(minus)
+            relevant.append((seg.cry_key(), "+", seg, n))
+    relevant.sort(reverse=True)
+    minus = []  # runs of uncancelled -, left to right
+    plus = []   # runs of uncancelled +, left to right
+    for _, sign, seg, n in relevant:
+        if sign == "+":
+            plus.append([seg, n])
+            continue
+        while n and plus:
+            run = plus[-1]
+            take = min(n, run[1])
+            n -= take
+            run[1] -= take
+            if not run[1]:
+                plus.pop()
+        if n:
+            minus.append([seg, n])
+    eps = sum(n for _, n in minus)
 
     if minus:
-        seg = minus[-1]  # rightmost -
-        e_out = m.remove(seg).add(Segment(i + 2, seg.j)) if seg.j != i else m.remove(seg)
+        seg = minus[-1][0]  # rightmost -
+        e_out = m.swap(seg, Segment(i + 2, seg.j)) if seg.j != i else m.remove(seg)
     else:
         e_out = None
 
     if plus:
-        seg = plus[0]  # leftmost +
-        f_out = m.remove(seg).add(Segment(i, seg.j))
+        seg = plus[0][0]  # leftmost +
+        f_out = m.swap(seg, Segment(i, seg.j))
     else:
         f_out = m.add(Segment(i, i))
     return eps, e_out, f_out
@@ -307,13 +389,15 @@ def signature_ops(i, m):
 # ---------------------------------------------------------------------------
 
 def window_segments(window):
-    """All segments whose index set lies inside the window."""
-    win = sorted(window)
+    """All segments whose index set lies inside the window, each once (a
+    repeated window index adds nothing)."""
+    members = set(window)
+    win = sorted(members)
     out = []
     for a in range(len(win)):
         for b in range(a, len(win)):
             i, j = win[a], win[b]
-            if all(k in set(win) for k in range(i, j + 1, 2)):
+            if all(k in members for k in range(i, j + 1, 2)):
                 out.append(Segment(i, j))
     return out
 
@@ -325,7 +409,7 @@ def enumerate_multisegments(window, max_degree, segments=None):
 
     def rec(idx, remaining, acc):
         if idx == len(segs):
-            out.append(Multisegment(dict(acc)))
+            out.append(Multisegment._trusted(dict(acc)))
             return
         seg = segs[idx]
         size = seg.length()
@@ -341,11 +425,54 @@ def enumerate_multisegments(window, max_degree, segments=None):
     return out
 
 
+def of_weighted_content(segs, weights, content):
+    """The multisegments over `segs` whose weighted content equals `content`.
+
+    `weights[t]` maps each content key that segs[t] touches to the number of
+    letters one copy of segs[t] puts there.  The result is the sublist of
+    enumerate_multisegments(..., segments=segs) with that content, in the
+    same order (the multiplicity of segs[0] most significant, each
+    ascending).  Each multiplicity is bounded by the content still to be
+    filled, and a key must be filled exactly once the last segment touching
+    it has been chosen.  A negative count, or a key no segment touches, gives [].
+    """
+    need = {k: v for k, v in content.items() if v}
+    last = {}
+    for t, w in enumerate(weights):
+        for key in w:
+            last[key] = t
+    if any(v < 0 or key not in last for key, v in need.items()):
+        return []
+    closes = [[] for _ in segs]
+    for key, t in last.items():
+        closes[t].append(key)
+    remaining = {key: need.get(key, 0) for key in last}
+    out = []
+    acc = {}
+
+    def rec(t):
+        if t == len(segs):
+            out.append(Multisegment._trusted(dict(acc)))
+            return
+        seg, w, done = segs[t], weights[t].items(), closes[t]
+        top = min(remaining[key] // c for key, c in w)
+        for n in range(top + 1):
+            if n:
+                acc[seg] = n
+                for key, c in w:
+                    remaining[key] -= c
+            if not any(remaining[key] for key in done):
+                rec(t + 1)
+        for key, c in w:
+            remaining[key] += top * c
+        acc.pop(seg, None)
+
+    rec(0)
+    return out
+
+
 def multisegments_of_content(window, content):
-    """All window multisegments with the given content (an index->count map)."""
-    content = {k: v for k, v in content.items() if v}
-    degree = sum(content.values())
-    return [
-        m for m in enumerate_multisegments(window, degree)
-        if m.degree() == degree and dict(m.content()) == content
-    ]
+    """All window multisegments with the given content (an index->count map),
+    in the order of enumerate_multisegments."""
+    segs = window_segments(window)
+    return of_weighted_content(segs, [dict.fromkeys(seg.indices(), 1) for seg in segs], content)

@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections import Counter
 
 from .multisegment import (
-    Multisegment,
     Segment,
     enumerate_multisegments,
     epsilon as a_epsilon,
     etilde as a_etilde,
     ftilde as a_ftilde,
+    of_weighted_content,
     signature_ops as a_signature_ops,
     window_segments,
 )
@@ -25,8 +25,8 @@ from .multisegment import (
 
 def check_theta_restricted(m):
     """Raise ValueError naming the first offending segment, if any."""
-    for seg, _ in m:
-        if not seg.is_theta_restricted():
+    for seg in m.entries:
+        if seg.i < -seg.j:
             raise ValueError(
                 f"segment <{seg.i},{seg.j}> violates the theta restriction -j <= i"
             )
@@ -45,57 +45,75 @@ def symmetrized_content(m):
 # closed formulas (Def-style route)
 # ---------------------------------------------------------------------------
 
-def _selection_order(k, top):
-    """Candidate indices, largest first: ..., k+2, k, -k+2, -k+4, ..., k-2."""
-    order = list(range(top, k, -2))  # ell > k, descending
-    order.append(k)
-    order.extend(range(-k + 2, k - 1, 2))  # -k+2 down to k-2 in rank
-    return order
-
-
 def _theta_A_values(k, m):
+    """The values A_ell at index -k, keyed in selection order, largest first:
+    top, ..., k+2, k, -k+2, -k+4, ..., k-2.
+
+    One pass over the segments collects what each part of the formula needs;
+    running sums then give the values.
+    """
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"index must be positive odd, got {k}")
+    lo, lo2 = -k, 2 - k
     top = k
-    for seg, _ in m:
-        top = max(top, seg.j + 2, -seg.i + 2)
+    diff = {}    # ell > k: mult<-k,ell> - mult<-k+2,ell+2>
+    tail = 0     # sum over ell > k of mult<-k,ell> - mult<-k+2,ell>
+    center = odd = dbl = 0  # mult<-k,k>, mult<-k+2,k>, mult<-k+2,k-2>
+    step = {}    # j in [-k+2, k-2]: mult<j+2,k> - mult<j,k-2> (the latter for j > -k+2)
+    for seg, n in m.entries.items():
+        a, b = seg.i, seg.j
+        if b + 2 > top:
+            top = b + 2
+        if 2 - a > top:
+            top = 2 - a
+        if a == lo:
+            if b > k:
+                diff[b] = diff.get(b, 0) + n
+                tail += n
+            elif b == k:
+                center = n
+        elif a == lo2:
+            if b > k:
+                tail -= n
+                if b - 2 > k:
+                    diff[b - 2] = diff.get(b - 2, 0) - n
+            elif b == k:
+                odd = n
+            elif b == k - 2:
+                dbl = n
+        elif b == k:
+            step[a - 2] = step.get(a - 2, 0) + n
+        elif b == k - 2:
+            step[a] = step.get(a, 0) - n
     vals = {}
-    # ell > k
     acc = 0
     for ell in range(top, k, -2):
-        acc += m.mult(-k, ell) - m.mult(-k + 2, ell + 2)
+        acc += diff.get(ell, 0)
         vals[ell] = acc
-    head = (
-        sum(m.mult(-k, ell) - m.mult(-k + 2, ell) for ell in range(k + 2, top + 1, 2))
-        + 2 * m.mult(-k, k)
-    )
-    vals[k] = head + (m.mult(-k + 2, k) % 2)
-    # -k+2 <= j <= k-2
-    base = head - 2 * m.mult(-k + 2, k - 2)
-    run = 0
-    for j in range(-k + 2, k - 1, 2):
-        run += m.mult(j + 2, k)
-        if j > -k + 2:
-            run -= m.mult(j, k - 2)
-        vals[j] = base + run
-    return vals, _selection_order(k, top)
+    head = tail + 2 * center
+    vals[k] = head + odd % 2
+    run = head - 2 * dbl
+    for j in range(lo2, k - 1, 2):
+        run += step.get(j, 0)
+        vals[j] = run
+    return vals
 
 
 def theta_epsilon(k, m):
     """epsilon_{-k}(m) for k > 0, clamped at 0."""
-    vals, _ = _theta_A_values(k, m)
+    vals = _theta_A_values(k, m)
     return max(0, max(vals.values()))
 
 
 def theta_Ftilde(k, m):
     """The operator at index -k (always defined)."""
-    vals, order = _theta_A_values(k, m)
+    vals = _theta_A_values(k, m)
     eps = max(0, max(vals.values()))
-    n_f = next(ell for ell in reversed(order) if vals[ell] == eps)
+    n_f = next(ell for ell in reversed(vals) if vals[ell] == eps)
     if n_f > k:
-        out = m.remove(Segment(-k + 2, n_f)).add(Segment(-k, n_f))
+        out = m.swap(Segment(-k + 2, n_f), Segment(-k, n_f))
     elif n_f == k and m.mult(-k + 2, k) % 2 == 1:
-        out = m.remove(Segment(-k + 2, k)).add(Segment(-k, k))
+        out = m.swap(Segment(-k + 2, k), Segment(-k, k))
     elif n_f == k:
         out = m.add(Segment(-k + 2, k))
         if k != 1:
@@ -109,15 +127,15 @@ def theta_Ftilde(k, m):
 
 def theta_Etilde(k, m):
     """The operator at index -k; None when epsilon_{-k}(m) = 0."""
-    vals, order = _theta_A_values(k, m)
+    vals = _theta_A_values(k, m)
     eps = max(0, max(vals.values()))
     if eps == 0:
         return None
-    n_e = next(ell for ell in order if vals[ell] == eps)
+    n_e = next(ell for ell, v in vals.items() if v == eps)
     if n_e > k:
-        out = m.remove(Segment(-k, n_e)).add(Segment(-k + 2, n_e))
+        out = m.swap(Segment(-k, n_e), Segment(-k + 2, n_e))
     elif n_e == k and m.mult(-k + 2, k) % 2 == 0:
-        out = m.remove(Segment(-k, k)).add(Segment(-k + 2, k))
+        out = m.swap(Segment(-k, k), Segment(-k + 2, k))
     elif n_e == k:
         out = m.remove(Segment(-k + 2, k))
         if k != 1:
@@ -134,57 +152,57 @@ def theta_Etilde(k, m):
 # ---------------------------------------------------------------------------
 
 def _theta_signature(k, m):
-    """Reduced sign sequence as a list of (sign, segment) pairs."""
+    """The reduced sign sequence -...- +...+ as two lists of runs
+    [segment, copies], minus and plus, each left to right."""
     top = k
-    for seg, _ in m:
+    for seg in m.entries:
         top = max(top, seg.j)
-    signs = []
-
-    def emit(sign, seg, copies=1):
-        signs.extend((sign, seg) for _ in range(copies))
+    mult = m.mult
+    seq = []  # (sign, i, j, copies) in scanning order
 
     for j in range(top, k, -2):
-        lo = Segment(-k, j)
-        hi = Segment(-k + 2, j)
-        emit("-", lo, m.entries.get(lo, 0))
-        emit("+", hi, m.entries.get(hi, 0))
-    center = Segment(-k, k)
-    emit("-", center, 2 * m.entries.get(center, 0))
-    odd_seg = Segment(-k + 2, k)
-    if m.entries.get(odd_seg, 0) % 2 == 1:
-        emit("-", odd_seg)
-        emit("+", odd_seg)
+        seq.append(("-", -k, j, mult(-k, j)))
+        seq.append(("+", -k + 2, j, mult(-k + 2, j)))
+    seq.append(("-", -k, k, 2 * mult(-k, k)))
+    if mult(-k + 2, k) % 2 == 1:
+        seq.append(("-", -k + 2, k, 1))
+        seq.append(("+", -k + 2, k, 1))
     if k > 1:
-        dbl = Segment(-k + 2, k - 2)
-        emit("+", dbl, 2 * m.entries.get(dbl, 0))
+        seq.append(("+", -k + 2, k - 2, 2 * mult(-k + 2, k - 2)))
     for i in range(-k + 4, k + 1, 2):
-        upper = Segment(i, k)
-        emit("-", upper, m.entries.get(upper, 0))
+        seq.append(("-", i, k, mult(i, k)))
         if i <= k - 2:
-            lower = Segment(i, k - 2)
-            emit("+", lower, m.entries.get(lower, 0))
-    reduced = []
-    for item in signs:
-        if reduced and reduced[-1][0] == "+" and item[0] == "-":
-            reduced.pop()
-        else:
-            reduced.append(item)
-    return reduced
+            seq.append(("+", i, k - 2, mult(i, k - 2)))
+    minus, plus = [], []
+    for sign, i, j, n in seq:
+        if not n:
+            continue
+        if sign == "+":
+            plus.append([Segment(i, j), n])
+            continue
+        while n and plus:
+            run = plus[-1]
+            take = min(n, run[1])
+            n -= take
+            run[1] -= take
+            if not run[1]:
+                plus.pop()
+        if n:
+            minus.append([Segment(i, j), n])
+    return minus, plus
 
 
 def theta_signature_ops(k, m):
     """(epsilon, Etilde result, Ftilde result) via the signature algorithm."""
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"index must be positive odd, got {k}")
-    reduced = _theta_signature(k, m)
-    minus = [seg for sign, seg in reduced if sign == "-"]
-    plus = [seg for sign, seg in reduced if sign == "+"]
-    eps = len(minus)
+    minus, plus = _theta_signature(k, m)
+    eps = sum(n for _, n in minus)
 
     if minus:
-        seg = minus[-1]  # rightmost -
+        seg = minus[-1][0]  # rightmost -
         if seg.i == -k:
-            e_out = m.remove(seg).add(Segment(-k + 2, seg.j))
+            e_out = m.swap(seg, Segment(-k + 2, seg.j))
         elif seg == Segment(-k + 2, k):
             e_out = m.remove(seg)
             if k != 1:
@@ -197,13 +215,13 @@ def theta_signature_ops(k, m):
         e_out = None
 
     if plus:
-        seg = plus[0]  # leftmost +
+        seg = plus[0][0]  # leftmost +
         if seg.j > k:  # <-k+2, j>
-            f_out = m.remove(seg).add(Segment(-k, seg.j))
+            f_out = m.swap(seg, Segment(-k, seg.j))
         elif seg.j == k:  # the + of the odd <-k+2,k> pair
-            f_out = m.remove(seg).add(Segment(-k, k))
+            f_out = m.swap(seg, Segment(-k, k))
         else:  # <j, k-2>, including the ++ segment
-            f_out = m.remove(seg).add(Segment(seg.i, k))
+            f_out = m.swap(seg, Segment(seg.i, k))
     else:
         f_out = m.add(Segment(k, k))
     if e_out is not None:
@@ -256,10 +274,8 @@ def enumerate_theta(window, max_degree):
 
 
 def theta_of_symmetrized_content(window, content):
-    """Theta-restricted multisegments in the window of a given symmetrized content."""
-    content = {k: v for k, v in content.items() if v}
-    degree = sum(content.values())
-    return [
-        m for m in enumerate_theta(window, degree)
-        if m.degree() == degree and dict(symmetrized_content(m)) == content
-    ]
+    """Theta-restricted multisegments in the window of a given symmetrized
+    content, in the order of enumerate_theta."""
+    segs = theta_window_segments(window)
+    weights = [Counter(abs(k) for k in seg.indices()) for seg in segs]
+    return of_weighted_content(segs, weights, content)

@@ -20,7 +20,7 @@ from .linalg import (
     solve_rect,
     solve_vector,
 )
-from .multisegment import cry_sort_key
+from .multisegment import cartan, cry_sort_key
 from .ratfunc import qfact, qint
 from .theta import symmetrized_content as mseg_symcontent, theta_of_symmetrized_content
 from .wordalg import WordAlgebra, WordVector, content_key
@@ -355,7 +355,7 @@ class ThetaModule:
         # (alpha_i + alpha_{-i}, alpha_k) is invariant under k -> -k, so any
         # genuine content in the fiber gives the same exponent; use all-positive.
         for k, n in sym_key:
-            e -= n * (_cartan(i, k) + _cartan(-i, k))
+            e -= n * (cartan(i, k) + cartan(-i, k))
         return RatFunc.q_power(e)
 
     # -- modified root operators ---------------------------------------------------
@@ -442,12 +442,6 @@ class ThetaModule:
 
     def theta_mod_ops(self, i, v):
         return self.theta_mod_etilde(i, v), self.theta_mod_ftilde(i, v)
-
-
-def _cartan(i, j):
-    from .multisegment import cartan
-
-    return cartan(i, j)
 
 
 def theta_sym_key(m):

@@ -16,8 +16,6 @@ callers, who must not mutate them.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
-
 from .linalg import SingularMatrixError, nullspace, solve_rect, solve_vector
 from .multisegment import (
     Multisegment,
@@ -31,6 +29,31 @@ from .ratfunc import RatFunc, qfact
 
 def content_key(content):
     return tuple(sorted((i, n) for i, n in content.items() if n))
+
+
+def multiset_permutations(items):
+    """The distinct orderings of `items` as tuples, in increasing lexicographic
+    order; equal to sorted(set(itertools.permutations(items))), without
+    generating the repeated orderings.
+
+    From the sorted list, each step finds the rightmost ascent a[k] < a[k+1],
+    swaps a[k] with the rightmost entry larger than it and reverses the tail.
+    """
+    a = sorted(items)
+    n = len(a)
+    out = [tuple(a)]
+    while True:
+        k = n - 2
+        while k >= 0 and a[k] >= a[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        l = n - 1
+        while a[l] <= a[k]:
+            l -= 1
+        a[k], a[l] = a[l], a[k]
+        a[k + 1:] = a[:k:-1]
+        out.append(tuple(a))
 
 
 def word_content(word):
@@ -281,7 +304,7 @@ class WordAlgebra:
             letters = []
             for i, n in sorted(content.items()):
                 letters.extend([i] * n)
-            hit = sorted(set(permutations(letters)))
+            hit = multiset_permutations(letters)
             self._words[key] = hit
         return hit
 

@@ -223,3 +223,10 @@ def test_multiplicity_consistency_honours_max_degree(capsys):
         "multiplicity-consistency: PASS (30 identities checked)\n",
         "multiplicity-consistency: PASS (48 identities checked)\n",
     ]
+
+
+def test_removed_parallel_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["crystal-graph", "--window", "1", "--parallel", "2"])
+    assert exc.value.code == 2
+    assert "--parallel" in capsys.readouterr().err

@@ -1,3 +1,7 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +18,7 @@ from symcrys.multisegment import (
     ftilde,
     multisegments_of_content,
     signature_ops,
+    window_segments,
 )
 
 
@@ -158,3 +163,160 @@ def test_enumerate_small_windows():
 def test_multisegments_of_content():
     ms = multisegments_of_content([1, 3], {1: 1, 3: 1})
     assert set(ms) == {M((1, 3, 1)), M((1, 1, 1), (3, 3, 1))}
+
+
+WIN5 = tuple(range(-5, 6, 2))
+
+
+def contents_up_to(keys, max_degree):
+    """Every map from keys to counts with total count <= max_degree."""
+    for degree in range(max_degree + 1):
+        for letters in itertools.combinations_with_replacement(keys, degree):
+            yield {k: letters.count(k) for k in set(letters)}
+
+
+_ENUMERATED = {}
+
+
+def filtered_of_content(window, content):
+    """The enumerate-then-filter search, kept as the reference.
+
+    Each enumeration is made once per (window, degree) and reused.
+    """
+    content = {k: v for k, v in content.items() if v}
+    degree = sum(content.values())
+    key = (tuple(window), degree)
+    if key not in _ENUMERATED:
+        _ENUMERATED[key] = [(m, m.degree(), dict(m.content()))
+                            for m in enumerate_multisegments(window, degree)]
+    return [m for m, d, c in _ENUMERATED[key] if d == degree and c == content]
+
+
+def test_of_content_matches_the_filtered_enumeration():
+    for content in contents_up_to(WIN5, 5):
+        got, want = multisegments_of_content(WIN5, content), filtered_of_content(WIN5, content)
+        assert got == want, content
+        # entry order too: both build each multisegment segment by segment
+        assert [list(m.entries) for m in got] == [list(m.entries) for m in want]
+
+
+@pytest.mark.parametrize("content", [
+    {7: 1}, {1: 1, 7: 2}, {2: 1}, {1: -1}, {1: 2, 3: -1}, {-7: 1, -5: 1},
+])
+def test_of_content_outside_the_window_or_negative_is_empty(content):
+    assert multisegments_of_content(WIN5, content) == []
+    assert filtered_of_content(WIN5, content) == []
+
+
+def test_of_content_zero_counts_and_empty_window():
+    assert multisegments_of_content(WIN5, {1: 0, 3: 0}) == [Multisegment.empty()]
+    assert multisegments_of_content([], {}) == [Multisegment.empty()]
+    assert multisegments_of_content([], {1: 1}) == []
+    # a gapped window has no segment across the gap
+    assert multisegments_of_content([1, 5], {1: 1, 5: 1}) == [M((1, 1, 1), (5, 5, 1))]
+
+
+def test_repeated_window_indices_add_nothing():
+    assert window_segments([3, 1, 1, 3]) == window_segments([1, 3])
+    assert enumerate_multisegments([1, 1], 2) == enumerate_multisegments([1], 2)
+    assert multisegments_of_content([1, 1, 3], {1: 1, 3: 1}) == [
+        M((1, 3, 1)), M((1, 1, 1), (3, 3, 1))]
+
+
+def test_of_content_leaves_its_input_and_later_calls_intact():
+    content = {-1: 2, 1: 3, 3: 1}
+    before = dict(content)
+    first = multisegments_of_content(WIN5, content)
+    assert content == before
+    # a failed search midway must not leave counts behind for the next one
+    assert multisegments_of_content(WIN5, {-1: 2, 1: 3, 3: 1, 7: 1}) == []
+    assert multisegments_of_content(WIN5, content) == first
+    assert all(dict(m.content()) == before for m in first)
+
+
+# -- interned segments and trusted multisegments -----------------------------
+
+def test_segments_are_interned():
+    assert Segment(1, 3) is Segment(1, 3)
+    assert Segment(i=-1, j=5) is Segment(-1, 5)
+    assert hash(Segment(1, 3)) == hash((1, 3))
+    assert (Segment(1, 3).i, Segment(1, 3).j) == (1, 3)
+    assert str(Segment(1, 3)) == "<1,3>" and str(Segment(3, 3)) == "<3>"
+    assert repr(Segment(-1, 3)) == "Segment(i=-1, j=3)"
+
+
+def test_invalid_segments_raise_and_are_never_interned():
+    from symcrys.multisegment import _SEGMENTS
+
+    m = M((1, 3, 1))
+    for i, j in ((2, 4), (3, 1), (1, 2), (0, 1)):
+        assert m.mult(i, j) == 0
+        with pytest.raises(ValueError):
+            Segment(i, j)
+        assert (i, j) not in _SEGMENTS
+        with pytest.raises(ValueError):
+            Segment(i, j)
+    for i, j in ((1.5, 3), ("1", 3), (None, None), (float("inf"), 1)):
+        with pytest.raises(TypeError):
+            Segment(i, j)
+        assert (i, j) not in _SEGMENTS
+    # an integral float names the same segment, stored with int endpoints
+    s = Segment(7.0, 9.0)
+    assert s is Segment(7, 9) and str(s) == "<7,9>" and type(s.i) is int
+
+
+def test_segments_are_immutable():
+    s = Segment(1, 3)
+    with pytest.raises(AttributeError):
+        s.i = 5
+    with pytest.raises(AttributeError):
+        del s.j
+    assert (s.i, s.j) == (1, 3)
+
+
+def test_segments_survive_copy_and_pickle():
+    s = Segment(-3, 5)
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    m = M((-3, 5, 2), (1, 1, 1))
+    for m2 in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert m2 == m and hash(m2) == hash(m)
+        assert all(a is b for a, b in zip(m2.entries, m.entries))
+
+
+def test_equal_multisegments_hash_alike():
+    a = M((1, 3, 1), (-1, -1, 2), (5, 5, 1))
+    b = M((5, 5, 1), (1, 3, 1), (-1, -1, 2))
+    assert list(a.entries) != list(b.entries)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(frozenset(a.entries.items()))
+    for m in SCALE[:200]:
+        for seg in (Segment(1, 1), Segment(-1, 3), Segment(5, 5)):
+            back = m.add(seg).remove(seg)
+            assert back == m and hash(back) == hash(m)
+            assert m.add(seg, 0) == m
+
+
+def test_multisegment_checks_stay_on_the_public_paths():
+    with pytest.raises(ValueError):
+        Multisegment({Segment(1, 1): -1})
+    with pytest.raises(ValueError):
+        Multisegment({(2, 4): 1})
+    with pytest.raises(ValueError, match="absent"):
+        M((1, 1, 1)).remove(Segment(1, 1), 2)
+    with pytest.raises(ValueError, match="absent"):
+        Multisegment.empty().remove(Segment(3, 3))
+    assert Multisegment({Segment(1, 1): 0}) == Multisegment.empty()
+    assert M((1, 1, 1)).remove(Segment(1, 1)).entries == {}
+    assert M((1, 1, 1)).add((1, 1)) == M((1, 1, 2))
+
+
+def test_swap_is_remove_then_add():
+    a, b = Segment(1, 1), Segment(-1, 1)
+    for m in (M((1, 1, 1)), M((1, 1, 2), (-1, 1, 1)), M((1, 1, 1), (3, 3, 1))):
+        assert m.swap(a, b) == m.remove(a).add(b)
+        assert list(m.swap(a, b).entries) == list(m.remove(a).add(b).entries)
+    assert M((1, 1, 1)).swap(a, a) == M((1, 1, 1))
+    with pytest.raises(ValueError, match="absent"):
+        M((3, 3, 1)).swap(a, b)

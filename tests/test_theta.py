@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from symcrys.multisegment import Multisegment, Segment
@@ -132,3 +134,55 @@ def test_negative_operator_preserves_symmetrized_weight_shift():
             assert b[k] == a[k] + 1
             del b[k], a[k]
             assert a == b
+
+
+
+# -- content-driven enumeration against the enumerate-then-filter route ------
+
+_ENUMERATED = {}
+
+
+def filtered_of_symmetrized_content(window, content):
+    """The enumerate-then-filter search, kept as the reference.
+
+    Each enumeration is made once per (window, degree) and reused.
+    """
+    content = {k: v for k, v in content.items() if v}
+    degree = sum(content.values())
+    key = (tuple(window), degree)
+    if key not in _ENUMERATED:
+        _ENUMERATED[key] = [(m, m.degree(), dict(symmetrized_content(m)))
+                            for m in enumerate_theta(window, degree)]
+    return [m for m, d, c in _ENUMERATED[key] if d == degree and c == content]
+
+
+def test_of_symmetrized_content_matches_the_filtered_enumeration():
+    win = tuple(WIN5)
+    for degree in range(8):
+        for letters in itertools.combinations_with_replacement((1, 3, 5), degree):
+            content = {k: letters.count(k) for k in set(letters)}
+            got = theta_of_symmetrized_content(win, content)
+            want = filtered_of_symmetrized_content(win, content)
+            assert got == want, content
+            assert [list(m.entries) for m in got] == [list(m.entries) for m in want]
+
+
+@pytest.mark.parametrize("content", [
+    {7: 1}, {1: 1, 7: 1}, {-1: 1}, {-1: 1, 1: 1}, {2: 1}, {1: -1}, {1: 3, 3: -1},
+])
+def test_of_symmetrized_content_outside_the_window_or_negative_is_empty(content):
+    assert theta_of_symmetrized_content(WIN5, content) == []
+    assert filtered_of_symmetrized_content(WIN5, content) == []
+
+
+def test_of_symmetrized_content_edge_cases():
+    assert theta_of_symmetrized_content(WIN5, {1: 0}) == [Multisegment.empty()]
+    with pytest.raises(ValueError, match="negation-symmetric"):
+        theta_of_symmetrized_content([1, 3], {1: 1})
+    content = {1: 3, 3: 2}
+    before = dict(content)
+    first = theta_of_symmetrized_content(WIN5, content)
+    assert content == before
+    assert theta_of_symmetrized_content(WIN5, {1: 3, 3: 2, 7: 1}) == []
+    assert theta_of_symmetrized_content(WIN5, content) == first
+    assert all(dict(symmetrized_content(m)) == before for m in first)

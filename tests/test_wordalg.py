@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from symcrys.multisegment import Multisegment, Segment, enumerate_multisegments
 from symcrys.multisegment import ftilde
 from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact
-from symcrys.wordalg import WordAlgebra
+from symcrys.wordalg import WordAlgebra, multiset_permutations
 
 WIN = (-3, -1, 1, 3)
 
@@ -189,3 +190,12 @@ def test_bar_triangular_small(alg):
                 if n != m:
                     assert cmp_cry_multiseg(n, m) == -1
                 assert c.in_A()
+
+
+def test_words_of_content_are_the_sorted_distinct_permutations(alg):
+    for degree in range(6):
+        for letters in itertools.combinations_with_replacement(WIN, degree):
+            content = {i: letters.count(i) for i in set(letters)}
+            expected = sorted(set(itertools.permutations(letters)))
+            assert alg.words_of_content(content) == expected, content
+            assert multiset_permutations(reversed(letters)) == expected
