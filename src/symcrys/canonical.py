@@ -1,27 +1,28 @@
 """Bar-triangular global bases and multiplicity polynomials.
 
 Works per block, uniformly over the two settings (the free algebra graded by
-content, and the symmetric module graded by symmetrized content) through a
-small BlockContext adapter.  The lower global basis is produced by the
-standard recursion up the crystal order: each correction coefficient is the
-unique solution of c - bar(c) = r with c in q.Q[q], read off from the
-positive-degree part of r.
+content, and the symmetric module graded by symmetrized content): a
+BlockContext is a (space, block key) pair that reaches the block through the
+graded-block protocol `WordAlgebra` and `ThetaModule` share.  The lower
+global basis is produced by the standard recursion up the crystal order:
+each correction coefficient is the unique solution of c - bar(c) = r with c
+in q.Q[q], read off from the positive-degree part of r.
 
-Each block's canonical data is computed once per algebra: `typeA_block` and
-`theta_block` return the same BlockContext for the same block key (cached on
-the WordAlgebra or ThetaModule instance), and the context keeps the bar
-matrix and the lower and upper global bases it produced.  A matrix is stored
-only after its unitriangularity, bar-invariance or duality check passed; a
-`bar=` or `lower=` supplied by the caller is used but its result is not
-stored, unless it is the block's own memoized matrix.  `multiplicity_polys` is not memoized, so its direct/adjoint
-cross-check runs on every call.  Returned matrices are shared and must not be
-mutated.
+Each block's canonical data is computed once per algebra: `block_context`
+(and its two names `typeA_block` and `theta_block`) returns the same
+BlockContext for the same block key (cached on the WordAlgebra or
+ThetaModule instance), and the context keeps the bar matrix and the lower
+and upper global bases it produced.  A matrix is stored only after its
+unitriangularity, bar-invariance or duality check passed; a `bar=` or
+`lower=` supplied by the caller is used but its result is not stored,
+unless it is the block's own memoized matrix.  `multiplicity_polys` is not
+memoized, so its direct/adjoint cross-check runs on every call.  Returned
+matrices are shared and must not be mutated.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .linalg import inverse, is_identity, mat_mul, mat_vec, solve_vector
 from .ratfunc import RatFunc
@@ -53,110 +54,54 @@ class TransitionMatrix:
 
 
 class BlockContext:
-    """One graded block: its basis, bar action, Gram matrix and operator maps.
+    """One block of a graded space: a WordAlgebra content block or a
+    ThetaModule symmetrized-content block, reached through the block protocol
+    the two classes share (`block_basis`, `bar_column`, `block_gram`,
+    `lower_matrix`, `raise_matrix`, `shifted_key`, ...).
 
     `bar`, `lower` and `upper` hold the checked matrices once computed.
     """
 
-    def __init__(self, kind, label, basis, bar_column, gram, e_matrix, f_matrix, shift):
-        self.kind = kind
-        self.label = label
-        self._basis = basis
-        self._bar_column = bar_column
-        self._gram = gram
-        self._e_matrix = e_matrix
-        self._f_matrix = f_matrix
-        self._shift = shift
+    def __init__(self, space, key):
+        self.space = space
+        self.key = key
+        self.label = space.block_label(key)
         self.bar = None
         self.lower = None
         self.upper = None
 
     def basis(self):
-        return self._basis
+        return self.space.block_basis(self.key)
 
     def bar_column(self, idx):
-        return self._bar_column(idx)
+        return self.space.bar_column(self.basis()[idx], self.key)
 
     def gram(self):
-        return self._gram()
-
-    def e_matrix(self, i):
-        """Matrix of the lowering-side operator into the smaller block."""
-        return self._e_matrix(i)
-
-    def f_matrix(self, i):
-        return self._f_matrix(i)
+        return self.space.block_gram(self.key)
 
     def shifted(self, i, step):
         """The context one letter up (step=+1) or down (step=-1) along index i."""
-        return self._shift(i, step)
+        return block_context(self.space, self.space.shifted_key(self.key, i, step))
+
+
+def block_context(space, content):
+    """The BlockContext of a block of `space`, given by a count map or a block
+    key; one per key, cached on the space."""
+    key = content_key(dict(content))
+    ctx = space._contexts.get(key)
+    if ctx is None:
+        ctx = space._contexts[key] = BlockContext(space, key)
+    return ctx
 
 
 def typeA_block(alg, content):
     """Block context for a content block of the free algebra model."""
-    key = content_key(content)
-    hit = alg._contexts.get(key)
-    if hit is not None:
-        return hit
-    basis = alg.basis_of_content(dict(key))
-
-    def bar_column(idx):
-        return alg.coord_vector(alg.pbw_element(basis[idx]).bar(), dict(key))
-
-    def shift(i, step):
-        c = Counter(dict(key))
-        c[i] += step
-        if c[i] < 0:
-            raise ValueError(f"content has no letter {i}")
-        return typeA_block(alg, c)
-
-    ctx = alg._contexts[key] = BlockContext(
-        kind="typeA",
-        label=f"content {dict(key)}",
-        basis=basis,
-        bar_column=bar_column,
-        gram=lambda: alg.gram_matrix(dict(key)),
-        e_matrix=lambda i: alg.eprime_matrix(i, dict(key)),
-        f_matrix=lambda i: alg.fmul_matrix(i, dict(key)),
-        shift=shift,
-    )
-    return ctx
+    return block_context(alg, content)
 
 
 def theta_block(module, sym_content):
     """Block context for a symmetrized-content block of the symmetric module."""
-    key = content_key(sym_content)
-    hit = module._contexts.get(key)
-    if hit is not None:
-        return hit
-    basis = module.block(key)["theta_basis"]
-
-    def bar_column(idx):
-        v = module.bar_theta(module.ptheta_vector(basis[idx]))
-        return module.coord_vector(v, key)
-
-    def gram():
-        vecs = [module.ptheta_vector(m) for m in basis]
-        return [[module.theta_form(u, v) for v in vecs] for u in vecs]
-
-    def shift(i, step):
-        c = Counter(dict(key))
-        c[abs(i)] += step
-        if c[abs(i)] < 0:
-            raise ValueError(f"block has no letter of absolute value {abs(i)}")
-        return theta_block(module, c)
-
-    ctx = module._contexts[key] = BlockContext(
-        kind="theta",
-        label=f"symmetrized content {dict(key)}",
-        basis=basis,
-        bar_column=bar_column,
-        gram=gram,
-        e_matrix=lambda i: module.E_matrix(i, key),
-        f_matrix=lambda i: module.F_matrix(i, key),
-        shift=shift,
-    )
-    return ctx
+    return block_context(module, sym_content)
 
 
 class TriangularityError(ArithmeticError):
@@ -287,14 +232,15 @@ def multiplicity_polys(i, ctx, side):
     (expand the partner operator on G^low, transpose) are computed; any
     disagreement raises.
     """
+    space = ctx.space
     if side == "E":
         tgt = ctx.shifted(i, -1)
-        op_src = ctx.e_matrix(i)
-        partner = tgt.f_matrix(i)  # maps tgt back into src
+        op_src = space.lower_matrix(i, ctx.key)
+        partner = space.raise_matrix(i, tgt.key)  # maps tgt back into src
     elif side == "F":
         tgt = ctx.shifted(i, +1)
-        op_src = ctx.f_matrix(i)
-        partner = tgt.e_matrix(i)
+        op_src = space.raise_matrix(i, ctx.key)
+        partner = space.lower_matrix(i, tgt.key)
     else:
         raise ValueError(f"side must be 'E' or 'F', got {side!r}")
 

@@ -11,46 +11,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 
 from .canonical import (
     bar_matrix,
+    block_context,
     global_lower,
     global_upper,
     multiplicity_polys,
     q1_specialization,
-    theta_block,
-    typeA_block,
 )
-from .linalg import rank
-from .multisegment import (
-    Multisegment,
-    Segment,
-    cartan,
-    cry_sort_key,
-    enumerate_multisegments,
-    epsilon as a_epsilon,
-    etilde as a_etilde,
-    ftilde as a_ftilde,
-    signature_ops as a_signature_ops,
-)
+from .multisegment import Multisegment, cry_sort_key, ftilde as a_ftilde
 from .ratfunc import RatFunc
-from .theta import (
-    crystal_E,
-    crystal_F,
-    crystal_eps,
-    enumerate_theta,
-    theta_epsilon,
-    theta_Etilde,
-    theta_Ftilde,
-    theta_signature_ops,
-)
+from .theta import crystal_F
 from .thetamodule import ThetaModule
-from .wordalg import WordAlgebra, content_key
-
-
-class UsageError(Exception):
-    """Bad arguments or malformed input; exits with code 2."""
+from .verify import CRYSTAL_SUITES, SUITES, UsageError, require_symmetric
+from .wordalg import WordAlgebra
 
 
 def parse_window(text):
@@ -73,14 +48,6 @@ def algebra_window(text, mode):
     return win
 
 
-def require_symmetric(window):
-    if set(window) != {-i for i in window}:
-        raise UsageError(
-            f"theta mode needs a negation-symmetric window, got {list(window)}"
-        )
-    return window
-
-
 def mseg_from_arg(text):
     try:
         return Multisegment.from_json(text)
@@ -90,10 +57,16 @@ def mseg_from_arg(text):
 
 def content_from_arg(text):
     try:
-        obj = json.loads(text)
-        return {int(k): int(v) for k, v in obj.items()}
+        content = {int(k): n for k, n in json.loads(text).items()}
     except (json.JSONDecodeError, ValueError, AttributeError) as e:
         raise UsageError(f"cannot parse content map {text!r}: {e}")
+    for k, n in content.items():
+        if type(n) is not int:  # a JSON integer; no float, string or boolean
+            raise UsageError(
+                f"cannot parse content map {text!r}: count {json.dumps(n)} of "
+                f"index {k} is not an integer"
+            )
+    return content
 
 
 def mseg_label(m, compact):
@@ -211,9 +184,11 @@ def _coords_to_output(coords, fmt):
 def _word_from_arg(text):
     try:
         letters = json.loads(text)
-        return tuple(int(x) for x in letters)
-    except (json.JSONDecodeError, ValueError, TypeError):
+    except json.JSONDecodeError:
+        letters = None
+    if not isinstance(letters, list) or any(type(k) is not int for k in letters):
         raise UsageError(f"cannot parse word {text!r} (expect a JSON list of letters)")
+    return tuple(letters)
 
 
 def cmd_coords(args):
@@ -265,9 +240,7 @@ def _block_context(args):
             raise UsageError(
                 f"--side E needs letter {letter} in the content, got {args.content}"
             )
-    if theta:
-        return theta_block(ThetaModule(window), content)
-    return typeA_block(WordAlgebra(window), content)
+    return block_context(ThetaModule(window) if theta else WordAlgebra(window), content)
 
 
 def _print_matrix(tm, fmt):
@@ -328,321 +301,6 @@ def cmd_multiplicity(args):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _fail(report, msg):
-    report.append(msg)
-
-
-def suite_crystal_axioms(mode, window, max_degree):
-    checked = 0
-    fails = []
-    if mode == "theta":
-        require_symmetric(window)
-        msegs = enumerate_theta(window, max_degree)
-        eps_f, E_f, F_f = crystal_eps, crystal_E, crystal_F
-    else:
-        msegs = enumerate_multisegments(window, max_degree)
-        eps_f, E_f, F_f = a_epsilon, a_etilde, a_ftilde
-    for m in msegs:
-        for i in window:
-            eps = eps_f(i, m)
-            e = E_f(i, m)
-            if (eps == 0) != (e is None):
-                _fail(fails, f"epsilon/Etilde mismatch at {m}, index {i}")
-            if e is not None and F_f(i, e) != m:
-                _fail(fails, f"F(E(m)) != m at {m}, index {i}")
-            f = F_f(i, m)
-            if f.degree() <= max_degree and E_f(i, f) != m:
-                _fail(fails, f"E(F(m)) != m at {m}, index {i}")
-            # epsilon equals the E-nilpotency degree
-            n, cur = 0, m
-            while True:
-                cur = E_f(i, cur)
-                if cur is None:
-                    break
-                n += 1
-            if n != eps:
-                _fail(fails, f"epsilon != nilpotency degree at {m}, index {i}")
-            checked += 4
-    return checked, fails
-
-
-def suite_oracle_cross_check(mode, window, max_degree):
-    checked = 0
-    fails = []
-    if mode == "theta":
-        require_symmetric(window)
-        for m in enumerate_theta(window, max_degree):
-            for k in (i for i in window if i > 0):
-                a = (theta_epsilon(k, m), theta_Etilde(k, m), theta_Ftilde(k, m))
-                b = theta_signature_ops(k, m)
-                checked += 1
-                if a != b:
-                    _fail(fails, f"formula/signature mismatch at {m}, index -{k}")
-    else:
-        for m in enumerate_multisegments(window, max_degree):
-            for i in window:
-                a = (a_epsilon(i, m), a_etilde(i, m), a_ftilde(i, m))
-                b = a_signature_ops(i, m)
-                checked += 1
-                if a != b:
-                    _fail(fails, f"formula/signature mismatch at {m}, index {i}")
-    return checked, fails
-
-
-def suite_serre(mode, window, max_degree):
-    alg = WordAlgebra(window)
-    checked = 0
-    fails = []
-    for i in window:
-        for j in window:
-            if abs(i - j) == 2:
-                checked += 1
-                if not alg.is_zero_in_uq(alg.serre_element(i, j)):
-                    _fail(fails, f"Serre element at ({i},{j}) is nonzero")
-            elif i != j:
-                checked += 1
-                if not alg.is_zero_in_uq(alg.distant_commutator(i, j)):
-                    _fail(fails, f"distant commutator at ({i},{j}) is nonzero")
-    return checked, fails
-
-
-def _typeA_contents(window, max_degree):
-    seen = set()
-    for m in enumerate_multisegments(window, max_degree):
-        if m.degree() >= 1:
-            seen.add(content_key(m.content()))
-    return sorted(seen)
-
-
-def _theta_symcontents(window, max_degree):
-    seen = set()
-    for m in enumerate_theta(window, max_degree):
-        if m.degree() >= 1:
-            c = Counter()
-            for k, n in m.content().items():
-                c[abs(k)] += n
-            seen.add(content_key(c))
-    return sorted(seen)
-
-
-def suite_gram(mode, window, max_degree):
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree):
-        g = ctx.gram()
-        checked += 1
-        if rank(g) != len(g):
-            _fail(fails, f"singular Gram matrix on {ctx.label}")
-    return checked, fails
-
-
-def suite_theta_dims(mode, window, max_degree):
-    module = ThetaModule(require_symmetric(window))
-    checked = 0
-    fails = []
-    for key in _theta_symcontents(window, max_degree):
-        try:
-            module.block(key)
-            checked += 1
-        except ArithmeticError as e:
-            _fail(fails, str(e))
-    return checked, fails
-
-
-def suite_pbw_crystal_compat(mode, window, max_degree):
-    checked = 0
-    fails = []
-    if mode == "theta":
-        module = ThetaModule(require_symmetric(window))
-        for m in enumerate_theta(window, max_degree):
-            for i in window:
-                coords = module.theta_coords(
-                    module.theta_mod_ftilde(i, module.ptheta_vector(m))
-                )
-                target = crystal_F(i, m)
-                checked += 1
-                ok = target in coords
-                for mm, c in coords.items():
-                    d = c - RatFunc(1) if mm == target else c
-                    if not (d.is_zero() or d.in_qZq()):
-                        ok = False
-                if not ok:
-                    _fail(fails, f"module Ftilde incompatible with crystal at {m}, {i}")
-    else:
-        alg = WordAlgebra(window)
-        for m in enumerate_multisegments(window, max_degree):
-            for i in window:
-                coords = alg.pbw_coords(alg.mod_ftilde(i, alg.pbw_element(m)))
-                target = a_ftilde(i, m)
-                checked += 1
-                ok = target in coords
-                for mm, c in coords.items():
-                    d = c - RatFunc(1) if mm == target else c
-                    if not (d.is_zero() or d.in_qZq()):
-                        ok = False
-                if not ok:
-                    _fail(fails, f"modified ftilde incompatible with crystal at {m}, {i}")
-    return checked, fails
-
-
-def _contexts(mode, window, max_degree):
-    if mode == "theta":
-        module = ThetaModule(require_symmetric(window))
-        return [theta_block(module, dict(ck)) for ck in _theta_symcontents(window, max_degree)]
-    alg = WordAlgebra(window)
-    return [typeA_block(alg, dict(ck)) for ck in _typeA_contents(window, max_degree)]
-
-
-def suite_bar_triangular(mode, window, max_degree):
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree):
-        try:
-            bar_matrix(ctx)
-            checked += 1
-        except ArithmeticError as e:
-            _fail(fails, str(e))
-    return checked, fails
-
-
-def suite_global_basis(mode, window, max_degree):
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree):
-        try:
-            C = global_lower(ctx)
-            for c in range(len(C.basis)):
-                for r in range(len(C.basis)):
-                    x = C.entries[r][c]
-                    if r == c:
-                        ok = x == RatFunc(1)
-                    else:
-                        ok = x.is_zero() or x.in_qZq()
-                    if not ok:
-                        _fail(fails, f"{ctx.label}: C entry {x} at ({r},{c})")
-            global_upper(ctx, C)
-            checked += 1
-        except ArithmeticError as e:
-            _fail(fails, f"{ctx.label}: {e}")
-    return checked, fails
-
-
-def _commutation_holds(lhs, rhs, qc, delta, rows, n):
-    Z = RatFunc.zero()
-    for r in range(rows):
-        for c in range(n):
-            l = lhs[r][c] if lhs is not None else Z
-            rr = rhs[r][c] if rhs is not None else Z
-            if l != qc * rr + (delta if r == c else Z):
-                return False
-    return True
-
-
-def suite_qboson_relations(mode, window, max_degree):
-    """The commutation of lowering and raising operators on every block."""
-    from .linalg import mat_mul
-
-    checked = 0
-    fails = []
-    if mode == "theta":
-        module = ThetaModule(require_symmetric(window))
-        keys = [()] + _theta_symcontents(window, max_degree)
-        for key in keys:
-            n = len(module.block(key)["theta_basis"])
-            for i in window:
-                for j in window:
-                    Fj = module.F_matrix(j, key)
-                    sup = Counter(dict(key))
-                    sup[abs(j)] += 1
-                    supkey = content_key(sup)
-                    lhs = (
-                        mat_mul(module.E_matrix(i, supkey), Fj)
-                        if dict(supkey).get(abs(i))
-                        else None
-                    )
-                    sub = Counter(dict(key))
-                    sub[abs(i)] -= 1
-                    rhs = (
-                        mat_mul(module.F_matrix(j, content_key(sub)), module.E_matrix(i, key))
-                        if sub[abs(i)] >= 0
-                        else None
-                    )
-                    qc = RatFunc.q_power(-cartan(i, j))
-                    delta = RatFunc(1 if i == j else 0) + (
-                        module.T_scalar(i, key) if j == -i else RatFunc.zero()
-                    )
-                    rows = len(lhs) if lhs is not None else (len(rhs) if rhs is not None else n)
-                    checked += 1
-                    if not _commutation_holds(lhs, rhs, qc, delta, rows, n):
-                        _fail(fails, f"E_{i} F_{j} relation fails on block {dict(key)}")
-    else:
-        alg = WordAlgebra(window)
-        keys = [()] + _typeA_contents(window, max_degree)
-        for key in keys:
-            n = len(alg.basis_of_content(dict(key)))
-            for i in window:
-                for j in window:
-                    fj = alg.fmul_matrix(j, dict(key))
-                    sup = Counter(dict(key))
-                    sup[j] += 1
-                    lhs = (
-                        mat_mul(alg.eprime_matrix(i, sup), fj) if sup.get(i) else None
-                    )
-                    sub = Counter(dict(key))
-                    sub[i] -= 1
-                    rhs = (
-                        mat_mul(alg.fmul_matrix(j, sub), alg.eprime_matrix(i, dict(key)))
-                        if sub[i] >= 0
-                        else None
-                    )
-                    qc = RatFunc.q_power(-cartan(i, j))
-                    delta = RatFunc(1 if i == j else 0)
-                    rows = len(lhs) if lhs is not None else (len(rhs) if rhs is not None else n)
-                    checked += 1
-                    if not _commutation_holds(lhs, rhs, qc, delta, rows, n):
-                        _fail(fails, f"e'_{i} f_{j} relation fails on content {dict(key)}")
-    return checked, fails
-
-
-def suite_multiplicity_consistency(mode, window, max_degree):
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree):
-        for i in window:
-            for side in ("E", "F"):
-                try:
-                    ctx.shifted(i, -1 if side == "E" else +1)
-                except ValueError:
-                    continue
-                try:
-                    polys = multiplicity_polys(i, ctx, side)
-                    _, warnings = q1_specialization(polys)
-                    for w in warnings:
-                        print(f"warning: {ctx.label}: {w}", file=sys.stderr)
-                    checked += 1
-                except ArithmeticError as e:
-                    _fail(fails, f"{ctx.label}, index {i}, side {side}: {e}")
-    return checked, fails
-
-
-SUITES = {
-    "crystal-axioms": suite_crystal_axioms,
-    "oracle-cross-check": suite_oracle_cross_check,
-    "serre": suite_serre,
-    "gram": suite_gram,
-    "pbw-crystal-compat": suite_pbw_crystal_compat,
-    "bar-triangular": suite_bar_triangular,
-    "global-basis": suite_global_basis,
-    "theta-dims": suite_theta_dims,
-    "qboson-relations": suite_qboson_relations,
-    "multiplicity-consistency": suite_multiplicity_consistency,
-}
-
-
-# suites that never build an algebra, and so accept any window
-CRYSTAL_SUITES = {"crystal-axioms", "oracle-cross-check"}
-
 
 def cmd_verify(args):
     names = [args.suite] if args.suite else sorted(SUITES)

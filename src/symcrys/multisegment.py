@@ -15,7 +15,6 @@ not re-validated; the public `Multisegment(...)` constructor checks its input.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import Counter
 
@@ -247,6 +246,8 @@ class Multisegment:
         entries = {}
         for rec in obj:
             seg = Segment(rec["i"], rec["j"])
+            if type(rec["mult"]) is not int:  # a JSON integer; no float or boolean
+                raise TypeError(f"multiplicity {json.dumps(rec['mult'])} of {seg} is not an integer")
             entries[seg] = entries.get(seg, 0) + rec["mult"]
         return Multisegment(entries)
 
@@ -273,7 +274,12 @@ def cmp_cry_multiseg(m1, m2):
     return cmp_cry_multiseg_raw(m1, m2)
 
 
-cry_sort_key = functools.cmp_to_key(cmp_cry_multiseg_raw)
+def cry_sort_key(m):
+    """Sort key for the order of `cmp_cry_multiseg_raw`: the (segment crystal
+    key, count) pairs of m in decreasing crystal order.  Two such tuples first
+    differ at the largest segment whose counts differ, where the larger count,
+    or the segment present in only one of them, wins."""
+    return tuple(sorted(((seg.cry_key(), n) for seg, n in m.entries.items()), reverse=True))
 
 
 # ---------------------------------------------------------------------------

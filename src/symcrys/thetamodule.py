@@ -5,6 +5,9 @@ the quotient is the symmetrized content (multiset of absolute letter
 indices).  Per symmetrized block the module caches a basis of the ideal
 subspace and the coordinates of the theta-PBW vectors P_theta(m)phi, so that
 class membership and canonical coordinates reduce to one exact linear solve.
+`ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
+with E_i/F_i as lowering/raising operators, and its modified root
+operators run the q-boson split defined there.
 """
 
 from __future__ import annotations
@@ -12,18 +15,19 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .linalg import (
-    RatFunc,
-    SingularMatrixError,
-    echelon_form,
-    nullspace,
-    solve_rect,
-    solve_vector,
-)
+from .linalg import RatFunc, echelon_form, solve_vector
 from .multisegment import cartan, cry_sort_key
 from .ratfunc import qfact, qint
-from .theta import symmetrized_content as mseg_symcontent, theta_of_symmetrized_content
-from .wordalg import WordAlgebra, WordVector, content_key
+from .theta import theta_of_symmetrized_content
+from .wordalg import (
+    WordAlgebra,
+    WordVector,
+    content_key,
+    contents_up_to,
+    modified_root_op,
+    operator_matrix,
+    shift_key,
+)
 
 
 def sym_key_of_content(content):
@@ -317,36 +321,19 @@ class ThetaModule:
         key = (i, sym_key)
         hit = self._E_mat.get(key)
         if hit is None:
-            src = self.block(sym_key)["theta_basis"]
-            sub = Counter(dict(sym_key))
-            sub[abs(i)] -= 1
-            if sub[abs(i)] < 0:
-                raise ValueError(f"block has no letter of absolute value {abs(i)}")
-            tgt_key = content_key(sub)
-            cols = [
-                self.coord_vector(self.E_op(i, self.ptheta_vector(m)), tgt_key)
-                for m in src
-            ]
-            nrows = len(self.block(tgt_key)["theta_basis"])
-            hit = [[cols[c][r] for c in range(len(src))] for r in range(nrows)]
-            self._E_mat[key] = hit
+            hit = self._E_mat[key] = operator_matrix(
+                self, i, sym_key, -1, lambda m: self.E_op(i, self.ptheta_vector(m))
+            )
         return hit
 
     def F_matrix(self, i, sym_key):
+        """Matrix of F_i from the block to the block with one |i| letter more."""
         key = (i, sym_key)
         hit = self._F_mat.get(key)
         if hit is None:
-            src = self.block(sym_key)["theta_basis"]
-            sup = Counter(dict(sym_key))
-            sup[abs(i)] += 1
-            tgt_key = content_key(sup)
-            cols = [
-                self.coord_vector(self.F_op(i, self.ptheta_vector(m)), tgt_key)
-                for m in src
-            ]
-            nrows = len(self.block(tgt_key)["theta_basis"])
-            hit = [[cols[c][r] for c in range(len(src))] for r in range(nrows)]
-            self._F_mat[key] = hit
+            hit = self._F_mat[key] = operator_matrix(
+                self, i, sym_key, +1, lambda m: self.F_op(i, self.ptheta_vector(m))
+            )
         return hit
 
     def T_scalar(self, i, sym_key):
@@ -360,89 +347,57 @@ class ThetaModule:
 
     # -- modified root operators ---------------------------------------------------
 
-    def _qboson_components(self, i, v):
-        sym_key = v.sym_key()
-        if v.rep.is_zero():
-            return []
-        if not sym_key:
-            return [(0, v)]
-        t = dict(sym_key).get(abs(i), 0)
-        target = self.coord_vector(v, sym_key)
-        columns = []
-        tags = []
-        for n in range(t + 1):
-            sub = Counter(dict(sym_key))
-            sub[abs(i)] -= n
-            sub_key = content_key(sub)
-            nbasis = len(self.block(sub_key)["theta_basis"])
-            if nbasis == 0:
-                continue
-            if sub[abs(i)] > 0:
-                kern = nullspace(self.E_matrix(i, sub_key), ncols=nbasis)
-            else:
-                kern = [
-                    [RatFunc(1) if r == s else RatFunc.zero() for r in range(nbasis)]
-                    for s in range(nbasis)
-                ]
-            for vec in kern:
-                lifted = vec
-                cur = Counter(sub)
-                for _ in range(n):
-                    mat = self.F_matrix(i, content_key(cur))
-                    lifted = [
-                        sum(
-                            (mat[r][c] * lifted[c] for c in range(len(lifted)) if lifted[c]),
-                            RatFunc.zero(),
-                        )
-                        for r in range(len(mat))
-                    ]
-                    cur[abs(i)] += 1
-                scale = RatFunc(1) / RatFunc(qfact(n))
-                columns.append([scale * x for x in lifted])
-                tags.append((n, vec, sub_key))
-        matrix = [[columns[c][r] for c in range(len(columns))] for r in range(len(target))]
-        lam = solve_rect(matrix, target)
-        comps = {}
-        for coef, (n, vec, sub_key) in zip(lam, tags):
-            if coef.is_zero():
-                continue
-            acc = comps.setdefault(n, [[RatFunc.zero()] * len(vec), sub_key])
-            acc[0] = [a + coef * b for a, b in zip(acc[0], vec)]
-        out = []
-        for n, (coords, sub_key) in sorted(comps.items()):
-            basis = self.block(sub_key)["theta_basis"]
-            u = self.alg.zero()
-            for m, c in zip(basis, coords):
-                if not c.is_zero():
-                    u = u + self.ptheta_vector(m).rep.scale(c)
-            cls = ThetaClassVector(u, self)
-            if not u.is_zero():
-                out.append((n, cls))
-        return out
-
     def theta_mod_etilde(self, i, v):
-        out = ThetaClassVector(self.alg.zero(), self)
-        for n, u in self._qboson_components(i, v):
-            if n < 1:
-                continue
-            piece = u
-            for _ in range(n - 1):
-                piece = self.F_op(i, piece)
-            out = out + piece.scale(RatFunc(1) / RatFunc(qfact(n - 1)))
-        return out
+        return modified_root_op(self, i, v, v.sym_key(), -1)
 
     def theta_mod_ftilde(self, i, v):
-        out = ThetaClassVector(self.alg.zero(), self)
-        for n, u in self._qboson_components(i, v):
-            piece = u
-            for _ in range(n + 1):
-                piece = self.F_op(i, piece)
-            out = out + piece.scale(RatFunc(1) / RatFunc(qfact(n + 1)))
-        return out
+        return modified_root_op(self, i, v, v.sym_key(), +1)
 
     def theta_mod_ops(self, i, v):
         return self.theta_mod_etilde(i, v), self.theta_mod_ftilde(i, v)
 
+    # -- the graded-block protocol (shared with WordAlgebra) ----------------------
+    #
+    # A block is keyed by its symmetrized content key; index i moves the
+    # letter |i|, the lowering operator is E_i and the raising operator F_i
+    # (`F_op` on vectors).
 
-def theta_sym_key(m):
-    return content_key(mseg_symcontent(m))
+    def letter(self, i):
+        """The letter of the grading that index i moves."""
+        return abs(i)
+
+    def block_keys(self, max_degree):
+        return contents_up_to([k for k in self.window if k > 0], max_degree)
+
+    def block_label(self, key):
+        return f"symmetrized content {dict(key)}"
+
+    def shifted_key(self, key, i, step):
+        return shift_key(key, abs(i), step)
+
+    def block_basis(self, key):
+        return self.block(key)["theta_basis"]
+
+    def lower_matrix(self, i, key):
+        return self.E_matrix(i, key)
+
+    def raise_matrix(self, i, key):
+        return self.F_matrix(i, key)
+
+    def coord_column(self, v, key):
+        return self.coord_vector(v, key)
+
+    def bar_column(self, m, key):
+        """Coordinate column of bar(P_theta(m)phi) on the block of m."""
+        return self.coord_vector(self.bar_theta(self.ptheta_vector(m)), key)
+
+    def block_gram(self, key):
+        """The theta_form Gram matrix of the block's P_theta basis."""
+        vecs = [self.ptheta_vector(m) for m in self.block_basis(key)]
+        return [[self.theta_form(u, v) for v in vecs] for u in vecs]
+
+    def relation_scalar(self, i, j, key):
+        """The scalar term of E_i F_j = q^{-(alpha_i, alpha_j)} F_j E_i + scalar:
+        delta_ij, plus T_i on the block when j = -i."""
+        delta = RatFunc(1 if i == j else 0)
+        return delta + self.T_scalar(i, key) if j == -i else delta

@@ -1,0 +1,317 @@
+"""The invariant suites behind `symcrys verify`.
+
+Each suite takes (mode, window, max_degree) and returns the number of
+identities it checked and the list of failure messages.  The two crystal
+suites compare the crystal routes of `multisegment` and `theta`; the others
+build the type-A algebra (`WordAlgebra`) or, in theta mode, the symmetric
+module (`ThetaModule`) and run over its blocks through the graded-block
+protocol the two classes share, so each check is written once for both
+modes.  Only `serre` (always type A) and `theta-dims` (always theta) ignore
+the mode.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from .canonical import (
+    bar_matrix,
+    block_context,
+    global_lower,
+    global_upper,
+    multiplicity_polys,
+    q1_specialization,
+)
+from .linalg import mat_mul, rank
+from .multisegment import (
+    cartan,
+    enumerate_multisegments,
+    epsilon as a_epsilon,
+    etilde as a_etilde,
+    ftilde as a_ftilde,
+    signature_ops as a_signature_ops,
+)
+from .ratfunc import RatFunc
+from .theta import (
+    crystal_E,
+    crystal_F,
+    crystal_eps,
+    enumerate_theta,
+    theta_epsilon,
+    theta_Etilde,
+    theta_Ftilde,
+    theta_signature_ops,
+)
+from .thetamodule import ThetaModule
+from .wordalg import WordAlgebra, modified_root_op
+
+
+class UsageError(Exception):
+    """Bad arguments or malformed input; the CLI exits with code 2."""
+
+
+def require_symmetric(window):
+    if set(window) != {-i for i in window}:
+        raise UsageError(
+            f"theta mode needs a negation-symmetric window, got {list(window)}"
+        )
+    return window
+
+
+def _space(mode, window):
+    """The type-A algebra, or in theta mode the symmetric module, on the window."""
+    if mode == "theta":
+        return ThetaModule(require_symmetric(window))
+    return WordAlgebra(window)
+
+
+def _contexts(mode, window, max_degree):
+    space = _space(mode, window)
+    return [block_context(space, key) for key in space.block_keys(max_degree)]
+
+
+# ---------------------------------------------------------------------------
+# crystal suites (no algebra; any window)
+# ---------------------------------------------------------------------------
+
+def suite_crystal_axioms(mode, window, max_degree):
+    checked = 0
+    fails = []
+    if mode == "theta":
+        require_symmetric(window)
+        msegs = enumerate_theta(window, max_degree)
+        eps_f, E_f, F_f = crystal_eps, crystal_E, crystal_F
+    else:
+        msegs = enumerate_multisegments(window, max_degree)
+        eps_f, E_f, F_f = a_epsilon, a_etilde, a_ftilde
+    for m in msegs:
+        for i in window:
+            eps = eps_f(i, m)
+            e = E_f(i, m)
+            if (eps == 0) != (e is None):
+                fails.append(f"epsilon/Etilde mismatch at {m}, index {i}")
+            if e is not None and F_f(i, e) != m:
+                fails.append(f"F(E(m)) != m at {m}, index {i}")
+            f = F_f(i, m)
+            if f.degree() <= max_degree and E_f(i, f) != m:
+                fails.append(f"E(F(m)) != m at {m}, index {i}")
+            # epsilon equals the E-nilpotency degree
+            n, cur = 0, m
+            while True:
+                cur = E_f(i, cur)
+                if cur is None:
+                    break
+                n += 1
+            if n != eps:
+                fails.append(f"epsilon != nilpotency degree at {m}, index {i}")
+            checked += 4
+    return checked, fails
+
+
+def suite_oracle_cross_check(mode, window, max_degree):
+    checked = 0
+    fails = []
+    if mode == "theta":
+        require_symmetric(window)
+        for m in enumerate_theta(window, max_degree):
+            for k in (i for i in window if i > 0):
+                a = (theta_epsilon(k, m), theta_Etilde(k, m), theta_Ftilde(k, m))
+                b = theta_signature_ops(k, m)
+                checked += 1
+                if a != b:
+                    fails.append(f"formula/signature mismatch at {m}, index -{k}")
+    else:
+        for m in enumerate_multisegments(window, max_degree):
+            for i in window:
+                a = (a_epsilon(i, m), a_etilde(i, m), a_ftilde(i, m))
+                b = a_signature_ops(i, m)
+                checked += 1
+                if a != b:
+                    fails.append(f"formula/signature mismatch at {m}, index {i}")
+    return checked, fails
+
+
+# ---------------------------------------------------------------------------
+# algebra and module suites
+# ---------------------------------------------------------------------------
+
+def suite_serre(mode, window, max_degree):
+    alg = WordAlgebra(window)
+    checked = 0
+    fails = []
+    for i in window:
+        for j in window:
+            if abs(i - j) == 2:
+                checked += 1
+                if not alg.is_zero_in_uq(alg.serre_element(i, j)):
+                    fails.append(f"Serre element at ({i},{j}) is nonzero")
+            elif i != j:
+                checked += 1
+                if not alg.is_zero_in_uq(alg.distant_commutator(i, j)):
+                    fails.append(f"distant commutator at ({i},{j}) is nonzero")
+    return checked, fails
+
+
+def suite_gram(mode, window, max_degree):
+    checked = 0
+    fails = []
+    for ctx in _contexts(mode, window, max_degree):
+        g = ctx.gram()
+        checked += 1
+        if rank(g) != len(g):
+            fails.append(f"singular Gram matrix on {ctx.label}")
+    return checked, fails
+
+
+def suite_theta_dims(mode, window, max_degree):
+    module = ThetaModule(require_symmetric(window))
+    checked = 0
+    fails = []
+    for key in module.block_keys(max_degree):
+        try:
+            module.block(key)
+            checked += 1
+        except ArithmeticError as e:
+            fails.append(str(e))
+    return checked, fails
+
+
+def suite_pbw_crystal_compat(mode, window, max_degree):
+    """The modified ftilde_i of each PBW basis vector P(m) of degree <=
+    max_degree is P(F_i m) modulo q times the PBW lattice."""
+    space = _space(mode, window)
+    crystal_f = crystal_F if mode == "theta" else a_ftilde
+    checked = 0
+    fails = []
+    for key in [()] + space.block_keys(max_degree):
+        for m in space.block_basis(key):
+            pbw = space.from_coords({m: RatFunc(1)})
+            for i in window:
+                tgt = space.shifted_key(key, i, +1)
+                col = space.coord_column(modified_root_op(space, i, pbw, key, +1), tgt)
+                target = crystal_f(i, m)
+                checked += 1
+                ok = target in space.block_basis(tgt)
+                for b, c in zip(space.block_basis(tgt), col):
+                    d = c - RatFunc(1) if b == target else c
+                    if not (d.is_zero() or d.in_qZq()):
+                        ok = False
+                if not ok:
+                    fails.append(
+                        f"modified ftilde incompatible with the crystal at {m}, index {i}"
+                    )
+    return checked, fails
+
+
+def suite_bar_triangular(mode, window, max_degree):
+    checked = 0
+    fails = []
+    for ctx in _contexts(mode, window, max_degree):
+        try:
+            bar_matrix(ctx)
+            checked += 1
+        except ArithmeticError as e:
+            fails.append(str(e))
+    return checked, fails
+
+
+def suite_global_basis(mode, window, max_degree):
+    checked = 0
+    fails = []
+    for ctx in _contexts(mode, window, max_degree):
+        try:
+            C = global_lower(ctx)
+            for c in range(len(C.basis)):
+                for r in range(len(C.basis)):
+                    x = C.entries[r][c]
+                    if r == c:
+                        ok = x == RatFunc(1)
+                    else:
+                        ok = x.is_zero() or x.in_qZq()
+                    if not ok:
+                        fails.append(f"{ctx.label}: C entry {x} at ({r},{c})")
+            global_upper(ctx, C)
+            checked += 1
+        except ArithmeticError as e:
+            fails.append(f"{ctx.label}: {e}")
+    return checked, fails
+
+
+def _commutation_holds(lhs, rhs, qc, delta, rows, n):
+    Z = RatFunc.zero()
+    for r in range(rows):
+        for c in range(n):
+            l = lhs[r][c] if lhs is not None else Z
+            rr = rhs[r][c] if rhs is not None else Z
+            if l != qc * rr + (delta if r == c else Z):
+                return False
+    return True
+
+
+def suite_qboson_relations(mode, window, max_degree):
+    """E_i F_j = q^{-(alpha_i, alpha_j)} F_j E_i + scalar, as block matrices,
+    on every block of degree <= max_degree."""
+    space = _space(mode, window)
+    checked = 0
+    fails = []
+    for key in [()] + space.block_keys(max_degree):
+        n = len(space.block_basis(key))
+        for i in window:
+            for j in window:
+                fj = space.raise_matrix(j, key)
+                sup = space.shifted_key(key, j, +1)
+                lhs = (
+                    mat_mul(space.lower_matrix(i, sup), fj)
+                    if dict(sup).get(space.letter(i))
+                    else None
+                )
+                rhs = None
+                if dict(key).get(space.letter(i)):
+                    sub = space.shifted_key(key, i, -1)
+                    rhs = mat_mul(space.raise_matrix(j, sub), space.lower_matrix(i, key))
+                qc = RatFunc.q_power(-cartan(i, j))
+                delta = space.relation_scalar(i, j, key)
+                rows = len(lhs) if lhs is not None else (len(rhs) if rhs is not None else n)
+                checked += 1
+                if not _commutation_holds(lhs, rhs, qc, delta, rows, n):
+                    fails.append(f"E_{i} F_{j} relation fails on {space.block_label(key)}")
+    return checked, fails
+
+
+def suite_multiplicity_consistency(mode, window, max_degree):
+    checked = 0
+    fails = []
+    for ctx in _contexts(mode, window, max_degree):
+        for i in window:
+            for side in ("E", "F"):
+                try:
+                    ctx.shifted(i, -1 if side == "E" else +1)
+                except ValueError:
+                    continue
+                try:
+                    polys = multiplicity_polys(i, ctx, side)
+                    _, warnings = q1_specialization(polys)
+                    for w in warnings:
+                        print(f"warning: {ctx.label}: {w}", file=sys.stderr)
+                    checked += 1
+                except ArithmeticError as e:
+                    fails.append(f"{ctx.label}, index {i}, side {side}: {e}")
+    return checked, fails
+
+
+SUITES = {
+    "crystal-axioms": suite_crystal_axioms,
+    "oracle-cross-check": suite_oracle_cross_check,
+    "serre": suite_serre,
+    "gram": suite_gram,
+    "pbw-crystal-compat": suite_pbw_crystal_compat,
+    "bar-triangular": suite_bar_triangular,
+    "global-basis": suite_global_basis,
+    "theta-dims": suite_theta_dims,
+    "qboson-relations": suite_qboson_relations,
+    "multiplicity-consistency": suite_multiplicity_consistency,
+}
+
+
+# suites that never build an algebra, and so accept any window
+CRYSTAL_SUITES = {"crystal-axioms", "oracle-cross-check"}

@@ -4,19 +4,40 @@ Elements are Q(q)-linear combinations of words in the letters f_i.  Equality
 in U_q^- (i.e. modulo the Serre ideal) is mediated by the boson-adjoint
 bilinear form, which is nondegenerate on the quotient: a homogeneous word vector is
 zero in U_q^- iff it pairs to zero with every word of its content.  PBW
-elements, their coordinates (via Gram systems) and the modified root
-operators are computed per content block.  Results are cached on the algebra
-instance: PBW elements by multisegment, and per content block the basis, the
-Gram matrix, the e'_i/f_i block matrices and (through `_contexts`, filled by
-`symcrys.canonical`) the block's bar matrix and global bases.  A fresh
-algebra starts cold.  Cached word vectors and matrices are shared between
-callers, who must not mutate them.
+elements and their coordinates (via Gram systems) are computed per content
+block.
+
+`WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
+graded-block protocol (block keys and bases, lowering/raising block
+matrices, the raising operator on vectors, coordinate and bar columns, Gram
+matrix, the letter an index moves, the scalar term of the E_i F_j
+relation).  This module also holds the code written once over it: the
+construction of block matrices (`operator_matrix`), the q-boson split
+(`qboson_split`) and the modified root operators (`modified_root_op`), which
+rebuild each part from the space's own PBW vectors and raise it with the
+space's own F_i.
+
+Results are cached on the algebra instance: PBW elements by multisegment,
+and per content block the basis, the Gram matrix, the e'_i/f_i block
+matrices and (through `_contexts`, filled by `symcrys.canonical`) the
+block's bar matrix and global bases.  A fresh algebra starts cold.  Cached
+word vectors and matrices are shared between callers, who must not mutate
+them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from .linalg import SingularMatrixError, nullspace, solve_rect, solve_vector
+from itertools import combinations_with_replacement
+
+from .linalg import (
+    SingularMatrixError,
+    identity,
+    mat_vec,
+    nullspace,
+    solve_rect,
+    solve_vector,
+)
 from .multisegment import (
     Multisegment,
     Segment,
@@ -29,6 +50,24 @@ from .ratfunc import RatFunc, qfact
 
 def content_key(content):
     return tuple(sorted((i, n) for i, n in content.items() if n))
+
+
+def shift_key(key, letter, step):
+    """The block key with `step` more letters `letter` (fewer, for step < 0)."""
+    c = Counter(dict(key))
+    c[letter] += step
+    if c[letter] < 0:
+        raise ValueError(f"content {dict(key)} has no letter {letter}")
+    return content_key(c)
+
+
+def contents_up_to(letters, max_degree):
+    """The content keys over `letters` of degree 1..max_degree, sorted."""
+    return sorted(
+        content_key(Counter(c))
+        for d in range(1, max_degree + 1)
+        for c in combinations_with_replacement(letters, d)
+    )
 
 
 def multiset_permutations(items):
@@ -372,7 +411,7 @@ class WordAlgebra:
             self._gram[key] = hit
         return hit
 
-    def pbw_coords(self, x, check_residual=False):
+    def pbw_coords(self, x):
         """Coordinates of x in the PBW basis, as a Multisegment -> RatFunc map."""
         out = {}
         for ckey, part in x.homogeneous_parts().items():
@@ -390,12 +429,6 @@ class WordAlgebra:
             for m, c in zip(basis, coords):
                 if not c.is_zero():
                     out[m] = c
-            if check_residual:
-                recon = self.zero()
-                for m, c in zip(basis, coords):
-                    recon = recon + self.pbw_element(m).scale(c)
-                if not self.is_zero_in_uq(part - recon):
-                    raise ArithmeticError("PBW coordinate residual is nonzero in U_q^-")
         return out
 
     def coord_vector(self, x, content):
@@ -421,16 +454,9 @@ class WordAlgebra:
         key = (i, content_key(content))
         hit = self._eprime_mat.get(key)
         if hit is None:
-            content = dict(key[1])
-            src = self.basis_of_content(content)
-            tgt_content = Counter(content)
-            tgt_content[i] -= 1
-            if tgt_content[i] < 0:
-                raise ValueError(f"content has no letter {i}")
-            tgt = self.basis_of_content(tgt_content)
-            cols = [self.coord_vector(self.eprime(i, self.pbw_element(m)), tgt_content) for m in src]
-            hit = [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]
-            self._eprime_mat[key] = hit
+            hit = self._eprime_mat[key] = operator_matrix(
+                self, i, key[1], -1, lambda m: self.eprime(i, self.pbw_element(m))
+            )
         return hit
 
     def fmul_matrix(self, i, content):
@@ -438,106 +464,66 @@ class WordAlgebra:
         key = (i, content_key(content))
         hit = self._fmul_mat.get(key)
         if hit is None:
-            content = dict(key[1])
-            src = self.basis_of_content(content)
-            tgt_content = Counter(content)
-            tgt_content[i] += 1
             fi = self.f(i)
-            cols = [
-                self.coord_vector(self.mul(fi, self.pbw_element(m)), tgt_content)
-                for m in src
-            ]
-            tgt = self.basis_of_content(tgt_content)
-            hit = [[cols[c][r] for c in range(len(src))] for r in range(len(tgt))]
-            self._fmul_mat[key] = hit
+            hit = self._fmul_mat[key] = operator_matrix(
+                self, i, key[1], +1, lambda m: self.mul(fi, self.pbw_element(m))
+            )
         return hit
 
     # -- modified root operators -------------------------------------------------
 
-    def _qboson_components(self, i, x):
-        """Split homogeneous x as sum_n f_i^{(n)} u_n with e'_i u_n = 0.
-
-        Returns a list of (n, u_n as dense coords, content of u_n).
-        """
-        content = x.content()
-        if not content:
-            return [(0, x)] if not x.is_zero() else []
-        t = content.get(i, 0)
-        target = self.coord_vector(x, content)
-        columns = []
-        tags = []
-        for n in range(t + 1):
-            sub = Counter(content)
-            sub[i] -= n
-            basis_sub = self.basis_of_content(sub)
-            if not basis_sub:
-                continue
-            if sub.get(i, 0) > 0:
-                kern = nullspace(self.eprime_matrix(i, sub), ncols=len(basis_sub))
-            else:
-                kern = [
-                    [RatFunc(1) if r == s else RatFunc.zero() for r in range(len(basis_sub))]
-                    for s in range(len(basis_sub))
-                ]
-            for vec in kern:
-                lifted = vec
-                cur = Counter(sub)
-                for _ in range(n):
-                    mat = self.fmul_matrix(i, cur)
-                    lifted = [
-                        sum((mat[r][c] * lifted[c] for c in range(len(lifted)) if lifted[c]), RatFunc.zero())
-                        for r in range(len(mat))
-                    ]
-                    cur[i] += 1
-                scale = RatFunc(1) / RatFunc(qfact(n))
-                columns.append([scale * v for v in lifted])
-                tags.append((n, vec, sub))
-        matrix = [[columns[c][r] for c in range(len(columns))] for r in range(len(target))]
-        lam = solve_rect(matrix, target)
-        comps = {}
-        for coef, (n, vec, sub) in zip(lam, tags):
-            if coef.is_zero():
-                continue
-            acc = comps.setdefault(n, [ [RatFunc.zero()] * len(vec), content_key(sub)])
-            acc[0] = [a + coef * b for a, b in zip(acc[0], vec)]
-        out = []
-        for n, (coords, subkey) in sorted(comps.items()):
-            basis_sub = self.basis_of_content(dict(subkey))
-            u = self.zero()
-            for m, c in zip(basis_sub, coords):
-                if not c.is_zero():
-                    u = u + self.pbw_element(m).scale(c)
-            if not u.is_zero():
-                out.append((n, u))
-        return out
-
     def mod_etilde(self, i, x):
         """Modified root operator: sum_{n>=1} f_i^{(n-1)} u_n."""
-        if x.is_zero():
-            return self.zero()
-        fi = self.f(i)
-        out = self.zero()
-        for n, u in self._qboson_components(i, x):
-            if n < 1:
-                continue
-            piece = u
-            for _ in range(n - 1):
-                piece = self.mul(fi, piece)
-            out = out + piece.scale(RatFunc(1) / RatFunc(qfact(n - 1)))
-        return out
+        return modified_root_op(self, i, x, content_key(x.content()), -1)
 
     def mod_ftilde(self, i, x):
         """Modified root operator: sum_{n>=0} f_i^{(n+1)} u_n."""
-        if x.is_zero():
-            return self.zero()
-        fi = self.f(i)
-        out = self.zero()
-        for n, u in self._qboson_components(i, x):
-            piece = u
-            for _ in range(n + 1):
-                piece = self.mul(fi, piece)
-            out = out + piece.scale(RatFunc(1) / RatFunc(qfact(n + 1)))
-        return out
+        return modified_root_op(self, i, x, content_key(x.content()), +1)
+
+    # -- the graded-block protocol (shared with ThetaModule) ----------------------
+    #
+    # A block is keyed by its content key; the lowering operator is e'_i and
+    # the raising operator is left multiplication by f_i.
+
+    def F_op(self, i, x):
+        """The raising operator on vectors: left multiplication by f_i."""
+        return self.mul(self.f(i), x)
+
+    def letter(self, i):
+        """The letter of the grading that index i moves."""
+        return i
+
+    def block_keys(self, max_degree):
+        return contents_up_to(self.window, max_degree)
+
+    def block_label(self, key):
+        return f"content {dict(key)}"
+
+    def shifted_key(self, key, i, step):
+        return shift_key(key, i, step)
+
+    def block_basis(self, key):
+        return self.basis_of_content(dict(key))
+
+    def lower_matrix(self, i, key):
+        return self.eprime_matrix(i, dict(key))
+
+    def raise_matrix(self, i, key):
+        return self.fmul_matrix(i, dict(key))
+
+    def coord_column(self, x, key):
+        return self.coord_vector(x, dict(key))
+
+    def bar_column(self, m, key):
+        """Coordinate column of bar(P(m)) on the block of m."""
+        return self.coord_vector(self.pbw_element(m).bar(), dict(key))
+
+    def block_gram(self, key):
+        return self.gram_matrix(dict(key))
+
+    def relation_scalar(self, i, j, key):
+        """The scalar term of e'_i f_j = q^{-(alpha_i, alpha_j)} f_j e'_i + delta_ij."""
+        return RatFunc(1 if i == j else 0)
 
     # -- helpers for tests -------------------------------------------------------
 
@@ -556,3 +542,83 @@ class WordAlgebra:
         if abs(i - j) < 4:
             raise ValueError("distant commutator needs |i-j| >= 4")
         return self.f(i, j) - self.f(j, i)
+
+
+# ---------------------------------------------------------------------------
+# written once over the graded-block protocol
+# ---------------------------------------------------------------------------
+
+def operator_matrix(space, i, key, step, image):
+    """The matrix, in block coordinates, of an operator from block `key` to
+    the block `step` letters i away; `image(m)` is the image of the basis
+    vector of m."""
+    tgt = space.shifted_key(key, i, step)
+    cols = [space.coord_column(image(m), tgt) for m in space.block_basis(key)]
+    return [[col[r] for col in cols] for r in range(len(space.block_basis(tgt)))]
+
+
+def qboson_split(space, i, key, column):
+    """The q-boson split of a vector of a block, in block coordinates.
+
+    `space` is a WordAlgebra or a ThetaModule, `key` a block key of it and
+    `column` the vector's coordinate column.  With E_i and F_i the block
+    protocol's lowering and raising operators, the vector is written as
+    sum_n F_i^(n) u_n with E_i u_n = 0.  Returns (n, coordinates of u_n) for
+    every nonzero u_n, n ascending; the coordinates are a Multisegment ->
+    RatFunc map of the nonzero entries on the basis of u_n's block.
+    """
+    letter = space.letter(i)
+    columns, tags = [], []
+    sub = key
+    for n in range(dict(key).get(letter, 0) + 1):
+        if n:
+            sub = space.shifted_key(sub, i, -1)
+        size = len(space.block_basis(sub))
+        if not size:
+            continue
+        if dict(sub).get(letter):
+            kern = nullspace(space.lower_matrix(i, sub), ncols=size)
+        else:
+            kern = identity(size)
+        scale = RatFunc(1) / RatFunc(qfact(n))
+        for vec in kern:
+            lifted, cur = vec, sub
+            for _ in range(n):
+                lifted = mat_vec(space.raise_matrix(i, cur), lifted)
+                cur = space.shifted_key(cur, i, +1)
+            columns.append([scale * v for v in lifted])
+            tags.append((n, vec, sub))
+    matrix = [[col[r] for col in columns] for r in range(len(column))]
+    lam = solve_rect(matrix, column)
+    parts = {}
+    for coef, (n, vec, sub) in zip(lam, tags):
+        if not coef.is_zero():
+            acc = parts.setdefault(n, [[RatFunc.zero()] * len(vec), sub])
+            acc[0] = [a + coef * b for a, b in zip(acc[0], vec)]
+    out = []
+    for n, (col, sub) in sorted(parts.items()):
+        coords = {m: c for m, c in zip(space.block_basis(sub), col) if not c.is_zero()}
+        if coords:
+            out.append((n, coords))
+    return out
+
+
+def modified_root_op(space, i, x, key, step):
+    """The modified root operator etilde_i (step -1) or ftilde_i (step +1).
+
+    x is a vector of block `key` of `space`.  With the q-boson split
+    x = sum_n F_i^(n) u_n, the result is the sum of F_i^(n+step) u_n over
+    n + step >= 0.  Each u_n is rebuilt from the space's own PBW vectors
+    (`from_coords`) and raised by its own `F_op`, so the result is the word
+    vector representative that these build.
+    """
+    out = space.from_coords({})
+    for n, coords in qboson_split(space, i, key, space.coord_column(x, key)):
+        k = n + step
+        if k < 0:
+            continue
+        u = space.from_coords(coords)
+        for _ in range(k):
+            u = space.F_op(i, u)
+        out = out + u.scale(RatFunc(1) / RatFunc(qfact(k)))
+    return out

@@ -19,13 +19,7 @@ from symcrys.canonical import (
     theta_block,
     typeA_block,
 )
-from symcrys.cli import (
-    _theta_symcontents,
-    _typeA_contents,
-    build_graph,
-    suite_qboson_relations,
-    suite_serre,
-)
+from symcrys.cli import build_graph
 from symcrys.linalg import rank
 from symcrys.multisegment import (
     Multisegment,
@@ -50,6 +44,7 @@ from symcrys.theta import (
     theta_signature_ops,
 )
 from symcrys.thetamodule import ThetaModule
+from symcrys.verify import suite_qboson_relations, suite_serre
 from symcrys.wordalg import WordAlgebra
 
 WIN = (-3, -1, 1, 3)
@@ -167,10 +162,10 @@ def test_criterion_5_algebra_relations(alg, mod):
 
 def test_criterion_6_basis_theorems(alg, mod):
     ok = True
-    for ck in _typeA_contents(WIN, 4):
+    for ck in alg.block_keys(4):
         g = alg.gram_matrix(dict(ck))
         ok &= rank(g) == len(g)
-    for key in _theta_symcontents(WIN, 4):
+    for key in mod.block_keys(4):
         try:
             block = mod.block(key)
             ok &= len(block["theta_basis"]) >= 1
@@ -248,8 +243,8 @@ def test_criterion_8_global_bases(alg, mod):
 
     ok = True
     rng = random.Random(23)
-    ctxs = [typeA_block(alg, dict(ck)) for ck in _typeA_contents(WIN, 4)]
-    ctxs += [theta_block(mod, dict(ck)) for ck in _theta_symcontents(WIN, 4)]
+    ctxs = [typeA_block(alg, dict(ck)) for ck in alg.block_keys(4)]
+    ctxs += [theta_block(mod, dict(ck)) for ck in mod.block_keys(4)]
     for ctx in ctxs:
         try:
             B = bar_matrix(ctx)  # asserts unitriangularity + Laurent entries
@@ -288,8 +283,8 @@ def test_criterion_8_global_bases(alg, mod):
 
 def test_criterion_9_multiplicity_polys(alg, mod):
     ok = True
-    ctxs = [typeA_block(alg, dict(ck)) for ck in _typeA_contents(WIN, 3)]
-    ctxs += [theta_block(mod, dict(ck)) for ck in _theta_symcontents(WIN, 3)]
+    ctxs = [typeA_block(alg, dict(ck)) for ck in alg.block_keys(3)]
+    ctxs += [theta_block(mod, dict(ck)) for ck in mod.block_keys(3)]
     ctxs += [typeA_block(alg, {}), theta_block(mod, {})]
     for ctx in ctxs:
         for i in WIN:

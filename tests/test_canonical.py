@@ -237,13 +237,13 @@ def test_block_factory_returns_one_context_per_key(factory, make, idx):
 
 
 def _count_bar_columns(ctx, calls):
-    inner = ctx._bar_column
+    inner = ctx.bar_column
 
     def counted(idx):
         calls.append((ctx.label, idx))
         return inner(idx)
 
-    ctx._bar_column = counted
+    ctx.bar_column = counted
 
 
 @pytest.mark.parametrize("factory,make,idx", SETTINGS)

@@ -191,6 +191,12 @@ def test_out_of_window_segment_named(capsys):
     (["multiplicity", "--window", "1,3", '{"1":1}', "--index", "5"], "--index 5"),
     (["multiplicity", "--window", "1,3", "{}", "--index", "1", "--side", "E"], "letter 1"),
     (["verify", "--suite", "gram", "--mode", "typeA", "--window", "1,5"], "1,5"),
+    # counts, letters and multiplicities must be JSON integers
+    (["bar-matrix", "--window=-1,1", '{"1":1.5}'], "1.5"),
+    (["multiplicity", "--window=-1,1", '{"1":0.9}', "--index", "1", "--side", "F"], "0.9"),
+    (["coords", "--window=-1,1", "[1.5]"], "[1.5]"),
+    (["coords", "--window=-1,1", "[true]"], "[true]"),
+    (["expand", "--window=-1,1", '[{"i":1,"j":1,"mult":1.5}]'], "1.5"),
 ])
 def test_malformed_requests_exit_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 
@@ -12,6 +13,7 @@ from symcrys.multisegment import (
     cmp_cry_multiseg,
     cmp_cry_multiseg_raw,
     cmp_pbw,
+    cry_sort_key,
     enumerate_multisegments,
     epsilon,
     etilde,
@@ -20,6 +22,7 @@ from symcrys.multisegment import (
     signature_ops,
     window_segments,
 )
+from symcrys.theta import enumerate_theta
 
 
 def M(*pairs):
@@ -62,6 +65,14 @@ def test_cry_multiseg_requires_equal_content():
     assert cmp_cry_multiseg_raw(M((1, 1, 1)), M((3, 3, 1))) != 0
 
 
+@pytest.mark.parametrize("enumerate_fn", [enumerate_multisegments, enumerate_theta])
+def test_cry_sort_key_orders_like_the_comparator(enumerate_fn):
+    ms = enumerate_fn(tuple(range(-5, 6, 2)), 4)
+    assert len({cry_sort_key(m) for m in ms}) == len(ms)
+    assert sorted(ms, key=cry_sort_key) == sorted(
+        ms, key=functools.cmp_to_key(cmp_cry_multiseg_raw))
+
+
 segments = st.builds(
     lambda a, b: Segment(2 * min(a, b) + 1, 2 * max(a, b) + 1),
     st.integers(-3, 3),
@@ -91,6 +102,9 @@ def test_json_round_trip():
     m = M((-1, 1, 2), (1, 1, 1))
     assert Multisegment.from_json(m.to_json()) == m
     assert Multisegment.from_json("[]") == Multisegment.empty()
+    for mult in ("1.5", "true", '"1"'):
+        with pytest.raises(TypeError, match="not an integer"):
+            Multisegment.from_json('[{"i":1,"j":1,"mult":%s}]' % mult)
 
 
 # -- crystal operators: frozen examples -------------------------------------
