@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import inverse, is_identity, mat_mul, mat_vec, solve_vector
+from .linalg import inverse, is_identity, mat_mul, mat_vec, solve, solve_vector
 from .ratfunc import RatFunc
 from .wordalg import content_key
 
@@ -250,22 +250,25 @@ def multiplicity_polys(i, ctx, side):
     U_tgt = global_upper(tgt)
 
     # route 1: op applied to upper vectors, expanded in the target upper basis
-    direct = {}
-    for bi, b in enumerate(C_src.basis):
-        img = mat_vec(op_src, [U_src.entries[r][bi] for r in range(len(C_src.basis))])
-        coeffs = solve_vector(U_tgt.entries, img) if C_tgt.basis else []
-        for bj, bp in enumerate(C_tgt.basis):
-            if not coeffs[bj].is_zero():
-                direct[(b, bp)] = coeffs[bj]
+    # (an empty target block solves to empty columns)
+    imgs = [mat_vec(op_src, [row[bi] for row in U_src.entries])
+            for bi in range(len(C_src.basis))]
+    direct = {
+        (b, bp): c
+        for b, coeffs in zip(C_src.basis, solve(U_tgt.entries, imgs))
+        for bp, c in zip(C_tgt.basis, coeffs)
+        if not c.is_zero()
+    }
 
     # route 2: partner operator on the lower basis, read off transposed
-    adjoint = {}
-    for bj, bp in enumerate(C_tgt.basis):
-        img = mat_vec(partner, [C_tgt.entries[r][bj] for r in range(len(C_tgt.basis))])
-        coeffs = solve_vector(C_src.entries, img)
-        for bi, b in enumerate(C_src.basis):
-            if not coeffs[bi].is_zero():
-                adjoint[(b, bp)] = coeffs[bi]
+    imgs = [mat_vec(partner, [row[bj] for row in C_tgt.entries])
+            for bj in range(len(C_tgt.basis))]
+    adjoint = {
+        (b, bp): c
+        for bp, coeffs in zip(C_tgt.basis, solve(C_src.entries, imgs))
+        for b, c in zip(C_src.basis, coeffs)
+        if not c.is_zero()
+    }
 
     if direct != adjoint:
         raise MultiplicityMismatch(

@@ -100,6 +100,23 @@ def rank(matrix):
     return len(echelon_form(matrix)[1])
 
 
+def _back_substitute(rows, pivots, x, rhs):
+    """Fill the pivot entries of x from echelon `rows`, last pivot first:
+    x[col] = (row[rhs] - sum over c > col of row[c] x[c]) / row[col], where
+    `rhs` is the column of the right-hand side in each row (None for 0).
+    `pivots` is in elimination order, so its columns increase; entries of x
+    at free columns are left as given.  Returns x."""
+    n = len(x)
+    for prow, col in reversed(pivots):
+        row = rows[prow]
+        acc = RatFunc(row[rhs]) if rhs is not None else RatFunc.zero()
+        for c in range(col + 1, n):
+            if row[c] and x[c]:
+                acc = acc - RatFunc(row[c]) * x[c]
+        x[col] = acc / RatFunc(row[col])
+    return x
+
+
 def solve(matrix, rhs_columns):
     """Solve A X = B exactly; A square nonsingular.
 
@@ -111,17 +128,7 @@ def solve(matrix, rhs_columns):
     rows, pivots = echelon_form(aug, ncols=n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    solutions = [[RatFunc.zero()] * n for _ in range(k)]
-    for prow, col in reversed(pivots):
-        row = rows[prow]
-        piv = RatFunc(row[col])
-        for t in range(k):
-            acc = RatFunc(row[n + t])
-            for col2 in range(col + 1, n):
-                if row[col2]:
-                    acc = acc - RatFunc(row[col2]) * solutions[t][col2]
-            solutions[t][col] = acc / piv
-    return solutions
+    return [_back_substitute(rows, pivots, [RatFunc.zero()] * n, n + t) for t in range(k)]
 
 
 def solve_vector(matrix, rhs):
@@ -135,6 +142,20 @@ def inverse(matrix):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def inverse_rows(matrix, k):
+    """The first k rows R of the inverse of a square matrix A, as lists.
+
+    Solves A^T X = [e_1 ... e_k] (the columns of X are the rows of A^{-1})
+    and returns R only after checking exactly that R A = [I_k | 0].  Raises
+    SingularMatrixError when A is singular, ArithmeticError when the check
+    fails."""
+    units = identity(len(matrix))[:k]
+    rows = solve([list(col) for col in zip(*matrix)], units)
+    if mat_mul(rows, matrix) != units:
+        raise ArithmeticError("inverse rows do not invert the matrix")
+    return rows
+
+
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel of A, as RatFunc vectors."""
     if not matrix:
@@ -145,18 +166,10 @@ def nullspace(matrix, ncols=None):
     pivot_cols = {col: prow for prow, col in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
-    order = sorted(pivots, key=lambda pc: pc[1], reverse=True)
     for free in free_cols:
         vec = [RatFunc.zero()] * ncols
         vec[free] = RatFunc(1)
-        for prow, col in order:
-            row = rows[prow]
-            acc = RatFunc.zero()
-            for col2 in range(col + 1, ncols):
-                if row[col2] and vec[col2]:
-                    acc = acc - RatFunc(row[col2]) * vec[col2]
-            vec[col] = acc / RatFunc(row[col])
-        basis.append(vec)
+        basis.append(_back_substitute(rows, pivots, vec, None))
     return basis
 
 
@@ -178,15 +191,7 @@ def solve_rect(matrix, rhs):
     for r, row in enumerate(rows):
         if r not in pivot_rows and row[ncols] and not any(row[c] for c in range(ncols)):
             raise SingularMatrixError("inconsistent system")
-    x = [RatFunc.zero()] * ncols
-    for prow, col in sorted(pivots, key=lambda pc: pc[1], reverse=True):
-        row = rows[prow]
-        acc = RatFunc(row[ncols])
-        for col2 in range(col + 1, ncols):
-            if row[col2] and x[col2]:
-                acc = acc - RatFunc(row[col2]) * x[col2]
-        x[col] = acc / RatFunc(row[col])
-    return x
+    return _back_substitute(rows, pivots, [RatFunc.zero()] * ncols, ncols)
 
 
 def mat_mul(A, B):

@@ -140,10 +140,6 @@ class Multisegment:
     def empty():
         return Multisegment._trusted({})
 
-    @staticmethod
-    def single(i, j=None, mult=1):
-        return Multisegment({Segment(i, j if j is not None else i): mult})
-
     def __eq__(self, other):
         if not isinstance(other, Multisegment):
             return NotImplemented
@@ -206,10 +202,6 @@ class Multisegment:
     def degree(self):
         return sum(seg.length() * mult for seg, mult in self.entries.items())
 
-    def segments_desc_cry(self):
-        """Segments present, largest first in the crystal ordering."""
-        return sorted(self.entries, key=Segment.cry_key, reverse=True)
-
     def segments_desc_pbw(self):
         return sorted(self.entries, key=Segment.pbw_key, reverse=True)
 
@@ -245,8 +237,12 @@ class Multisegment:
             raise ValueError("multisegment JSON must be an array")
         entries = {}
         for rec in obj:
-            seg = Segment(rec["i"], rec["j"])
-            if type(rec["mult"]) is not int:  # a JSON integer; no float or boolean
+            ends = rec["i"], rec["j"]
+            for end in ends:
+                if type(end) is not int:  # a JSON integer; no float or boolean
+                    raise TypeError(f"segment endpoint {json.dumps(end)} is not an integer")
+            seg = Segment(*ends)
+            if type(rec["mult"]) is not int:
                 raise TypeError(f"multiplicity {json.dumps(rec['mult'])} of {seg} is not an integer")
             entries[seg] = entries.get(seg, 0) + rec["mult"]
         return Multisegment(entries)

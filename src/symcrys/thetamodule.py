@@ -2,9 +2,12 @@
 
 Class vectors are represented by word vectors; the grading that survives on
 the quotient is the symmetrized content (multiset of absolute letter
-indices).  Per symmetrized block the module caches a basis of the ideal
-subspace and the coordinates of the theta-PBW vectors P_theta(m)phi, so that
-class membership and canonical coordinates reduce to one exact linear solve.
+indices).  Per symmetrized block the module caches the matrix whose columns
+are the theta-PBW vectors P_theta(m)phi and a basis of the ideal subspace (in
+type-A coordinates on the block's fibre), and the rows of its inverse that
+read off the P_theta coordinates, stored after the exact check that they
+invert it; class membership and canonical coordinates are then one
+matrix-vector product.
 `ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
 with E_i/F_i as lowering/raising operators, and its modified root
 operators run the q-boson split defined there.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .linalg import RatFunc, echelon_form, solve_vector
+from .linalg import RatFunc, echelon_form, inverse_rows, mat_vec
 from .multisegment import cartan, cry_sort_key
 from .ratfunc import qfact, qint
 from .theta import theta_of_symmetrized_content
@@ -244,6 +247,7 @@ class ThetaModule:
             )
         cols = ptheta_cols + ideal_basis
         block["matrix"] = [[cols[c][r] for c in range(dim)] for r in range(dim)]
+        block["coord_rows"] = inverse_rows(block["matrix"], len(theta_basis))
         self._blocks[sym_key] = block
         return block
 
@@ -258,23 +262,14 @@ class ThetaModule:
         sym_key = v.sym_key()
         if v.rep.is_zero():
             return {}
-        block = self.block(sym_key)
-        target = self._fiber_vector(v.rep, block)
-        sol = solve_vector(block["matrix"], target)
-        out = {}
-        for m, c in zip(block["theta_basis"], sol[: len(block["theta_basis"])]):
-            if not c.is_zero():
-                out[m] = c
-        return out
+        col = self.coord_vector(v, sym_key)
+        return {m: c for m, c in zip(self.block_basis(sym_key), col) if not c.is_zero()}
 
     def coord_vector(self, v, sym_key):
+        """Coordinates of a class of the block on its P_theta basis, as a dense
+        column: the block's stored inverse rows applied to the fibre vector."""
         block = self.block(sym_key)
-        coords = self.theta_coords(v)
-        pos = {m: r for r, m in enumerate(block["theta_basis"])}
-        col = [RatFunc.zero()] * len(block["theta_basis"])
-        for m, c in coords.items():
-            col[pos[m]] = c
-        return col
+        return mat_vec(block["coord_rows"], self._fiber_vector(v.rep, block))
 
     def from_coords(self, coords):
         out = self.alg.zero()
@@ -283,20 +278,16 @@ class ThetaModule:
         return ThetaClassVector(out, self)
 
     def is_zero_class(self, v):
-        if v.rep.is_zero():
-            return True
-        keys = {sym_key_of_content(dict(ck)) for ck in v.rep.contents()}
-        for key in keys:
-            block = self.block(key)
-            part = self.alg.zero()
-            for ck, p in v.rep.homogeneous_parts().items():
-                if sym_key_of_content(dict(ck)) == key:
-                    part = part + p
-            target = self._fiber_vector(part, block)
-            sol = solve_vector(block["matrix"], target)
-            if any(not c.is_zero() for c in sol[: len(block["theta_basis"])]):
-                return False
-        return True
+        """True iff every symmetrized-content part of v has zero coordinates."""
+        parts = {}
+        for ck, part in v.rep.homogeneous_parts().items():
+            key = sym_key_of_content(dict(ck))
+            parts[key] = parts[key] + part if key in parts else part
+        return all(
+            c.is_zero()
+            for key, part in parts.items()
+            for c in self.coord_vector(ThetaClassVector(part, self), key)
+        )
 
     # -- the bilinear form ---------------------------------------------------------
 

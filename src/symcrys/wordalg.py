@@ -4,8 +4,9 @@ Elements are Q(q)-linear combinations of words in the letters f_i.  Equality
 in U_q^- (i.e. modulo the Serre ideal) is mediated by the boson-adjoint
 bilinear form, which is nondegenerate on the quotient: a homogeneous word vector is
 zero in U_q^- iff it pairs to zero with every word of its content.  PBW
-elements and their coordinates (via Gram systems) are computed per content
-block.
+elements are computed per content block, and the coordinates of a vector are
+the inverse Gram matrix of its block applied to the vector's pairings with
+the block's PBW elements.
 
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
 graded-block protocol (block keys and bases, lowering/raising block
@@ -18,7 +19,8 @@ rebuild each part from the space's own PBW vectors and raise it with the
 space's own F_i.
 
 Results are cached on the algebra instance: PBW elements by multisegment,
-and per content block the basis, the Gram matrix, the e'_i/f_i block
+and per content block the basis, the Gram matrix, the rows of its inverse
+(stored after the exact check that they invert it), the e'_i/f_i block
 matrices and (through `_contexts`, filled by `symcrys.canonical`) the
 block's bar matrix and global bases.  A fresh algebra starts cold.  Cached
 word vectors and matrices are shared between callers, who must not mutate
@@ -30,14 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from .linalg import (
-    SingularMatrixError,
-    identity,
-    mat_vec,
-    nullspace,
-    solve_rect,
-    solve_vector,
-)
+from .linalg import identity, inverse_rows, mat_vec, nullspace, solve_rect
 from .multisegment import (
     Multisegment,
     Segment,
@@ -95,10 +90,6 @@ def multiset_permutations(items):
         out.append(tuple(a))
 
 
-def word_content(word):
-    return Counter(word)
-
-
 class WordVector:
     """Finite Q(q)-linear combination of words (tuples of odd letters)."""
 
@@ -150,18 +141,18 @@ class WordVector:
 
     def content(self):
         """Content of a homogeneous vector (raises when mixed)."""
-        cs = {content_key(word_content(w)) for w in self.terms}
+        cs = {content_key(Counter(w)) for w in self.terms}
         if len(cs) > 1:
             raise ValueError("word vector is not homogeneous")
         return Counter(dict(cs.pop())) if cs else Counter()
 
     def contents(self):
-        return {content_key(word_content(w)) for w in self.terms}
+        return {content_key(Counter(w)) for w in self.terms}
 
     def homogeneous_parts(self):
         parts = {}
         for w, c in self.terms.items():
-            parts.setdefault(content_key(word_content(w)), {})[w] = c
+            parts.setdefault(content_key(Counter(w)), {})[w] = c
         return {k: WordVector(d, self.window) for k, d in parts.items()}
 
     def __str__(self):
@@ -203,6 +194,7 @@ class WordAlgebra:
         self._pbw_seg = {}
         self._pbw = {}
         self._gram = {}
+        self._coord_rows = {}
         self._basis = {}
         self._eprime_mat = {}
         self._fmul_mat = {}
@@ -416,30 +408,27 @@ class WordAlgebra:
         out = {}
         for ckey, part in x.homogeneous_parts().items():
             basis = self.basis_of_content(dict(ckey))
-            if not basis:
-                raise ValueError(f"no PBW basis vectors for content {dict(ckey)}")
-            gram = self.gram_matrix(dict(ckey))
-            rhs = [self.form(self.pbw_element(m), part) for m in basis]
-            try:
-                coords = solve_vector(gram, rhs)
-            except SingularMatrixError:
-                raise SingularMatrixError(
-                    f"singular Gram matrix for content {dict(ckey)}"
-                )
-            for m, c in zip(basis, coords):
+            for m, c in zip(basis, self.coord_vector(part, dict(ckey))):
                 if not c.is_zero():
                     out[m] = c
         return out
 
     def coord_vector(self, x, content):
-        """pbw_coords of a homogeneous x, as a dense column on the block basis."""
-        coords = self.pbw_coords(x)
-        basis = self.basis_of_content(content)
-        pos = {m: r for r, m in enumerate(basis)}
-        col = [RatFunc.zero()] * len(basis)
-        for m, c in coords.items():
-            col[pos[m]] = c
-        return col
+        """Coordinates of a vector x of the content block on its PBW basis, as
+        a dense column: G^{-1} applied to the pairings (P(m), x), with G the
+        block's Gram matrix.  Parts of x of another content pair to zero.
+
+        The rows of G^{-1} are computed once per block and stored only after
+        the exact check that they invert G."""
+        key = content_key(content)
+        rows = self._coord_rows.get(key)
+        if rows is None:
+            gram = self.gram_matrix(dict(key))
+            if not gram:
+                raise ValueError(f"no PBW basis vectors for content {dict(key)}")
+            rows = self._coord_rows[key] = inverse_rows(gram, len(gram))
+        basis = self.basis_of_content(dict(key))
+        return mat_vec(rows, [self.form(self.pbw_element(m), x) for m in basis])
 
     def from_coords(self, coords):
         out = self.zero()

@@ -197,6 +197,8 @@ def test_out_of_window_segment_named(capsys):
     (["coords", "--window=-1,1", "[1.5]"], "[1.5]"),
     (["coords", "--window=-1,1", "[true]"], "[true]"),
     (["expand", "--window=-1,1", '[{"i":1,"j":1,"mult":1.5}]'], "1.5"),
+    (["expand", "--window=-1,1", '[{"i":true,"j":true,"mult":1}]'], "true"),
+    (["expand", "--window=-1,1", '[{"i":1.0,"j":1,"mult":1}]'], "1.0"),
 ])
 def test_malformed_requests_exit_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)

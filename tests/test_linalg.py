@@ -6,6 +6,7 @@ from symcrys.linalg import (
     SingularMatrixError,
     identity,
     inverse,
+    inverse_rows,
     is_identity,
     mat_mul,
     mat_vec,
@@ -65,6 +66,24 @@ def test_inverse():
         if rank(A) < 3:
             continue
         assert is_identity(mat_mul(A, inverse(A)))
+
+
+def test_inverse_rows_are_the_leading_rows_of_the_inverse():
+    rng = random.Random(13)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            A = random_matrix(rng, n)
+            if rank(A) < n:
+                continue
+            full = inverse(A)
+            for k in range(n + 1):
+                assert inverse_rows(A, k) == full[:k]
+            checked += 1
+    assert checked >= 8
+    assert inverse_rows([[R("q")]], 0) == []
+    with pytest.raises(SingularMatrixError):
+        inverse_rows([[R("1"), R("q")], [R("q"), R("q^2")]], 1)
 
 
 def test_nullspace():

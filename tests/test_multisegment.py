@@ -105,6 +105,9 @@ def test_json_round_trip():
     for mult in ("1.5", "true", '"1"'):
         with pytest.raises(TypeError, match="not an integer"):
             Multisegment.from_json('[{"i":1,"j":1,"mult":%s}]' % mult)
+    for i, j in (("true", "true"), ("1.0", "1"), ("1", "3.0"), ('"1"', "1")):
+        with pytest.raises(TypeError, match="endpoint .* not an integer"):
+            Multisegment.from_json('[{"i":%s,"j":%s,"mult":1}]' % (i, j))
 
 
 # -- crystal operators: frozen examples -------------------------------------

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from symcrys import linalg
+from symcrys.linalg import solve_vector
 from symcrys.multisegment import Multisegment, Segment
 from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact
 from symcrys.theta import crystal_E, crystal_F, enumerate_theta
@@ -230,3 +232,73 @@ def test_A_integrality_of_word_coordinates(mod):
                 else:
                     den = den * RatFunc(qfact(mult))
             assert (c * den).in_A()
+
+
+# -- the stored coordinate rows against the per-vector block solve ---------------
+
+def reference_coords(mod, v, key):
+    """The per-vector route: the fibre vector of v from Gram solves on each
+    content of the fibre, then the theta part of the block matrix's solve."""
+    block = mod.block(key)
+    fibre = [RatFunc.zero()] * block["dim"]
+    for ck, part in v.rep.homogeneous_parts().items():
+        content = dict(ck)
+        rhs = [mod.alg.form(mod.alg.pbw_element(m), part)
+               for m in mod.alg.basis_of_content(content)]
+        col = solve_vector(mod.alg.gram_matrix(content), rhs)
+        fibre[block["offsets"][ck]:block["offsets"][ck] + len(col)] = col
+    return solve_vector(block["matrix"], fibre)[: len(block["theta_basis"])]
+
+
+def ideal_elements(mod, key):
+    """The classes w (f_k - f_{-k}) of the block, all zero in V_theta(0)."""
+    return [ThetaClassVector(g, mod) for g in mod.ideal_generators(key)]
+
+
+def test_coord_vector_matches_the_block_solve(mod):
+    rng = random.Random(29)
+    blocks = mod.block_keys(3)
+    assert len(blocks) == 9
+    for key in blocks:
+        vectors = [mod.bar_theta(mod.ptheta_vector(m)) for m in mod.block_basis(key)]
+        for _ in range(2):
+            words = [w for ck in mod.fiber_contents(key)
+                     for w in mod.alg.words_of_content(dict(ck))]
+            chosen = rng.sample(words, min(4, len(words)))
+            vectors.append(mod.from_words(
+                {w: RatFunc(rng.choice((-3, -2, -1, 1, 2, 3))) for w in chosen}))
+        for v in vectors:
+            assert mod.coord_vector(v, key) == reference_coords(mod, v, key), (key, v)
+
+
+def test_is_zero_class_matches_the_block_solve(mod):
+    rng = random.Random(31)
+    for key in mod.block_keys(3):
+        zeros = ideal_elements(mod, key)
+        assert zeros
+        combo = zeros[0]
+        for g in rng.sample(zeros, min(3, len(zeros))):
+            combo = combo + g.scale(RatFunc.q_power(rng.randint(-2, 2)) * RatFunc(2))
+        nonzero = [mod.ptheta_vector(m) + combo for m in mod.block_basis(key)]
+        for v in zeros + [combo] + nonzero:
+            want = all(c.is_zero() for c in reference_coords(mod, v, key))
+            assert mod.is_zero_class(v) == want, (key, v)
+        assert all(mod.is_zero_class(v) for v in zeros + [combo])
+        assert not any(mod.is_zero_class(v) for v in nonzero)
+
+
+def test_stored_rows_make_no_further_solves(monkeypatch):
+    fresh = ThetaModule(WIN)
+    key = content_key({1: 2, 3: 1})
+    fresh.block(key)  # stores the block's rows and those of its fibre contents
+    calls = []
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    for m in fresh.block_basis(key):
+        v = fresh.bar_theta(fresh.ptheta_vector(m))
+        fresh.theta_coords(v)
+        fresh.coord_vector(v, key)
+        assert not fresh.is_zero_class(v)
+    for v in ideal_elements(fresh, key):
+        assert fresh.is_zero_class(v)
+    assert calls == []

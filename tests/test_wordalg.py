@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from symcrys import linalg
+from symcrys.linalg import solve_vector
 from symcrys.multisegment import Multisegment, Segment, enumerate_multisegments
 from symcrys.multisegment import ftilde
 from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact
@@ -199,3 +201,44 @@ def test_words_of_content_are_the_sorted_distinct_permutations(alg):
             expected = sorted(set(itertools.permutations(letters)))
             assert alg.words_of_content(content) == expected, content
             assert multiset_permutations(reversed(letters)) == expected
+
+
+# -- the stored coordinate rows against the per-vector Gram solve ---------------
+
+def reference_coords(alg, x, content):
+    """The per-vector route: solve the block's Gram system for the pairings of x."""
+    rhs = [alg.form(alg.pbw_element(m), x) for m in alg.basis_of_content(content)]
+    return solve_vector(alg.gram_matrix(content), rhs)
+
+
+def integer_combination(alg, rng, content, terms=4):
+    words = alg.words_of_content(content)
+    chosen = rng.sample(words, min(terms, len(words)))
+    return alg.vector({w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in chosen})
+
+
+def test_coord_vector_matches_the_gram_solve(alg):
+    rng = random.Random(23)
+    blocks = alg.block_keys(3)
+    assert len(blocks) == 34
+    for key in blocks:
+        content = dict(key)
+        inputs = [alg.pbw_element(m).bar() for m in alg.basis_of_content(content)]
+        inputs += [integer_combination(alg, rng, content) for _ in range(2)]
+        for x in inputs:
+            assert alg.coord_vector(x, content) == reference_coords(alg, x, content), (key, x)
+
+
+def test_stored_rows_make_no_further_solves(monkeypatch):
+    fresh = WordAlgebra(WIN)
+    content = {-1: 1, 1: 1, 3: 1}
+    fresh.coord_vector(fresh.f(-1, 1, 3), content)  # stores the block's rows
+    calls = []
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    for w in fresh.words_of_content(content):
+        fresh.coord_vector(fresh.f(*w), content)
+        fresh.pbw_coords(fresh.f(*w).bar())
+    assert calls == []
+    fresh.coord_vector(fresh.f(1, 1), {1: 2})  # a new block is factored once
+    assert len(calls) == 1
