@@ -15,16 +15,20 @@ ThetaModule instance), and the context keeps the bar matrix and the lower
 and upper global bases it produced.  A matrix is stored only after its
 unitriangularity, bar-invariance or duality check passed; a `bar=` or
 `lower=` supplied by the caller is used but its result is not stored,
-unless it is the block's own memoized matrix.  `multiplicity_polys` is not
-memoized, so its direct/adjoint cross-check runs on every call.  Returned
-matrices are shared and must not be mutated.
+unless it is the block's own memoized matrix.  With the upper basis U the
+context keeps its inverse (G C)^T, which the duality check U^T G C = I
+proves, and `lower_inverse` keeps the checked inverse of C, so
+`multiplicity_polys` reads both of its routes through stored inverses and
+eliminates each matrix at most once.  It is not memoized, so its
+direct/adjoint cross-check runs on every call.  Returned matrices are shared
+and must not be mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import inverse, is_identity, mat_mul, mat_vec, solve, solve_vector
+from .linalg import inverse, inverse_rows, is_identity, mat_mul, mat_vec, solve_vector
 from .ratfunc import RatFunc
 from .wordalg import content_key
 
@@ -59,7 +63,9 @@ class BlockContext:
     the two classes share (`block_basis`, `bar_column`, `block_gram`,
     `lower_matrix`, `raise_matrix`, `shifted_key`, ...).
 
-    `bar`, `lower` and `upper` hold the checked matrices once computed.
+    `bar`, `lower` and `upper` hold the checked matrices once computed, and
+    `lower_inv` and `upper_inv` the inverses of the entries of `lower` and
+    `upper`.
     """
 
     def __init__(self, space, key):
@@ -69,6 +75,8 @@ class BlockContext:
         self.bar = None
         self.lower = None
         self.upper = None
+        self.lower_inv = None
+        self.upper_inv = None
 
     def basis(self):
         return self.space.block_basis(self.key)
@@ -197,7 +205,17 @@ def global_upper(ctx, lower=None):
     result = TransitionMatrix(ctx.label, C.basis, U)
     if lower is None:
         ctx.upper = result
+        ctx.upper_inv = [list(row) for row in zip(*GC)]  # U^{-1} = (G C)^T
     return result
+
+
+def lower_inverse(ctx):
+    """C^{-1} for the block's lower basis C, stored after the exact check
+    C^{-1} C = I."""
+    if ctx.lower_inv is None:
+        C = global_lower(ctx).entries
+        ctx.lower_inv = inverse_rows(C, len(C))
+    return ctx.lower_inv
 
 
 def balanced_split(ctx, coords, lower=None):
@@ -247,26 +265,27 @@ def multiplicity_polys(i, ctx, side):
     C_src = global_lower(ctx)
     C_tgt = global_lower(tgt)
     U_src = global_upper(ctx)
-    U_tgt = global_upper(tgt)
+    global_upper(tgt)
 
     # route 1: op applied to upper vectors, expanded in the target upper basis
-    # (an empty target block solves to empty columns)
+    # (an empty target block gives empty columns)
     imgs = [mat_vec(op_src, [row[bi] for row in U_src.entries])
             for bi in range(len(C_src.basis))]
     direct = {
         (b, bp): c
-        for b, coeffs in zip(C_src.basis, solve(U_tgt.entries, imgs))
-        for bp, c in zip(C_tgt.basis, coeffs)
+        for b, img in zip(C_src.basis, imgs)
+        for bp, c in zip(C_tgt.basis, mat_vec(tgt.upper_inv, img))
         if not c.is_zero()
     }
 
     # route 2: partner operator on the lower basis, read off transposed
+    C_src_inv = lower_inverse(ctx)
     imgs = [mat_vec(partner, [row[bj] for row in C_tgt.entries])
             for bj in range(len(C_tgt.basis))]
     adjoint = {
         (b, bp): c
-        for bp, coeffs in zip(C_tgt.basis, solve(C_src.entries, imgs))
-        for b, c in zip(C_src.basis, coeffs)
+        for bp, img in zip(C_tgt.basis, imgs)
+        for b, c in zip(C_src.basis, mat_vec(C_src_inv, img))
         if not c.is_zero()
     }
 

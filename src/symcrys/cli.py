@@ -309,11 +309,12 @@ def cmd_verify(args):
     else:
         window = algebra_window(args.window, "typeA")
     bad = 0
+    spaces = {}  # one algebra and one module, shared by every suite of the run
     for name in names:
         fn = SUITES.get(name)
         if fn is None:
             raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        checked, fails = fn(args.mode, window, args.max_degree)
+        checked, fails = fn(args.mode, window, args.max_degree, spaces)
         status = "PASS" if not fails else "FAIL"
         print(f"{name}: {status} ({checked} identities checked)")
         if fails:

@@ -2,12 +2,24 @@
 
 Class vectors are represented by word vectors; the grading that survives on
 the quotient is the symmetrized content (multiset of absolute letter
-indices).  Per symmetrized block the module caches the matrix whose columns
-are the theta-PBW vectors P_theta(m)phi and a basis of the ideal subspace (in
-type-A coordinates on the block's fibre), and the rows of its inverse that
-read off the P_theta coordinates, stored after the exact check that they
-invert it; class membership and canonical coordinates are then one
-matrix-vector product.
+indices).  A symmetrized block is built in PBW coordinates on its fibre, the
+direct sum of the type-A content blocks of its genuine contents:
+
+- P_theta(m) = s(m) P(m), where s(m) is the product over the symmetric
+  segments <-j,j> of multiplicity a of [a]! / prod_{nu<=a} [2 nu], so the
+  fibre column of P_theta(m)phi is s(m) times a unit vector;
+- the ideal is spanned by the columns of R_k - R_{-k} over the PBW bases of
+  the sub-fibre contents, with R_k the type-A block matrix of right
+  multiplication by f_k (`WordAlgebra.rmul_matrix`): one generator per
+  multisegment, echelonized to a basis.
+
+The module caches per block the matrix whose columns are the P_theta columns
+followed by the ideal basis, and the rows of its inverse that read off the
+P_theta coordinates, stored after the exact check that they invert it; the
+fibre vector of a class is read through the type-A word-coordinate tables,
+so class membership and canonical coordinates are one matrix-vector
+product.  `ideal_generators` keeps the word-level generators
+w (f_k - f_{-k}) for tests.
 `ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
 with E_i/F_i as lowering/raising operators, and its modified root
 operators run the q-boson split defined there.
@@ -38,6 +50,18 @@ def sym_key_of_content(content):
     for i, n in content.items():
         c[abs(i)] += n
     return content_key(c)
+
+
+def theta_scale(m):
+    """s(m) with P_theta(m) = s(m) P(m): the product over the symmetric
+    segments <-j,j> of multiplicity a of [a]! / prod_{nu<=a} [2 nu]."""
+    s = RatFunc(1)
+    for seg, a in m:
+        if seg.i == -seg.j:
+            s = s * RatFunc(qfact(a))
+            for nu in range(1, a + 1):
+                s = s / RatFunc(qint(2 * nu))
+    return s
 
 
 class ThetaClassVector:
@@ -135,28 +159,15 @@ class ThetaModule:
     # -- theta PBW basis --------------------------------------------------------
 
     def ptheta_vector(self, m):
-        """P_theta(m)phi with the modified divided powers of the <-j,j> segments."""
-        key = m
-        hit = self._ptheta_cache.get(key)
-        if hit is not None:
-            return ThetaClassVector(hit, self)
-        out = self.alg.one()
-        for seg in m.segments_desc_pbw():
-            if not seg.is_theta_restricted():
-                raise ValueError(f"{seg} is not theta-restricted")
-            mult = m.entries[seg]
-            piece = self.alg.pbw_segment(seg.i, seg.j)
-            for _ in range(mult):
-                out = self.alg.mul(out, piece)
-            if seg.i == -seg.j:
-                norm = RatFunc(1)
-                for nu in range(1, mult + 1):
-                    norm = norm * RatFunc(qint(2 * nu))
-            else:
-                norm = RatFunc(qfact(mult))
-            out = out.scale(RatFunc(1) / norm)
-        self._ptheta_cache[key] = out
-        return ThetaClassVector(out, self)
+        """P_theta(m)phi with the modified divided powers of the <-j,j> segments:
+        s(m) P(m)phi, with s(m) = `theta_scale(m)`."""
+        hit = self._ptheta_cache.get(m)
+        if hit is None:
+            for seg in m.segments_desc_pbw():
+                if not seg.is_theta_restricted():
+                    raise ValueError(f"{seg} is not theta-restricted")
+            hit = self._ptheta_cache[m] = self.alg.pbw_element(m).scale(theta_scale(m))
+        return ThetaClassVector(hit, self)
 
     # -- block machinery -------------------------------------------------------
 
@@ -212,6 +223,25 @@ class ThetaModule:
                 vec[off + r] = c
         return vec
 
+    def _ideal_rows(self, sym_key, block):
+        """Fibre rows spanning the ideal: the columns of R_k - R_{-k} on the PBW
+        bases of the contents of sym_key - k, for every letter k > 0."""
+        rows = []
+        for k, _ in sym_key:
+            for ck in self.fiber_contents(shift_key(sym_key, k, -1)):
+                plus = self.alg.rmul_matrix(k, dict(ck))
+                minus = self.alg.rmul_matrix(-k, dict(ck))
+                p_off = block["offsets"][shift_key(ck, k, 1)]
+                m_off = block["offsets"][shift_key(ck, -k, 1)]
+                for n in range(len(self.alg.basis_of_content(dict(ck)))):
+                    row = [RatFunc.zero()] * block["dim"]
+                    for r, line in enumerate(plus):
+                        row[p_off + r] = line[n]
+                    for r, line in enumerate(minus):
+                        row[m_off + r] = -line[n]
+                    rows.append(row)
+        return rows
+
     def block(self, sym_key):
         hit = self._blocks.get(sym_key)
         if hit is not None:
@@ -229,10 +259,13 @@ class ThetaModule:
             reverse=True,
         )
         block["theta_basis"] = theta_basis
-        ptheta_cols = [
-            self._fiber_vector(self.ptheta_vector(m).rep, block) for m in theta_basis
-        ]
-        gen_rows = [self._fiber_vector(g, block) for g in self.ideal_generators(sym_key)]
+        ptheta_cols = []
+        for m in theta_basis:
+            ck = content_key(m.content())
+            col = [RatFunc.zero()] * dim
+            col[offsets[ck] + self.alg.basis_of_content(dict(ck)).index(m)] = theta_scale(m)
+            ptheta_cols.append(col)
+        gen_rows = self._ideal_rows(sym_key, block)
         if gen_rows:
             rows, pivots = echelon_form(gen_rows, ncols=dim)
             ideal_basis = [

@@ -8,6 +8,11 @@ module (`ThetaModule`) and run over its blocks through the graded-block
 protocol the two classes share, so each check is written once for both
 modes.  Only `serre` (always type A) and `theta-dims` (always theta) ignore
 the mode.
+
+Every suite also takes an optional `spaces` dict.  Suites given the same
+dict share one algebra and one module per run, filled on first use, so a run
+of several suites builds each block, block matrix and bar matrix once;
+without it a suite builds its own.
 """
 
 from __future__ import annotations
@@ -58,15 +63,21 @@ def require_symmetric(window):
     return window
 
 
-def _space(mode, window):
-    """The type-A algebra, or in theta mode the symmetric module, on the window."""
-    if mode == "theta":
-        return ThetaModule(require_symmetric(window))
-    return WordAlgebra(window)
+def _space(mode, window, spaces=None):
+    """The type-A algebra, or in theta mode the symmetric module, on the
+    window: the one `spaces` holds for the mode, else a new one, which is
+    added to `spaces`."""
+    spaces = {} if spaces is None else spaces
+    if mode not in spaces:
+        if mode == "theta":
+            spaces[mode] = ThetaModule(require_symmetric(window))
+        else:
+            spaces[mode] = WordAlgebra(window)
+    return spaces[mode]
 
 
-def _contexts(mode, window, max_degree):
-    space = _space(mode, window)
+def _contexts(mode, window, max_degree, spaces):
+    space = _space(mode, window, spaces)
     return [block_context(space, key) for key in space.block_keys(max_degree)]
 
 
@@ -74,7 +85,7 @@ def _contexts(mode, window, max_degree):
 # crystal suites (no algebra; any window)
 # ---------------------------------------------------------------------------
 
-def suite_crystal_axioms(mode, window, max_degree):
+def suite_crystal_axioms(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
     if mode == "theta":
@@ -108,7 +119,7 @@ def suite_crystal_axioms(mode, window, max_degree):
     return checked, fails
 
 
-def suite_oracle_cross_check(mode, window, max_degree):
+def suite_oracle_cross_check(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
     if mode == "theta":
@@ -135,8 +146,8 @@ def suite_oracle_cross_check(mode, window, max_degree):
 # algebra and module suites
 # ---------------------------------------------------------------------------
 
-def suite_serre(mode, window, max_degree):
-    alg = WordAlgebra(window)
+def suite_serre(mode, window, max_degree, spaces=None):
+    alg = _space("typeA", window, spaces)
     checked = 0
     fails = []
     for i in window:
@@ -152,10 +163,10 @@ def suite_serre(mode, window, max_degree):
     return checked, fails
 
 
-def suite_gram(mode, window, max_degree):
+def suite_gram(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
-    for ctx in _contexts(mode, window, max_degree):
+    for ctx in _contexts(mode, window, max_degree, spaces):
         g = ctx.gram()
         checked += 1
         if rank(g) != len(g):
@@ -163,8 +174,8 @@ def suite_gram(mode, window, max_degree):
     return checked, fails
 
 
-def suite_theta_dims(mode, window, max_degree):
-    module = ThetaModule(require_symmetric(window))
+def suite_theta_dims(mode, window, max_degree, spaces=None):
+    module = _space("theta", window, spaces)
     checked = 0
     fails = []
     for key in module.block_keys(max_degree):
@@ -176,10 +187,10 @@ def suite_theta_dims(mode, window, max_degree):
     return checked, fails
 
 
-def suite_pbw_crystal_compat(mode, window, max_degree):
+def suite_pbw_crystal_compat(mode, window, max_degree, spaces=None):
     """The modified ftilde_i of each PBW basis vector P(m) of degree <=
     max_degree is P(F_i m) modulo q times the PBW lattice."""
-    space = _space(mode, window)
+    space = _space(mode, window, spaces)
     crystal_f = crystal_F if mode == "theta" else a_ftilde
     checked = 0
     fails = []
@@ -203,10 +214,10 @@ def suite_pbw_crystal_compat(mode, window, max_degree):
     return checked, fails
 
 
-def suite_bar_triangular(mode, window, max_degree):
+def suite_bar_triangular(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
-    for ctx in _contexts(mode, window, max_degree):
+    for ctx in _contexts(mode, window, max_degree, spaces):
         try:
             bar_matrix(ctx)
             checked += 1
@@ -215,10 +226,10 @@ def suite_bar_triangular(mode, window, max_degree):
     return checked, fails
 
 
-def suite_global_basis(mode, window, max_degree):
+def suite_global_basis(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
-    for ctx in _contexts(mode, window, max_degree):
+    for ctx in _contexts(mode, window, max_degree, spaces):
         try:
             C = global_lower(ctx)
             for c in range(len(C.basis)):
@@ -248,10 +259,10 @@ def _commutation_holds(lhs, rhs, qc, delta, rows, n):
     return True
 
 
-def suite_qboson_relations(mode, window, max_degree):
+def suite_qboson_relations(mode, window, max_degree, spaces=None):
     """E_i F_j = q^{-(alpha_i, alpha_j)} F_j E_i + scalar, as block matrices,
     on every block of degree <= max_degree."""
-    space = _space(mode, window)
+    space = _space(mode, window, spaces)
     checked = 0
     fails = []
     for key in [()] + space.block_keys(max_degree):
@@ -278,10 +289,10 @@ def suite_qboson_relations(mode, window, max_degree):
     return checked, fails
 
 
-def suite_multiplicity_consistency(mode, window, max_degree):
+def suite_multiplicity_consistency(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
-    for ctx in _contexts(mode, window, max_degree):
+    for ctx in _contexts(mode, window, max_degree, spaces):
         for i in window:
             for side in ("E", "F"):
                 try:

@@ -3,10 +3,18 @@
 Elements are Q(q)-linear combinations of words in the letters f_i.  Equality
 in U_q^- (i.e. modulo the Serre ideal) is mediated by the boson-adjoint
 bilinear form, which is nondegenerate on the quotient: a homogeneous word vector is
-zero in U_q^- iff it pairs to zero with every word of its content.  PBW
-elements are computed per content block, and the coordinates of a vector are
-the inverse Gram matrix of its block applied to the vector's pairings with
-the block's PBW elements.
+zero in U_q^- iff it pairs to zero with every word of its content.
+
+PBW coordinates are read through a word-coordinate table, built once per
+content c on first use.  The pairings Phi[m][v] = (P(m), v) of the PBW
+elements with every word v of c are sums of word pairings (w, v) for small
+contents; for larger ones they follow from the block one letter down:
+writing v = f_i v', (P(m), v) = (e'_i P(m), v'), which is column m of the
+e'_i block matrix paired with the pairings of c - alpha_i.  The Gram matrix is
+G[m][n] = sum_v P(n)_v Phi[m][v], the rows R of G^{-1} are kept only after
+the exact check R G = I, and each word's coordinate column D_c[v] = R Phi[:, v]
+is stored as its nonzero entries.  The coordinates of a vector x of c are
+then the sparse sum sum_v x_v D_c[v] over x's words.
 
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
 graded-block protocol (block keys and bases, lowering/raising block
@@ -19,8 +27,8 @@ rebuild each part from the space's own PBW vectors and raise it with the
 space's own F_i.
 
 Results are cached on the algebra instance: PBW elements by multisegment,
-and per content block the basis, the Gram matrix, the rows of its inverse
-(stored after the exact check that they invert it), the e'_i/f_i block
+and per content block the basis, the word pairings, the Gram matrix, the
+word-coordinate table, the e'_i, f_i-left and f_i-right multiplication block
 matrices and (through `_contexts`, filled by `symcrys.canonical`) the
 block's bar matrix and global bases.  A fresh algebra starts cold.  Cached
 word vectors and matrices are shared between callers, who must not mutate
@@ -41,6 +49,15 @@ from .multisegment import (
     multisegments_of_content,
 )
 from .ratfunc import RatFunc, qfact
+
+
+# Contents up to this degree read their word pairings from `_form_words`,
+# larger ones from the tables one letter down.  Measured on -3..3: with the
+# lower tables built, the two cost the same per content up to degree 4, and
+# the lower tables take half the time at degree 5 and a third at degree 6;
+# in a fresh algebra, where the lower tables must be built first, the word
+# pairings take a quarter to a half of the time at degrees 3 and 4.
+PAIRING_DEGREE = 4
 
 
 def content_key(content):
@@ -193,11 +210,13 @@ class WordAlgebra:
         self._eprime_word = {}
         self._pbw_seg = {}
         self._pbw = {}
+        self._pairings = {}
         self._gram = {}
-        self._coord_rows = {}
+        self._word_coords = {}
         self._basis = {}
         self._eprime_mat = {}
         self._fmul_mat = {}
+        self._rmul_mat = {}
         self._words = {}
         self._contexts = {}
 
@@ -392,15 +411,80 @@ class WordAlgebra:
             self._basis[key] = hit
         return hit
 
+    def _word_pairings(self, key):
+        """Phi of the content block: each word v -> the column ((P(m), v))_m."""
+        hit = self._pairings.get(key)
+        if hit is None:
+            if sum(n for _, n in key) <= PAIRING_DEGREE:
+                hit = self._pairings_from_words(key)
+            else:
+                hit = self._pairings_from_lower(key)
+            self._pairings[key] = hit
+        return hit
+
+    def _pairings_from_words(self, key):
+        """Phi from the word pairings: (P(m), v) = sum_w P(m)_w (w, v)."""
+        words = self.words_of_content(dict(key))
+        basis = self.basis_of_content(dict(key))
+        out = {v: [RatFunc.zero()] * len(basis) for v in words}
+        for r, m in enumerate(basis):
+            for w, c in self.pbw_element(m).terms.items():
+                for v in words:
+                    f = self._form_words(w, v)
+                    if f:
+                        out[v][r] = out[v][r] + c * f
+        return out
+
+    def _pairings_from_lower(self, key):
+        """Phi from the blocks one letter down: (P(m), f_i v') = (e'_i P(m), v')
+        is column m of the e'_i block matrix against the column of v'."""
+        out = {}
+        n = len(self.basis_of_content(dict(key)))
+        for i, _ in key:
+            lower = [[(m, e) for m, e in enumerate(row) if e]
+                     for row in self.eprime_matrix(i, dict(key))]
+            for v, sub_col in self._word_pairings(shift_key(key, i, -1)).items():
+                col = [RatFunc.zero()] * n
+                for entries, p in zip(lower, sub_col):
+                    if p:
+                        for m, e in entries:
+                            col[m] = col[m] + e * p
+                out[(i,) + v] = col
+        return out
+
     def gram_matrix(self, content):
-        """(P(m), P(n)) over the content block, in the crystal-ordered basis."""
+        """(P(m), P(n)) over the content block, in the crystal-ordered basis:
+        G[m][n] = sum over the words v of P(n) of P(n)_v (P(m), v)."""
         key = content_key(content)
         hit = self._gram.get(key)
         if hit is None:
             basis = self.basis_of_content(dict(key))
-            vecs = [self.pbw_element(m) for m in basis]
-            hit = [[self.form(u, v) for v in vecs] for u in vecs]
-            self._gram[key] = hit
+            phi = self._word_pairings(key)
+            cols = []
+            for n in basis:
+                col = [RatFunc.zero()] * len(basis)
+                for v, c in self.pbw_element(n).terms.items():
+                    for m, p in enumerate(phi[v]):
+                        if p:
+                            col[m] = col[m] + c * p
+                cols.append(col)
+            hit = self._gram[key] = [list(row) for row in zip(*cols)]
+        return hit
+
+    def _word_table(self, key):
+        """D_c of the content block: each word v -> the nonzero entries (m, c)
+        of its PBW coordinate column R Phi[:, v], where R = G^{-1} is stored
+        only after the exact check R G = I."""
+        hit = self._word_coords.get(key)
+        if hit is None:
+            gram = self.gram_matrix(dict(key))
+            if not gram:
+                raise ValueError(f"no PBW basis vectors for content {dict(key)}")
+            rows = inverse_rows(gram, len(gram))
+            hit = self._word_coords[key] = {
+                v: [(m, c) for m, c in enumerate(mat_vec(rows, col)) if c]
+                for v, col in self._word_pairings(key).items()
+            }
         return hit
 
     def pbw_coords(self, x):
@@ -415,20 +499,16 @@ class WordAlgebra:
 
     def coord_vector(self, x, content):
         """Coordinates of a vector x of the content block on its PBW basis, as
-        a dense column: G^{-1} applied to the pairings (P(m), x), with G the
-        block's Gram matrix.  Parts of x of another content pair to zero.
-
-        The rows of G^{-1} are computed once per block and stored only after
-        the exact check that they invert G."""
+        a dense column: the sum of x_v D_c[v] over the words v of x, read from
+        the block's word-coordinate table.  Words of another content pair to
+        zero."""
         key = content_key(content)
-        rows = self._coord_rows.get(key)
-        if rows is None:
-            gram = self.gram_matrix(dict(key))
-            if not gram:
-                raise ValueError(f"no PBW basis vectors for content {dict(key)}")
-            rows = self._coord_rows[key] = inverse_rows(gram, len(gram))
-        basis = self.basis_of_content(dict(key))
-        return mat_vec(rows, [self.form(self.pbw_element(m), x) for m in basis])
+        table = self._word_table(key)
+        out = [RatFunc.zero()] * len(self.basis_of_content(dict(key)))
+        for v, c in x.terms.items():
+            for m, d in table.get(v, ()):
+                out[m] = out[m] + c * d
+        return out
 
     def from_coords(self, coords):
         out = self.zero()
@@ -438,26 +518,30 @@ class WordAlgebra:
 
     # -- block matrices of e'_i and left multiplication by f_i ------------------
 
+    def _block_matrix(self, cache, i, content, step, image):
+        key = (i, content_key(content))
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = operator_matrix(self, i, key[1], step, image)
+        return hit
+
     def eprime_matrix(self, i, content):
         """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
-        key = (i, content_key(content))
-        hit = self._eprime_mat.get(key)
-        if hit is None:
-            hit = self._eprime_mat[key] = operator_matrix(
-                self, i, key[1], -1, lambda m: self.eprime(i, self.pbw_element(m))
-            )
-        return hit
+        return self._block_matrix(
+            self._eprime_mat, i, content, -1, lambda m: self.eprime(i, self.pbw_element(m))
+        )
 
     def fmul_matrix(self, i, content):
         """Matrix of left multiplication by f_i, content block -> content + alpha_i."""
-        key = (i, content_key(content))
-        hit = self._fmul_mat.get(key)
-        if hit is None:
-            fi = self.f(i)
-            hit = self._fmul_mat[key] = operator_matrix(
-                self, i, key[1], +1, lambda m: self.mul(fi, self.pbw_element(m))
-            )
-        return hit
+        return self._block_matrix(
+            self._fmul_mat, i, content, +1, lambda m: self.mul(self.f(i), self.pbw_element(m))
+        )
+
+    def rmul_matrix(self, i, content):
+        """Matrix of right multiplication by f_i, content block -> content + alpha_i."""
+        return self._block_matrix(
+            self._rmul_mat, i, content, +1, lambda m: self.mul(self.pbw_element(m), self.f(i))
+        )
 
     # -- modified root operators -------------------------------------------------
 

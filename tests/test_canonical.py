@@ -7,12 +7,14 @@ from symcrys.canonical import (
     bar_matrix,
     global_lower,
     global_upper,
+    lower_inverse,
     multiplicity_polys,
     q1_specialization,
     theta_block,
     typeA_block,
 )
-from symcrys.linalg import identity, mat_mul
+from symcrys import linalg
+from symcrys.linalg import identity, inverse, mat_mul
 from symcrys.multisegment import Multisegment, Segment
 from symcrys.ratfunc import RatFunc, parse_ratfunc
 from symcrys.thetamodule import ThetaModule
@@ -268,6 +270,23 @@ def test_multiplicity_reuses_the_memoized_bases(factory, make, idx):
     _count_bar_columns(ctx, calls)
     _count_bar_columns(tgt, calls)
     assert multiplicity_polys(idx, ctx, "F") == first
+    assert multiplicity_polys(idx, tgt, "E")
+    assert calls == []
+
+
+@pytest.mark.parametrize("factory,make,idx", SETTINGS)
+def test_multiplicity_solves_nothing_once_the_inverses_are_stored(factory, make, idx,
+                                                                  monkeypatch):
+    ctx = factory(make(), {1: 1, 3: 1})
+    tgt = ctx.shifted(idx, +1)
+    for c in (ctx, tgt):
+        global_upper(c)
+        assert c.upper_inv == inverse(c.upper.entries)
+        assert lower_inverse(c) == inverse(c.lower.entries)
+    calls = []
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    assert multiplicity_polys(idx, ctx, "F")
     assert multiplicity_polys(idx, tgt, "E")
     assert calls == []
 

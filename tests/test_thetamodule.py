@@ -3,11 +3,11 @@ import random
 import pytest
 
 from symcrys import linalg
-from symcrys.linalg import solve_vector
+from symcrys.linalg import rank, solve_vector
 from symcrys.multisegment import Multisegment, Segment
-from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact
+from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact, qint
 from symcrys.theta import crystal_E, crystal_F, enumerate_theta
-from symcrys.thetamodule import ThetaClassVector, ThetaModule
+from symcrys.thetamodule import ThetaClassVector, ThetaModule, theta_scale
 from symcrys.wordalg import content_key
 
 WIN = (-3, -1, 1, 3)
@@ -80,6 +80,34 @@ def test_ptheta_examples(mod):
     assert p.rep == want
     p2 = mod.ptheta_vector(M((1, 1, 2)))
     assert p2.rep == mod.alg.f(1, 1).scale(R("1") / R("q + q^-1"))
+
+
+def reference_ptheta(alg, m):
+    """P_theta(m) as the ordered product of segment powers, each divided by
+    [a]!, or by prod_{nu<=a} [2 nu] for a symmetric segment <-j,j>."""
+    out = alg.one()
+    for seg in m.segments_desc_pbw():
+        mult = m.entries[seg]
+        piece = alg.pbw_segment(seg.i, seg.j)
+        for _ in range(mult):
+            out = alg.mul(out, piece)
+        if seg.i == -seg.j:
+            norm = RatFunc(1)
+            for nu in range(1, mult + 1):
+                norm = norm * RatFunc(qint(2 * nu))
+        else:
+            norm = RatFunc(qfact(mult))
+        out = out.scale(RatFunc(1) / norm)
+    return out
+
+
+@pytest.mark.parametrize("window,degree", [(WIN, 4), (tuple(range(-5, 6, 2)), 3)])
+def test_ptheta_is_the_scaled_pbw_element(window, degree):
+    module = ThetaModule(window)
+    msegs = enumerate_theta(window, degree)
+    assert any(theta_scale(m) != RatFunc(1) for m in msegs)
+    for m in msegs:
+        assert module.ptheta_vector(m).rep == reference_ptheta(module.alg, m), m
 
 
 def test_ptheta_rejects_unrestricted(mod):
@@ -269,6 +297,21 @@ def test_coord_vector_matches_the_block_solve(mod):
                 {w: RatFunc(rng.choice((-3, -2, -1, 1, 2, 3))) for w in chosen}))
         for v in vectors:
             assert mod.coord_vector(v, key) == reference_coords(mod, v, key), (key, v)
+
+
+def test_pbw_ideal_spans_the_word_generators(mod):
+    """The ideal basis of each block, built from R_k - R_{-k} in PBW
+    coordinates, spans the fibre vectors of the word generators
+    w (f_k - f_{-k}): equal ranks, and no generator raises the rank."""
+    blocks = mod.block_keys(4)
+    assert len(blocks) == 14
+    for key in blocks:
+        block = mod.block(key)
+        k = len(block["theta_basis"])
+        ideal = [[row[c] for row in block["matrix"]] for c in range(k, block["dim"])]
+        words = [mod._fiber_vector(g, block) for g in mod.ideal_generators(key)]
+        assert rank(words) == len(ideal) == block["dim"] - k, key
+        assert rank(ideal + words) == len(ideal), key
 
 
 def test_is_zero_class_matches_the_block_solve(mod):

@@ -34,6 +34,28 @@ def test_every_suite_passes_with_its_identity_count(mode):
     assert checked == COUNTS[mode]
 
 
+def test_suites_of_one_run_share_its_space(monkeypatch):
+    """Suites given one `spaces` dict build each theta block once, and check
+    the same identities as suites run on their own spaces."""
+    builds = []
+    real_block = ThetaModule.block
+
+    def counted(self, key):
+        if key not in self._blocks:
+            builds.append(key)
+        return real_block(self, key)
+
+    monkeypatch.setattr(ThetaModule, "block", counted)
+    spaces = {}
+    checked = {}
+    for name, suite in SUITES.items():
+        checked[name], fails = suite("theta", WIN, 3, spaces)
+        assert fails == [], name
+    assert checked == COUNTS["theta"]
+    assert len(builds) == len(set(builds)) == 15
+    assert set(spaces) == {"theta", "typeA"}
+
+
 def _enumerated_keys(msegs, letter):
     """Block keys by enumeration: the contents of the multisegments of degree >= 1."""
     keys = set()

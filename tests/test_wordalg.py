@@ -205,10 +205,17 @@ def test_words_of_content_are_the_sorted_distinct_permutations(alg):
 
 # -- the stored coordinate rows against the per-vector Gram solve ---------------
 
+def form_gram(alg, content):
+    """The block's Gram matrix from `form` on the PBW elements, without the table."""
+    vecs = [alg.pbw_element(m) for m in alg.basis_of_content(content)]
+    return [[alg.form(u, v) for v in vecs] for u in vecs]
+
+
 def reference_coords(alg, x, content):
-    """The per-vector route: solve the block's Gram system for the pairings of x."""
+    """The per-vector route: solve the block's Gram system, built by `form`,
+    for the pairings of x."""
     rhs = [alg.form(alg.pbw_element(m), x) for m in alg.basis_of_content(content)]
-    return solve_vector(alg.gram_matrix(content), rhs)
+    return solve_vector(form_gram(alg, content), rhs)
 
 
 def integer_combination(alg, rng, content, terms=4):
@@ -219,8 +226,8 @@ def integer_combination(alg, rng, content, terms=4):
 
 def test_coord_vector_matches_the_gram_solve(alg):
     rng = random.Random(23)
-    blocks = alg.block_keys(3)
-    assert len(blocks) == 34
+    blocks = alg.block_keys(4)
+    assert len(blocks) == 69
     for key in blocks:
         content = dict(key)
         inputs = [alg.pbw_element(m).bar() for m in alg.basis_of_content(content)]
@@ -242,3 +249,53 @@ def test_stored_rows_make_no_further_solves(monkeypatch):
     assert calls == []
     fresh.coord_vector(fresh.f(1, 1), {1: 2})  # a new block is factored once
     assert len(calls) == 1
+
+
+def closed_form_norm(m):
+    """N_A(m) = prod over segments s of multiplicity a and length l of
+    (1 - q^2)^{(l - 1) a} prod_{k=1}^{a} (1 - q^2) / (1 - q^{2k})."""
+    one_minus = lambda k: RatFunc(1) - RatFunc.q_power(2 * k)
+    out = RatFunc(1)
+    for seg, a in m:
+        length = (seg.j - seg.i) // 2 + 1
+        for _ in range((length - 1) * a):
+            out = out * one_minus(1)
+        for k in range(1, a + 1):
+            out = out * one_minus(1) / one_minus(k)
+    return out
+
+
+def test_gram_is_the_closed_form_diagonal(alg):
+    """Lusztig's orthogonality of the PBW basis: the table-built Gram matrix
+    of every block of degree <= 4 is diag(N_A(m)), and equals the Gram
+    matrix built by `form`."""
+    for key in alg.block_keys(4):
+        content = dict(key)
+        basis = alg.basis_of_content(content)
+        gram = alg.gram_matrix(content)
+        want = [[closed_form_norm(m) if r == c else RatFunc.zero()
+                 for c in range(len(basis))] for r, m in enumerate(basis)]
+        assert gram == want, key
+        assert gram == form_gram(alg, content), key
+
+
+def test_both_routes_to_the_word_pairings_agree():
+    """Phi read from the word pairings and from the tables one letter down
+    agree on every content of degree <= 5 (the algebra picks one by degree)."""
+    fresh = WordAlgebra(WIN)
+    keys = [key for key in fresh.block_keys(5)
+            if sum(n for _, n in key) <= 4 or len(key) == 4]
+    for key in keys:
+        assert fresh._pairings_from_lower(key) == fresh._pairings_from_words(key), key
+        assert fresh._word_pairings(key) == fresh._pairings_from_words(key), key
+
+
+def test_rmul_matrix_is_right_multiplication(alg):
+    for key in alg.block_keys(2):
+        content = dict(key)
+        for i in WIN:
+            mat = alg.rmul_matrix(i, content)
+            for n, m in enumerate(alg.basis_of_content(content)):
+                want = alg.pbw_coords(alg.mul(alg.pbw_element(m), alg.f(i)))
+                tgt = alg.basis_of_content({**content, i: content.get(i, 0) + 1})
+                assert {b: row[n] for b, row in zip(tgt, mat) if row[n]} == want
