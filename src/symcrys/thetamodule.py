@@ -110,13 +110,16 @@ class ThetaClassVector:
 
 
 class ThetaModule:
-    """V_theta(0) over a negation-symmetric window of odd indices."""
+    """V_theta(0) over a negation-symmetric window of odd indices, built on
+    the type-A algebra `alg` of the window (a new one if not given)."""
 
-    def __init__(self, window):
+    def __init__(self, window, alg=None):
         win = tuple(sorted(set(window)))
         if set(win) != {-i for i in win}:
             raise ValueError(f"window must be symmetric under negation, got {window}")
-        self.alg = WordAlgebra(win)
+        if alg is not None and alg.window != win:
+            raise ValueError(f"algebra window {alg.window} is not {win}")
+        self.alg = WordAlgebra(win) if alg is None else alg
         self.window = self.alg.window
         self._blocks = {}
         self._ptheta_cache = {}

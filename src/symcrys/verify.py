@@ -66,11 +66,13 @@ def require_symmetric(window):
 def _space(mode, window, spaces=None):
     """The type-A algebra, or in theta mode the symmetric module, on the
     window: the one `spaces` holds for the mode, else a new one, which is
-    added to `spaces`."""
+    added to `spaces`.  The module is built on the algebra `spaces` holds
+    and stored as its algebra, so a run has one algebra."""
     spaces = {} if spaces is None else spaces
     if mode not in spaces:
         if mode == "theta":
-            spaces[mode] = ThetaModule(require_symmetric(window))
+            module = ThetaModule(require_symmetric(window), spaces.get("typeA"))
+            spaces[mode], spaces["typeA"] = module, module.alg
         else:
             spaces[mode] = WordAlgebra(window)
     return spaces[mode]

@@ -7,10 +7,8 @@ zero in U_q^- iff it pairs to zero with every word of its content.
 
 PBW coordinates are read through a word-coordinate table, built once per
 content c on first use.  The pairings Phi[m][v] = (P(m), v) of the PBW
-elements with every word v of c are sums of word pairings (w, v) for small
-contents; for larger ones they follow from the block one letter down:
-writing v = f_i v', (P(m), v) = (e'_i P(m), v'), which is column m of the
-e'_i block matrix paired with the pairings of c - alpha_i.  The Gram matrix is
+elements with every word v of c are sums of the memoized word pairings
+(w, v) over the words w of P(m).  The Gram matrix is
 G[m][n] = sum_v P(n)_v Phi[m][v], the rows R of G^{-1} are kept only after
 the exact check R G = I, and each word's coordinate column D_c[v] = R Phi[:, v]
 is stored as its nonzero entries.  The coordinates of a vector x of c are
@@ -49,15 +47,6 @@ from .multisegment import (
     multisegments_of_content,
 )
 from .ratfunc import RatFunc, qfact
-
-
-# Contents up to this degree read their word pairings from `_form_words`,
-# larger ones from the tables one letter down.  Measured on -3..3: with the
-# lower tables built, the two cost the same per content up to degree 4, and
-# the lower tables take half the time at degree 5 and a third at degree 6;
-# in a fresh algebra, where the lower tables must be built first, the word
-# pairings take a quarter to a half of the time at degrees 3 and 4.
-PAIRING_DEGREE = 4
 
 
 def content_key(content):
@@ -412,45 +401,21 @@ class WordAlgebra:
         return hit
 
     def _word_pairings(self, key):
-        """Phi of the content block: each word v -> the column ((P(m), v))_m."""
+        """Phi of the content block: each word v -> the column ((P(m), v))_m,
+        with (P(m), v) = sum_w P(m)_w (w, v)."""
         hit = self._pairings.get(key)
         if hit is None:
-            if sum(n for _, n in key) <= PAIRING_DEGREE:
-                hit = self._pairings_from_words(key)
-            else:
-                hit = self._pairings_from_lower(key)
+            words = self.words_of_content(dict(key))
+            basis = self.basis_of_content(dict(key))
+            hit = {v: [RatFunc.zero()] * len(basis) for v in words}
+            for r, m in enumerate(basis):
+                for w, c in self.pbw_element(m).terms.items():
+                    for v in words:
+                        f = self._form_words(w, v)
+                        if f:
+                            hit[v][r] = hit[v][r] + c * f
             self._pairings[key] = hit
         return hit
-
-    def _pairings_from_words(self, key):
-        """Phi from the word pairings: (P(m), v) = sum_w P(m)_w (w, v)."""
-        words = self.words_of_content(dict(key))
-        basis = self.basis_of_content(dict(key))
-        out = {v: [RatFunc.zero()] * len(basis) for v in words}
-        for r, m in enumerate(basis):
-            for w, c in self.pbw_element(m).terms.items():
-                for v in words:
-                    f = self._form_words(w, v)
-                    if f:
-                        out[v][r] = out[v][r] + c * f
-        return out
-
-    def _pairings_from_lower(self, key):
-        """Phi from the blocks one letter down: (P(m), f_i v') = (e'_i P(m), v')
-        is column m of the e'_i block matrix against the column of v'."""
-        out = {}
-        n = len(self.basis_of_content(dict(key)))
-        for i, _ in key:
-            lower = [[(m, e) for m, e in enumerate(row) if e]
-                     for row in self.eprime_matrix(i, dict(key))]
-            for v, sub_col in self._word_pairings(shift_key(key, i, -1)).items():
-                col = [RatFunc.zero()] * n
-                for entries, p in zip(lower, sub_col):
-                    if p:
-                        for m, e in entries:
-                            col[m] = col[m] + e * p
-                out[(i,) + v] = col
-        return out
 
     def gram_matrix(self, content):
         """(P(m), P(n)) over the content block, in the crystal-ordered basis:

@@ -5,7 +5,7 @@ import pytest
 from symcrys.multisegment import enumerate_multisegments
 from symcrys.theta import enumerate_theta
 from symcrys.thetamodule import ThetaModule
-from symcrys.verify import SUITES
+from symcrys.verify import SUITES, _space
 from symcrys.wordalg import WordAlgebra, content_key
 
 WIN = (-3, -1, 1, 3)
@@ -54,6 +54,20 @@ def test_suites_of_one_run_share_its_space(monkeypatch):
     assert checked == COUNTS["theta"]
     assert len(builds) == len(set(builds)) == 15
     assert set(spaces) == {"theta", "typeA"}
+    assert spaces["typeA"] is spaces["theta"].alg
+
+
+def test_a_run_builds_one_algebra_in_either_order():
+    """The module of a run is built on the run's algebra, whichever of the
+    two a suite asks for first."""
+    for order in (("typeA", "theta"), ("theta", "typeA")):
+        spaces = {}
+        first = _space(order[0], WIN, spaces)
+        _space(order[1], WIN, spaces)
+        assert spaces["typeA"] is spaces["theta"].alg
+        assert spaces[order[0]] is first
+    with pytest.raises(ValueError):
+        ThetaModule(WIN, WordAlgebra((-1, 1)))
 
 
 def _enumerated_keys(msegs, letter):

@@ -279,17 +279,6 @@ def test_gram_is_the_closed_form_diagonal(alg):
         assert gram == form_gram(alg, content), key
 
 
-def test_both_routes_to_the_word_pairings_agree():
-    """Phi read from the word pairings and from the tables one letter down
-    agree on every content of degree <= 5 (the algebra picks one by degree)."""
-    fresh = WordAlgebra(WIN)
-    keys = [key for key in fresh.block_keys(5)
-            if sum(n for _, n in key) <= 4 or len(key) == 4]
-    for key in keys:
-        assert fresh._pairings_from_lower(key) == fresh._pairings_from_words(key), key
-        assert fresh._word_pairings(key) == fresh._pairings_from_words(key), key
-
-
 def test_rmul_matrix_is_right_multiplication(alg):
     for key in alg.block_keys(2):
         content = dict(key)
