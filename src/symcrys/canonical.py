@@ -19,16 +19,18 @@ unless it is the block's own memoized matrix.  With the upper basis U the
 context keeps its inverse (G C)^T, which the duality check U^T G C = I
 proves, and `lower_inverse` keeps the checked inverse of C, so
 `multiplicity_polys` reads both of its routes through stored inverses and
-eliminates each matrix at most once.  It is not memoized, so its
-direct/adjoint cross-check runs on every call.  Returned matrices are shared
-and must not be mutated.
+inverts each matrix at most once.  The PBW Gram matrix G is diagonal, so C
+is unitriangular and G C lower triangular, and `linalg.inverse_rows`
+inverts both by substitution, with no elimination.  `multiplicity_polys` is
+not memoized, so its direct/adjoint cross-check runs on every call.
+Returned matrices are shared and must not be mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import inverse, inverse_rows, is_identity, mat_mul, mat_vec, solve_vector
+from .linalg import inverse_rows, mat_mul, mat_vec, solve_vector
 from .ratfunc import RatFunc
 from .wordalg import content_key
 
@@ -197,11 +199,12 @@ def global_upper(ctx, lower=None):
     G = ctx.gram()
     GC = mat_mul(G, C.entries)
     n = len(GC)
-    UT = inverse(GC)  # U^T, since U^T (G C) = I is the duality
+    # U^T, since U^T (G C) = I is the duality; inverse_rows checks it exactly
+    try:
+        UT = inverse_rows(GC, n)
+    except ArithmeticError as e:
+        raise ArithmeticError(f"{ctx.label}: upper/lower duality failed") from e
     U = [[UT[c][r] for c in range(n)] for r in range(n)]
-    check = mat_mul([[U[r][c] for r in range(n)] for c in range(n)], GC)
-    if not is_identity(check):
-        raise ArithmeticError(f"{ctx.label}: upper/lower duality failed")
     result = TransitionMatrix(ctx.label, C.basis, U)
     if lower is None:
         ctx.upper = result

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 counterexample/verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -327,6 +328,7 @@ def cmd_verify(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache  # argparse parsers keep no state between parse_args calls
 def build_parser():
     p = argparse.ArgumentParser(
         prog="symcrys",

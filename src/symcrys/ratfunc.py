@@ -429,6 +429,11 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # RatFunc is immutable, so a zero summand can hand back the other one.
+        if not o.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return o
         if self.den is _ONE and o.den is _ONE:
             return _laurent(self.num + o.num)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)

@@ -71,6 +71,23 @@ def contents_up_to(letters, max_degree):
     )
 
 
+def closed_form_norm(m):
+    """N_A(m) = (P(m), P(m)), in closed form: the product over the segments s
+    of m, of multiplicity a and length l, of
+    (1 - q^2)^{(l - 1) a} prod_{k=1}^{a} (1 - q^2) / (1 - q^{2k}).
+    With Lusztig's orthogonality of PBW bases (Introduction to Quantum
+    Groups, ch. 38) the Gram matrix of a content block is diag(N_A(m))."""
+    one_minus = lambda k: RatFunc(1) - RatFunc.q_power(2 * k)
+    out = RatFunc(1)
+    for seg, a in m:
+        length = (seg.j - seg.i) // 2 + 1
+        for _ in range((length - 1) * a):
+            out = out * one_minus(1)
+        for k in range(1, a + 1):
+            out = out * one_minus(1) / one_minus(k)
+    return out
+
+
 def multiset_permutations(items):
     """The distinct orderings of `items` as tuples, in increasing lexicographic
     order; equal to sorted(set(itertools.permutations(items))), without
@@ -438,18 +455,27 @@ class WordAlgebra:
 
     def _word_table(self, key):
         """D_c of the content block: each word v -> the nonzero entries (m, c)
-        of its PBW coordinate column R Phi[:, v], where R = G^{-1} is stored
-        only after the exact check R G = I."""
+        of its PBW coordinate column R Phi[:, v], where R = G^{-1} is used
+        only after the exact check R G = I.  R is kept as the nonzero entries
+        of its rows, so each entry of D_c costs one product per nonzero entry
+        of its row of R (one, for the diagonal G of every block)."""
         hit = self._word_coords.get(key)
         if hit is None:
             gram = self.gram_matrix(dict(key))
             if not gram:
                 raise ValueError(f"no PBW basis vectors for content {dict(key)}")
-            rows = inverse_rows(gram, len(gram))
-            hit = self._word_coords[key] = {
-                v: [(m, c) for m, c in enumerate(mat_vec(rows, col)) if c]
-                for v, col in self._word_pairings(key).items()
-            }
+            rows = [
+                [(c, x) for c, x in enumerate(row) if x]
+                for row in inverse_rows(gram, len(gram))
+            ]
+            hit = {}
+            for v, col in self._word_pairings(key).items():
+                entries = hit[v] = []
+                for m, row in enumerate(rows):
+                    d = sum((x * col[c] for c, x in row if col[c]), RatFunc.zero())
+                    if d:
+                        entries.append((m, d))
+            self._word_coords[key] = hit
         return hit
 
     def pbw_coords(self, x):

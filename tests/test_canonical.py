@@ -291,6 +291,23 @@ def test_multiplicity_solves_nothing_once_the_inverses_are_stored(factory, make,
     assert calls == []
 
 
+def test_typeA_blocks_are_inverted_without_elimination(monkeypatch):
+    """The Gram matrix of every type-A block is diagonal, C unitriangular and
+    G C lower triangular, so the word tables, `global_upper` and
+    `lower_inverse` invert them all by substitution."""
+    fresh = WordAlgebra(WIN)
+    calls = []
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    keys = fresh.block_keys(3)
+    assert len(keys) == 34
+    for key in keys:
+        ctx = typeA_block(fresh, key)
+        global_upper(ctx)
+        lower_inverse(ctx)
+    assert calls == []
+
+
 @pytest.mark.parametrize("factory,make,idx", SETTINGS)
 def test_explicit_bar_and_lower_are_used_not_stored(factory, make, idx):
     ctx = factory(make(), {1: 1, 3: 1})

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from symcrys.cli import main
+from symcrys.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -238,3 +238,17 @@ def test_removed_parallel_flag_is_a_usage_error(capsys):
         main(["crystal-graph", "--window", "1", "--parallel", "2"])
     assert exc.value.code == 2
     assert "--parallel" in capsys.readouterr().err
+
+
+def test_one_parser_serves_requests_across_usage_errors(capsys):
+    assert build_parser() is build_parser()
+    argv = ["global-basis", "--window", "1,3", '{"1":1,"3":1}', "--upper"]
+    before = run(capsys, *argv)
+    assert before[0] == 0
+    for bad in (["crystal-graph", "--window", "1", "--parallel", "2"],
+                ["verify", "--suite", "nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+    assert run(capsys, *argv) == before

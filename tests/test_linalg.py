@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from symcrys import linalg
 from symcrys.linalg import (
     SingularMatrixError,
     identity,
@@ -84,6 +85,67 @@ def test_inverse_rows_are_the_leading_rows_of_the_inverse():
     assert inverse_rows([[R("q")]], 0) == []
     with pytest.raises(SingularMatrixError):
         inverse_rows([[R("1"), R("q")], [R("q"), R("q^2")]], 1)
+
+
+def triangular_matrix(rng, n, shape):
+    """A random nonsingular n x n matrix over Q(q) of the given shape, with
+    entries off the Laurent ring (a denominator 1 + q^2 or 1 - q^4)."""
+    dens = [R("1"), R("1 + q^2"), R("1 - q^4")]
+
+    def entry(nonzero):
+        c = rng.choice([-3, -2, -1, 1, 2, 3]) if nonzero else rng.randint(-3, 3)
+        return RatFunc(c) * RatFunc.q_power(rng.randint(-2, 2)) / rng.choice(dens)
+
+    A = [[RatFunc.zero()] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            if r == c:
+                A[r][c] = RatFunc(1) if shape == "unitriangular" else entry(True)
+            elif (shape in ("lower", "unitriangular") and r > c) or (
+                shape == "upper" and r < c
+            ):
+                A[r][c] = entry(False)
+    return A
+
+
+def counting_solve(monkeypatch):
+    calls = []
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    return calls
+
+
+@pytest.mark.parametrize("shape", ["lower", "upper", "diagonal", "unitriangular"])
+def test_triangular_inverse_rows_by_substitution(shape, monkeypatch):
+    rng = random.Random(shape)
+    cases = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3):
+            A = triangular_matrix(rng, n, shape)
+            cases.append((A, inverse(A)))
+    calls = counting_solve(monkeypatch)
+    for A, full in cases:
+        for k in range(len(A) + 1):
+            assert inverse_rows(A, k) == full[:k]
+    assert calls == []
+
+
+def test_zero_on_the_diagonal_of_a_triangular_matrix_is_singular():
+    for A in (
+        [[R("q"), R("0")], [R("1"), R("0")]],
+        [[R("0"), R("1")], [R("0"), R("q")]],
+        [[R("0"), R("0")], [R("0"), R("1/(1 + q^2)")]],
+    ):
+        with pytest.raises(SingularMatrixError):
+            inverse_rows(A, 1)
+
+
+def test_a_matrix_that_is_not_triangular_is_eliminated(monkeypatch):
+    A = [[R("1"), R("q")], [R("q"), R("1/(1 + q^2)")]]
+    full = inverse(A)
+    calls = counting_solve(monkeypatch)
+    assert inverse_rows(A, 2) == full
+    assert len(calls) == 1
 
 
 def test_nullspace():

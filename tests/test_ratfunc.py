@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symcrys import ratfunc
 from symcrys.ratfunc import (
     LaurentPoly,
     RatFunc,
@@ -32,6 +33,17 @@ def test_qfact_small():
     assert qfact(2) == LaurentPoly({1: 1, -1: 1})
     # [3]! = (q+q^-1)(q^2+1+q^-2), expanded by hand
     assert qfact(3) == LaurentPoly({1: 1, -1: 1}) * LaurentPoly({2: 1, 0: 1, -2: 1})
+
+
+def test_adding_zero_returns_the_other_summand(monkeypatch):
+    x = R("q/(1 + q^2)")
+    calls = []
+    real_gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda *a: calls.append(a) or real_gcd(*a))
+    zero = RatFunc.zero()
+    for y in (zero + x, x + zero, x + 0, 0 + x, x - zero, sum([x], zero)):
+        assert y == x and hash(y) == hash(x) and str(y) == str(x)
+    assert calls == []
 
 
 def test_qfact_negative_rejected():

@@ -5,7 +5,8 @@ import pytest
 from symcrys.multisegment import enumerate_multisegments
 from symcrys.theta import enumerate_theta
 from symcrys.thetamodule import ThetaModule
-from symcrys.verify import SUITES, _space
+from symcrys.ratfunc import RatFunc
+from symcrys.verify import SUITES, _space, suite_gram
 from symcrys.wordalg import WordAlgebra, content_key
 
 WIN = (-3, -1, 1, 3)
@@ -55,6 +56,20 @@ def test_suites_of_one_run_share_its_space(monkeypatch):
     assert len(builds) == len(set(builds)) == 15
     assert set(spaces) == {"theta", "typeA"}
     assert spaces["typeA"] is spaces["theta"].alg
+
+
+def test_gram_suite_checks_the_closed_form_diagonal():
+    """In type A the suite compares each Gram matrix with diag(N_A(m)), so a
+    Gram matrix of full rank that is not that diagonal fails."""
+    spaces = {}
+    alg = _space("typeA", WIN, spaces)
+    key = content_key({1: 1, 3: 1})
+    gram = [list(row) for row in alg.gram_matrix(dict(key))]
+    gram[0][1] = RatFunc.q_power(1)
+    alg._gram[key] = gram
+    checked, fails = suite_gram("typeA", WIN, 2, spaces)
+    assert checked == 14
+    assert fails == ["Gram matrix on content {1: 1, 3: 1} is not diag(N_A(m))"]
 
 
 def test_a_run_builds_one_algebra_in_either_order():

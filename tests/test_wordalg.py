@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from symcrys import linalg
+from symcrys import linalg, wordalg
 from symcrys.linalg import solve_vector
 from symcrys.multisegment import Multisegment, Segment, enumerate_multisegments
 from symcrys.multisegment import ftilde
 from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact
-from symcrys.wordalg import WordAlgebra, multiset_permutations
+from symcrys.wordalg import WordAlgebra, closed_form_norm, multiset_permutations
 
 WIN = (-3, -1, 1, 3)
 
@@ -240,29 +240,20 @@ def test_stored_rows_make_no_further_solves(monkeypatch):
     fresh = WordAlgebra(WIN)
     content = {-1: 1, 1: 1, 3: 1}
     fresh.coord_vector(fresh.f(-1, 1, 3), content)  # stores the block's rows
-    calls = []
-    real_solve = linalg.solve
+    calls, inversions = [], []
+    real_solve, real_inverse_rows = linalg.solve, wordalg.inverse_rows
     monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    monkeypatch.setattr(
+        wordalg, "inverse_rows", lambda *a: inversions.append(a) or real_inverse_rows(*a)
+    )
     for w in fresh.words_of_content(content):
         fresh.coord_vector(fresh.f(*w), content)
         fresh.pbw_coords(fresh.f(*w).bar())
+    assert calls == [] and inversions == []
+    # a new block is inverted once, by substitution: its Gram matrix is diagonal
+    fresh.coord_vector(fresh.f(1, 1), {1: 2})
     assert calls == []
-    fresh.coord_vector(fresh.f(1, 1), {1: 2})  # a new block is factored once
-    assert len(calls) == 1
-
-
-def closed_form_norm(m):
-    """N_A(m) = prod over segments s of multiplicity a and length l of
-    (1 - q^2)^{(l - 1) a} prod_{k=1}^{a} (1 - q^2) / (1 - q^{2k})."""
-    one_minus = lambda k: RatFunc(1) - RatFunc.q_power(2 * k)
-    out = RatFunc(1)
-    for seg, a in m:
-        length = (seg.j - seg.i) // 2 + 1
-        for _ in range((length - 1) * a):
-            out = out * one_minus(1)
-        for k in range(1, a + 1):
-            out = out * one_minus(1) / one_minus(k)
-    return out
+    assert len(inversions) == 1
 
 
 def test_gram_is_the_closed_form_diagonal(alg):
