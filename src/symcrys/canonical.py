@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import inverse_rows, mat_mul, mat_vec, solve_vector
+from .linalg import inverse_rows, mat_mul, mat_vec
 from .ratfunc import RatFunc
 from .wordalg import content_key
 
@@ -62,7 +62,7 @@ class TransitionMatrix:
 class BlockContext:
     """One block of a graded space: a WordAlgebra content block or a
     ThetaModule symmetrized-content block, reached through the block protocol
-    the two classes share (`block_basis`, `bar_column`, `block_gram`,
+    the two classes share (`basis_of_content`, `bar_column`, `gram_matrix`,
     `lower_matrix`, `raise_matrix`, `shifted_key`, ...).
 
     `bar`, `lower` and `upper` hold the checked matrices once computed, and
@@ -81,13 +81,13 @@ class BlockContext:
         self.upper_inv = None
 
     def basis(self):
-        return self.space.block_basis(self.key)
+        return self.space.basis_of_content(self.key)
 
     def bar_column(self, idx):
         return self.space.bar_column(self.basis()[idx], self.key)
 
     def gram(self):
-        return self.space.block_gram(self.key)
+        return self.space.gram_matrix(self.key)
 
     def shifted(self, i, step):
         """The context one letter up (step=+1) or down (step=-1) along index i."""
@@ -97,7 +97,7 @@ class BlockContext:
 def block_context(space, content):
     """The BlockContext of a block of `space`, given by a count map or a block
     key; one per key, cached on the space."""
-    key = content_key(dict(content))
+    key = content_key(content)
     ctx = space._contexts.get(key)
     if ctx is None:
         ctx = space._contexts[key] = BlockContext(space, key)
@@ -225,10 +225,15 @@ def balanced_split(ctx, coords, lower=None):
     """Split an A-coordinate vector along Q[q]-span and q^{-1}Q[q^{-1}]-span of G.
 
     Returns (positive part coords, negative part coords) in the G basis;
-    raises when the expansion leaves the Laurent ring.
+    raises when the expansion leaves the Laurent ring.  The G coordinates are
+    read through the block's stored C^{-1} (`lower_inverse`), or through the
+    checked inverse of a caller-supplied `lower`.
     """
-    C = lower if lower is not None else global_lower(ctx)
-    g = solve_vector(C.entries, coords)
+    if lower is None or lower is ctx.lower:
+        inv = lower_inverse(ctx)
+    else:
+        inv = inverse_rows(lower.entries, len(lower.entries))
+    g = mat_vec(inv, coords)
     pos, neg = [], []
     for a in g:
         if not a.in_A():

@@ -36,6 +36,9 @@ def parse_window(text):
         raise UsageError(f"cannot parse window {text!r}")
     if not win or any(i % 2 == 0 for i in win):
         raise UsageError(f"window must be nonempty odd integers, got {text!r}")
+    for a, b in zip(win, win[1:]):
+        if a == b:
+            raise UsageError(f"window repeats index {a}, got {text!r}")
     return win
 
 
@@ -336,55 +339,53 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mode_default="theta"):
-        sp.add_argument("--mode", choices=["typeA", "theta"], default=mode_default)
+    def command(name, fn, help, mode="typeA", max_degree=False, formats=("text", "json")):
+        """A subcommand with only the options `fn` reads: `--mode` (None for
+        none), `--window`, `--max-degree` and `--format` in `formats`."""
+        sp = sub.add_parser(name, help=help)
+        if mode:
+            sp.add_argument("--mode", choices=["typeA", "theta"], default=mode)
         sp.add_argument("--window", default="-3,-1,1,3", help="comma-separated odd indices")
-        sp.add_argument("--max-degree", type=int, default=4)
-        sp.add_argument("--format", choices=["text", "json", "dot"], default="text")
+        if max_degree:
+            sp.add_argument("--max-degree", type=int, default=4)
+        if formats:
+            sp.add_argument("--format", choices=formats, default="text")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("crystal-graph", help="breadth-first crystal graph from the empty multisegment")
-    common(sp)
-    sp.set_defaults(fn=cmd_crystal_graph)
+    command("crystal-graph", cmd_crystal_graph,
+            "breadth-first crystal graph from the empty multisegment",
+            mode="theta", max_degree=True, formats=("text", "json", "dot"))
 
-    sp = sub.add_parser("expand", help="expand a multisegment's PBW vector into words")
-    common(sp, mode_default="typeA")
+    sp = command("expand", cmd_expand, "expand a multisegment's PBW vector into words",
+                 mode=None)
     sp.add_argument("multisegment", help='JSON, e.g. [{"i":1,"j":3,"mult":1}]')
-    sp.set_defaults(fn=cmd_expand)
 
-    sp = sub.add_parser("coords", help="coordinates of a word (applied to phi in theta mode)")
-    common(sp, mode_default="typeA")
+    sp = command("coords", cmd_coords, "coordinates of a word (applied to phi in theta mode)")
     sp.add_argument("word", help="JSON list of letters, e.g. [1,3]")
-    sp.set_defaults(fn=cmd_coords)
 
-    sp = sub.add_parser("bar-matrix", help="bar involution matrix of a block")
-    common(sp, mode_default="typeA")
+    sp = command("bar-matrix", cmd_bar_matrix, "bar involution matrix of a block")
     sp.add_argument("content", help='index->count JSON map, e.g. {"1":1,"3":1}')
-    sp.set_defaults(fn=cmd_bar_matrix)
 
-    sp = sub.add_parser("global-basis", help="lower (or upper) global basis of a block")
-    common(sp, mode_default="typeA")
+    sp = command("global-basis", cmd_global_basis, "lower (or upper) global basis of a block")
     sp.add_argument("content", help='index->count JSON map')
     sp.add_argument("--upper", action="store_true")
-    sp.set_defaults(fn=cmd_global_basis)
 
-    sp = sub.add_parser("multiplicity", help="operator multiplicity polynomials on a block")
-    common(sp, mode_default="typeA")
+    sp = command("multiplicity", cmd_multiplicity, "operator multiplicity polynomials on a block")
     sp.add_argument("content", help='index->count JSON map of the source block')
     sp.add_argument("--index", type=int, required=True)
     sp.add_argument("--side", choices=["E", "F"], default="F")
-    sp.set_defaults(fn=cmd_multiplicity)
 
-    sp = sub.add_parser("verify", help="run an invariant suite")
-    common(sp)
+    sp = command("verify", cmd_verify, "run an invariant suite",
+                 mode="theta", max_degree=True, formats=())
     sp.add_argument("--suite", choices=sorted(SUITES), default=None)
-    sp.set_defaults(fn=cmd_verify)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.max_degree < 0:
+        if getattr(args, "max_degree", 0) < 0:
             raise UsageError("--max-degree must be nonnegative")
         return args.fn(args)
     except UsageError as e:

@@ -21,7 +21,8 @@ so class membership and canonical coordinates are one matrix-vector
 product.  `ideal_generators` keeps the word-level generators
 w (f_k - f_{-k}) for tests.
 `ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
-with E_i/F_i as lowering/raising operators, and its modified root
+with E_i/F_i as lowering/raising operators, whose block matrices
+`wordalg.operator_matrix` builds and caches, and its modified root
 operators run the q-boson split defined there.
 """
 
@@ -46,8 +47,10 @@ from .wordalg import (
 
 
 def sym_key_of_content(content):
+    """The symmetrized content key of a content, given by a count map or a
+    block key."""
     c = Counter()
-    for i, n in content.items():
+    for i, n in content_key(content):
         c[abs(i)] += n
     return content_key(c)
 
@@ -97,7 +100,7 @@ class ThetaClassVector:
         raise TypeError("theta class vectors are not hashable")
 
     def sym_key(self):
-        keys = {sym_key_of_content(dict(ck)) for ck in self.rep.contents()}
+        keys = {sym_key_of_content(ck) for ck in self.rep.contents()}
         if len(keys) > 1:
             raise ValueError("class vector is not homogeneous in symmetrized content")
         return keys.pop() if keys else ()
@@ -123,8 +126,7 @@ class ThetaModule:
         self.window = self.alg.window
         self._blocks = {}
         self._ptheta_cache = {}
-        self._E_mat = {}
-        self._F_mat = {}
+        self._operator_mats = {}
         self._contexts = {}  # BlockContexts, filled by symcrys.canonical
 
     # -- constructors -----------------------------------------------------
@@ -207,7 +209,7 @@ class ThetaModule:
                 continue
             sub[k] -= 1
             for ck in self.fiber_contents(content_key(sub)):
-                for w in self.alg.words_of_content(dict(ck)):
+                for w in self.alg.words_of_content(ck):
                     rep = self.alg.mul(
                         self.alg.vector({w: RatFunc(1)}),
                         self.alg.f(k) - self.alg.f(-k),
@@ -221,7 +223,7 @@ class ThetaModule:
             if ck not in block["offsets"]:
                 raise ValueError(f"content {dict(ck)} outside the block")
             off = block["offsets"][ck]
-            col = self.alg.coord_vector(part, dict(ck))
+            col = self.alg.coord_vector(part, ck)
             for r, c in enumerate(col):
                 vec[off + r] = c
         return vec
@@ -232,11 +234,11 @@ class ThetaModule:
         rows = []
         for k, _ in sym_key:
             for ck in self.fiber_contents(shift_key(sym_key, k, -1)):
-                plus = self.alg.rmul_matrix(k, dict(ck))
-                minus = self.alg.rmul_matrix(-k, dict(ck))
+                plus = self.alg.rmul_matrix(k, ck)
+                minus = self.alg.rmul_matrix(-k, ck)
                 p_off = block["offsets"][shift_key(ck, k, 1)]
                 m_off = block["offsets"][shift_key(ck, -k, 1)]
-                for n in range(len(self.alg.basis_of_content(dict(ck)))):
+                for n in range(len(self.alg.basis_of_content(ck))):
                     row = [RatFunc.zero()] * block["dim"]
                     for r, line in enumerate(plus):
                         row[p_off + r] = line[n]
@@ -249,13 +251,12 @@ class ThetaModule:
         hit = self._blocks.get(sym_key)
         if hit is not None:
             return hit
-        contents = self.fiber_contents(sym_key)
         offsets = {}
         dim = 0
-        for ck in contents:
+        for ck in self.fiber_contents(sym_key):
             offsets[ck] = dim
-            dim += len(self.alg.basis_of_content(dict(ck)))
-        block = {"contents": contents, "offsets": offsets, "dim": dim}
+            dim += len(self.alg.basis_of_content(ck))
+        block = {"offsets": offsets, "dim": dim}
         theta_basis = sorted(
             theta_of_symmetrized_content(self.window, dict(sym_key)),
             key=cry_sort_key,
@@ -266,7 +267,7 @@ class ThetaModule:
         for m in theta_basis:
             ck = content_key(m.content())
             col = [RatFunc.zero()] * dim
-            col[offsets[ck] + self.alg.basis_of_content(dict(ck)).index(m)] = theta_scale(m)
+            col[offsets[ck] + self.alg.basis_of_content(ck).index(m)] = theta_scale(m)
             ptheta_cols.append(col)
         gen_rows = self._ideal_rows(sym_key, block)
         if gen_rows:
@@ -288,8 +289,7 @@ class ThetaModule:
         return block
 
     def quotient_dimension(self, sym_key):
-        block = self.block(sym_key)
-        return block["dim"] - (block["dim"] - len(block["theta_basis"]))
+        return len(self.basis_of_content(sym_key))
 
     # -- coordinates and equality ------------------------------------------------
 
@@ -299,7 +299,7 @@ class ThetaModule:
         if v.rep.is_zero():
             return {}
         col = self.coord_vector(v, sym_key)
-        return {m: c for m, c in zip(self.block_basis(sym_key), col) if not c.is_zero()}
+        return {m: c for m, c in zip(self.basis_of_content(sym_key), col) if not c.is_zero()}
 
     def coord_vector(self, v, sym_key):
         """Coordinates of a class of the block on its P_theta basis, as a dense
@@ -317,7 +317,7 @@ class ThetaModule:
         """True iff every symmetrized-content part of v has zero coordinates."""
         parts = {}
         for ck, part in v.rep.homogeneous_parts().items():
-            key = sym_key_of_content(dict(ck))
+            key = sym_key_of_content(ck)
             parts[key] = parts[key] + part if key in parts else part
         return all(
             c.is_zero()
@@ -345,23 +345,15 @@ class ThetaModule:
 
     def E_matrix(self, i, sym_key):
         """Matrix of E_i from the block to the block with one |i| letter fewer."""
-        key = (i, sym_key)
-        hit = self._E_mat.get(key)
-        if hit is None:
-            hit = self._E_mat[key] = operator_matrix(
-                self, i, sym_key, -1, lambda m: self.E_op(i, self.ptheta_vector(m))
-            )
-        return hit
+        return operator_matrix(
+            self, "E", i, sym_key, -1, lambda m: self.E_op(i, self.ptheta_vector(m))
+        )
 
     def F_matrix(self, i, sym_key):
         """Matrix of F_i from the block to the block with one |i| letter more."""
-        key = (i, sym_key)
-        hit = self._F_mat.get(key)
-        if hit is None:
-            hit = self._F_mat[key] = operator_matrix(
-                self, i, sym_key, +1, lambda m: self.F_op(i, self.ptheta_vector(m))
-            )
-        return hit
+        return operator_matrix(
+            self, "F", i, sym_key, +1, lambda m: self.F_op(i, self.ptheta_vector(m))
+        )
 
     def T_scalar(self, i, sym_key):
         """T_i eigenvalue on the block: q^{-(alpha_i + alpha_{-i}, beta)}."""
@@ -383,7 +375,7 @@ class ThetaModule:
     def theta_mod_ops(self, i, v):
         return self.theta_mod_etilde(i, v), self.theta_mod_ftilde(i, v)
 
-    # -- the graded-block protocol (shared with WordAlgebra) ----------------------
+    # -- the rest of the graded-block protocol (shared with WordAlgebra) ----------
     #
     # A block is keyed by its symmetrized content key; index i moves the
     # letter |i|, the lowering operator is E_i and the raising operator F_i
@@ -402,7 +394,9 @@ class ThetaModule:
     def shifted_key(self, key, i, step):
         return shift_key(key, abs(i), step)
 
-    def block_basis(self, key):
+    def basis_of_content(self, key):
+        """The block's P_theta basis: its theta-restricted multisegments,
+        ordered descending in the crystal order."""
         return self.block(key)["theta_basis"]
 
     def lower_matrix(self, i, key):
@@ -411,16 +405,13 @@ class ThetaModule:
     def raise_matrix(self, i, key):
         return self.F_matrix(i, key)
 
-    def coord_column(self, v, key):
-        return self.coord_vector(v, key)
-
     def bar_column(self, m, key):
         """Coordinate column of bar(P_theta(m)phi) on the block of m."""
         return self.coord_vector(self.bar_theta(self.ptheta_vector(m)), key)
 
-    def block_gram(self, key):
+    def gram_matrix(self, key):
         """The theta_form Gram matrix of the block's P_theta basis."""
-        vecs = [self.ptheta_vector(m) for m in self.block_basis(key)]
+        vecs = [self.ptheta_vector(m) for m in self.basis_of_content(key)]
         return [[self.theta_form(u, v) for v in vecs] for u in vecs]
 
     def relation_scalar(self, i, j, key):

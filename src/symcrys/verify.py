@@ -207,15 +207,15 @@ def suite_pbw_crystal_compat(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
     for key in [()] + space.block_keys(max_degree):
-        for m in space.block_basis(key):
+        for m in space.basis_of_content(key):
             pbw = space.from_coords({m: RatFunc(1)})
             for i in window:
                 tgt = space.shifted_key(key, i, +1)
-                col = space.coord_column(modified_root_op(space, i, pbw, key, +1), tgt)
+                col = space.coord_vector(modified_root_op(space, i, pbw, key, +1), tgt)
                 target = crystal_f(i, m)
                 checked += 1
-                ok = target in space.block_basis(tgt)
-                for b, c in zip(space.block_basis(tgt), col):
+                ok = target in space.basis_of_content(tgt)
+                for b, c in zip(space.basis_of_content(tgt), col):
                     d = c - RatFunc(1) if b == target else c
                     if not (d.is_zero() or d.in_qZq()):
                         ok = False
@@ -278,7 +278,7 @@ def suite_qboson_relations(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
     for key in [()] + space.block_keys(max_degree):
-        n = len(space.block_basis(key))
+        n = len(space.basis_of_content(key))
         for i in window:
             for j in window:
                 fj = space.raise_matrix(j, key)

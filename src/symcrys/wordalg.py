@@ -15,22 +15,22 @@ is stored as its nonzero entries.  The coordinates of a vector x of c are
 then the sparse sum sum_v x_v D_c[v] over x's words.
 
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
-graded-block protocol (block keys and bases, lowering/raising block
-matrices, the raising operator on vectors, coordinate and bar columns, Gram
-matrix, the letter an index moves, the scalar term of the E_i F_j
-relation).  This module also holds the code written once over it: the
-construction of block matrices (`operator_matrix`), the q-boson split
-(`qboson_split`) and the modified root operators (`modified_root_op`), which
-rebuild each part from the space's own PBW vectors and raise it with the
-space's own F_i.
+graded-block protocol as their own methods (`basis_of_content`,
+`coord_vector`, `gram_matrix`, `lower_matrix` / `raise_matrix`, ...) on one
+block key type, the sorted (letter, count) pairs of `content_key`; the
+block methods of `WordAlgebra` also take a count map.  This module also
+holds the code written once over the protocol: the construction and cache
+of block matrices (`operator_matrix`), the q-boson split (`qboson_split`)
+and the modified root operators (`modified_root_op`), which rebuild each
+part from the space's own PBW vectors and raise it with the space's own F_i.
 
 Results are cached on the algebra instance: PBW elements by multisegment,
 and per content block the basis, the word pairings, the Gram matrix, the
 word-coordinate table, the e'_i, f_i-left and f_i-right multiplication block
-matrices and (through `_contexts`, filled by `symcrys.canonical`) the
-block's bar matrix and global bases.  A fresh algebra starts cold.  Cached
-word vectors and matrices are shared between callers, who must not mutate
-them.
+matrices (in the one cache of `operator_matrix`) and (through `_contexts`,
+filled by `symcrys.canonical`) the block's bar matrix and global bases.  A
+fresh algebra starts cold.  Cached word vectors and matrices are shared
+between callers, who must not mutate them.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from .ratfunc import RatFunc, qfact
 
 
 def content_key(content):
+    """The block key of a count map: its (index, count) pairs with nonzero
+    count, sorted.  A block key is returned unchanged."""
+    if isinstance(content, tuple):
+        return content
     return tuple(sorted((i, n) for i, n in content.items() if n))
 
 
@@ -220,9 +224,7 @@ class WordAlgebra:
         self._gram = {}
         self._word_coords = {}
         self._basis = {}
-        self._eprime_mat = {}
-        self._fmul_mat = {}
-        self._rmul_mat = {}
+        self._operator_mats = {}
         self._words = {}
         self._contexts = {}
 
@@ -358,7 +360,7 @@ class WordAlgebra:
         hit = self._words.get(key)
         if hit is None:
             letters = []
-            for i, n in sorted(content.items()):
+            for i, n in key:
                 letters.extend([i] * n)
             hit = multiset_permutations(letters)
             self._words[key] = hit
@@ -367,7 +369,7 @@ class WordAlgebra:
     def is_zero_in_uq(self, x):
         """True iff x lies in the Serre ideal (form against every word vanishes)."""
         for ckey, part in x.homogeneous_parts().items():
-            for w in self.words_of_content(dict(ckey)):
+            for w in self.words_of_content(ckey):
                 probe = WordVector({w: RatFunc(1)}, self.window)
                 if not self.form(part, probe).is_zero():
                     return False
@@ -422,8 +424,8 @@ class WordAlgebra:
         with (P(m), v) = sum_w P(m)_w (w, v)."""
         hit = self._pairings.get(key)
         if hit is None:
-            words = self.words_of_content(dict(key))
-            basis = self.basis_of_content(dict(key))
+            words = self.words_of_content(key)
+            basis = self.basis_of_content(key)
             hit = {v: [RatFunc.zero()] * len(basis) for v in words}
             for r, m in enumerate(basis):
                 for w, c in self.pbw_element(m).terms.items():
@@ -440,7 +442,7 @@ class WordAlgebra:
         key = content_key(content)
         hit = self._gram.get(key)
         if hit is None:
-            basis = self.basis_of_content(dict(key))
+            basis = self.basis_of_content(key)
             phi = self._word_pairings(key)
             cols = []
             for n in basis:
@@ -461,7 +463,7 @@ class WordAlgebra:
         of its row of R (one, for the diagonal G of every block)."""
         hit = self._word_coords.get(key)
         if hit is None:
-            gram = self.gram_matrix(dict(key))
+            gram = self.gram_matrix(key)
             if not gram:
                 raise ValueError(f"no PBW basis vectors for content {dict(key)}")
             rows = [
@@ -482,8 +484,8 @@ class WordAlgebra:
         """Coordinates of x in the PBW basis, as a Multisegment -> RatFunc map."""
         out = {}
         for ckey, part in x.homogeneous_parts().items():
-            basis = self.basis_of_content(dict(ckey))
-            for m, c in zip(basis, self.coord_vector(part, dict(ckey))):
+            basis = self.basis_of_content(ckey)
+            for m, c in zip(basis, self.coord_vector(part, ckey)):
                 if not c.is_zero():
                     out[m] = c
         return out
@@ -495,7 +497,7 @@ class WordAlgebra:
         zero."""
         key = content_key(content)
         table = self._word_table(key)
-        out = [RatFunc.zero()] * len(self.basis_of_content(dict(key)))
+        out = [RatFunc.zero()] * len(self.basis_of_content(key))
         for v, c in x.terms.items():
             for m, d in table.get(v, ()):
                 out[m] = out[m] + c * d
@@ -507,31 +509,27 @@ class WordAlgebra:
             out = out + self.pbw_element(m).scale(c)
         return out
 
-    # -- block matrices of e'_i and left multiplication by f_i ------------------
-
-    def _block_matrix(self, cache, i, content, step, image):
-        key = (i, content_key(content))
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = operator_matrix(self, i, key[1], step, image)
-        return hit
+    # -- block matrices of e'_i and of left and right multiplication by f_i -------
 
     def eprime_matrix(self, i, content):
         """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
-        return self._block_matrix(
-            self._eprime_mat, i, content, -1, lambda m: self.eprime(i, self.pbw_element(m))
+        return operator_matrix(
+            self, "eprime", i, content_key(content), -1,
+            lambda m: self.eprime(i, self.pbw_element(m)),
         )
 
     def fmul_matrix(self, i, content):
         """Matrix of left multiplication by f_i, content block -> content + alpha_i."""
-        return self._block_matrix(
-            self._fmul_mat, i, content, +1, lambda m: self.mul(self.f(i), self.pbw_element(m))
+        return operator_matrix(
+            self, "fmul", i, content_key(content), +1,
+            lambda m: self.mul(self.f(i), self.pbw_element(m)),
         )
 
     def rmul_matrix(self, i, content):
         """Matrix of right multiplication by f_i, content block -> content + alpha_i."""
-        return self._block_matrix(
-            self._rmul_mat, i, content, +1, lambda m: self.mul(self.pbw_element(m), self.f(i))
+        return operator_matrix(
+            self, "rmul", i, content_key(content), +1,
+            lambda m: self.mul(self.pbw_element(m), self.f(i)),
         )
 
     # -- modified root operators -------------------------------------------------
@@ -544,7 +542,7 @@ class WordAlgebra:
         """Modified root operator: sum_{n>=0} f_i^{(n+1)} u_n."""
         return modified_root_op(self, i, x, content_key(x.content()), +1)
 
-    # -- the graded-block protocol (shared with ThetaModule) ----------------------
+    # -- the rest of the graded-block protocol (shared with ThetaModule) ----------
     #
     # A block is keyed by its content key; the lowering operator is e'_i and
     # the raising operator is left multiplication by f_i.
@@ -566,24 +564,15 @@ class WordAlgebra:
     def shifted_key(self, key, i, step):
         return shift_key(key, i, step)
 
-    def block_basis(self, key):
-        return self.basis_of_content(dict(key))
-
     def lower_matrix(self, i, key):
-        return self.eprime_matrix(i, dict(key))
+        return self.eprime_matrix(i, key)
 
     def raise_matrix(self, i, key):
-        return self.fmul_matrix(i, dict(key))
-
-    def coord_column(self, x, key):
-        return self.coord_vector(x, dict(key))
+        return self.fmul_matrix(i, key)
 
     def bar_column(self, m, key):
         """Coordinate column of bar(P(m)) on the block of m."""
-        return self.coord_vector(self.pbw_element(m).bar(), dict(key))
-
-    def block_gram(self, key):
-        return self.gram_matrix(dict(key))
+        return self.coord_vector(self.pbw_element(m).bar(), key)
 
     def relation_scalar(self, i, j, key):
         """The scalar term of e'_i f_j = q^{-(alpha_i, alpha_j)} f_j e'_i + delta_ij."""
@@ -612,13 +601,19 @@ class WordAlgebra:
 # written once over the graded-block protocol
 # ---------------------------------------------------------------------------
 
-def operator_matrix(space, i, key, step, image):
-    """The matrix, in block coordinates, of an operator from block `key` to
-    the block `step` letters i away; `image(m)` is the image of the basis
-    vector of m."""
-    tgt = space.shifted_key(key, i, step)
-    cols = [space.coord_column(image(m), tgt) for m in space.block_basis(key)]
-    return [[col[r] for col in cols] for r in range(len(space.block_basis(tgt)))]
+def operator_matrix(space, name, i, key, step, image):
+    """The matrix, in block coordinates, of the operator `name` along index i
+    from block `key` to the block `step` letters i away; `image(m)` is the
+    image of the basis vector of m.  Cached on the space by (name, i, key)."""
+    cache_key = (name, i, key)
+    hit = space._operator_mats.get(cache_key)
+    if hit is None:
+        tgt = space.shifted_key(key, i, step)
+        cols = [space.coord_vector(image(m), tgt) for m in space.basis_of_content(key)]
+        hit = space._operator_mats[cache_key] = [
+            [col[r] for col in cols] for r in range(len(space.basis_of_content(tgt)))
+        ]
+    return hit
 
 
 def qboson_split(space, i, key, column):
@@ -637,7 +632,7 @@ def qboson_split(space, i, key, column):
     for n in range(dict(key).get(letter, 0) + 1):
         if n:
             sub = space.shifted_key(sub, i, -1)
-        size = len(space.block_basis(sub))
+        size = len(space.basis_of_content(sub))
         if not size:
             continue
         if dict(sub).get(letter):
@@ -661,7 +656,7 @@ def qboson_split(space, i, key, column):
             acc[0] = [a + coef * b for a, b in zip(acc[0], vec)]
     out = []
     for n, (col, sub) in sorted(parts.items()):
-        coords = {m: c for m, c in zip(space.block_basis(sub), col) if not c.is_zero()}
+        coords = {m: c for m, c in zip(space.basis_of_content(sub), col) if not c.is_zero()}
         if coords:
             out.append((n, coords))
     return out
@@ -677,7 +672,7 @@ def modified_root_op(space, i, x, key, step):
     vector representative that these build.
     """
     out = space.from_coords({})
-    for n, coords in qboson_split(space, i, key, space.coord_column(x, key)):
+    for n, coords in qboson_split(space, i, key, space.coord_vector(x, key)):
         k = n + step
         if k < 0:
             continue

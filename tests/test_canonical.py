@@ -291,6 +291,22 @@ def test_multiplicity_solves_nothing_once_the_inverses_are_stored(factory, make,
     assert calls == []
 
 
+@pytest.mark.parametrize("factory,make", [s[:2] for s in SETTINGS])
+def test_balanced_split_solves_nothing(factory, make, monkeypatch):
+    """The split reads the stored C^{-1}, and inverts a caller-supplied C,
+    which is unitriangular, by substitution."""
+    ctx = factory(make(), {1: 1, 3: 1})
+    C = global_lower(ctx)
+    lower_inverse(ctx)
+    own = TransitionMatrix(C.label, C.basis, [list(row) for row in C.entries])
+    coords = [RatFunc.q_power(k) - RatFunc(k) for k in range(C.size())]
+    calls = []
+    real_solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
+    assert balanced_split(ctx, coords) == balanced_split(ctx, coords, own)
+    assert calls == []
+
+
 def test_typeA_blocks_are_inverted_without_elimination(monkeypatch):
     """The Gram matrix of every type-A block is diagonal, C unitriangular and
     G C lower triangular, so the word tables, `global_upper` and

@@ -199,6 +199,13 @@ def test_out_of_window_segment_named(capsys):
     (["expand", "--window=-1,1", '[{"i":1,"j":1,"mult":1.5}]'], "1.5"),
     (["expand", "--window=-1,1", '[{"i":true,"j":true,"mult":1}]'], "true"),
     (["expand", "--window=-1,1", '[{"i":1.0,"j":1,"mult":1}]'], "1.0"),
+    # a window lists each index once
+    (["verify", "--suite", "crystal-axioms", "--mode", "typeA", "--window", "1,1,3",
+      "--max-degree", "2"], "repeats index 1"),
+    (["verify", "--suite", "oracle-cross-check", "--window=-1,1,-1"], "repeats index -1"),
+    (["crystal-graph", "--mode", "typeA", "--window", "1,1"], "repeats index 1"),
+    (["bar-matrix", "--window", "1,1,3", '{"1":1}'], "repeats index 1"),
+    (["coords", "--window", "1,3,3", "[1]"], "repeats index 3"),
 ])
 def test_malformed_requests_exit_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -234,10 +241,26 @@ def test_multiplicity_consistency_honours_max_degree(capsys):
 
 
 def test_removed_parallel_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["crystal-graph", "--window", "1", "--parallel", "2"])
-    assert exc.value.code == 2
-    assert "--parallel" in capsys.readouterr().err
+    for argv, named in [
+        (["crystal-graph", "--window", "1", "--parallel", "2"], "--parallel"),
+        # each subcommand takes only the options it reads
+        (["coords", "--max-degree", "-1", "[1]"], "--max-degree"),
+        (["expand", "--max-degree", "2", '[{"i":1,"j":1,"mult":1}]'], "--max-degree"),
+        (["bar-matrix", "--max-degree", "2", '{"1":1}'], "--max-degree"),
+        (["global-basis", "--max-degree", "2", '{"1":1}'], "--max-degree"),
+        (["multiplicity", "--max-degree", "2", "{}", "--index", "1"], "--max-degree"),
+        (["expand", "--mode", "theta", '[{"i":1,"j":1,"mult":1}]'], "--mode"),
+        (["verify", "--suite", "serre", "--format", "json"], "--format"),
+        (["expand", '[{"i":1,"j":1,"mult":1}]', "--format", "dot"], "dot"),
+        (["coords", "[1]", "--format", "dot"], "dot"),
+        (["bar-matrix", '{"1":1}', "--format", "dot"], "dot"),
+        (["global-basis", '{"1":1}', "--format", "dot"], "dot"),
+        (["multiplicity", "{}", "--index", "1", "--format", "dot"], "dot"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert named in capsys.readouterr().err, argv
 
 
 def test_one_parser_serves_requests_across_usage_errors(capsys):

@@ -288,7 +288,7 @@ def test_coord_vector_matches_the_block_solve(mod):
     blocks = mod.block_keys(3)
     assert len(blocks) == 9
     for key in blocks:
-        vectors = [mod.bar_theta(mod.ptheta_vector(m)) for m in mod.block_basis(key)]
+        vectors = [mod.bar_theta(mod.ptheta_vector(m)) for m in mod.basis_of_content(key)]
         for _ in range(2):
             words = [w for ck in mod.fiber_contents(key)
                      for w in mod.alg.words_of_content(dict(ck))]
@@ -322,7 +322,7 @@ def test_is_zero_class_matches_the_block_solve(mod):
         combo = zeros[0]
         for g in rng.sample(zeros, min(3, len(zeros))):
             combo = combo + g.scale(RatFunc.q_power(rng.randint(-2, 2)) * RatFunc(2))
-        nonzero = [mod.ptheta_vector(m) + combo for m in mod.block_basis(key)]
+        nonzero = [mod.ptheta_vector(m) + combo for m in mod.basis_of_content(key)]
         for v in zeros + [combo] + nonzero:
             want = all(c.is_zero() for c in reference_coords(mod, v, key))
             assert mod.is_zero_class(v) == want, (key, v)
@@ -337,7 +337,7 @@ def test_stored_rows_make_no_further_solves(monkeypatch):
     calls = []
     real_solve = linalg.solve
     monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
-    for m in fresh.block_basis(key):
+    for m in fresh.basis_of_content(key):
         v = fresh.bar_theta(fresh.ptheta_vector(m))
         fresh.theta_coords(v)
         fresh.coord_vector(v, key)

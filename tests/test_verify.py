@@ -26,6 +26,21 @@ COUNTS = {
 }
 
 
+# the graded-block protocol: the methods that the code written once over both
+# spaces (`wordalg.operator_matrix`, `qboson_split`, `modified_root_op`,
+# `canonical.BlockContext` and the suites) calls on a space
+PROTOCOL = [
+    "basis_of_content", "coord_vector", "gram_matrix", "bar_column", "lower_matrix",
+    "raise_matrix", "F_op", "from_coords", "letter", "shifted_key", "block_keys",
+    "block_label", "relation_scalar",
+]
+
+
+@pytest.mark.parametrize("space", [WordAlgebra, ThetaModule])
+def test_both_spaces_define_the_block_protocol(space):
+    assert [name for name in PROTOCOL if name not in space.__dict__] == []
+
+
 @pytest.mark.parametrize("mode", sorted(COUNTS))
 def test_every_suite_passes_with_its_identity_count(mode):
     checked = {}
