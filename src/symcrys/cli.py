@@ -3,7 +3,8 @@
 Subcommands: crystal-graph, expand, coords, global-basis, bar-matrix,
 multiplicity, verify.  All numeric output uses the canonical rational
 function string format, and repeated runs produce byte-identical output.
-Exit codes: 0 success, 1 counterexample/verification failure, 2 usage error.
+Exit codes: 0 success, 1 counterexample/verification failure, 2 usage error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def content_from_arg(text):
         content = {int(k): n for k, n in json.loads(text).items()}
     except (json.JSONDecodeError, ValueError, AttributeError) as e:
         raise UsageError(f"cannot parse content map {text!r}: {e}")
+    keys = [int(k) for k, _ in json.loads(text, object_pairs_hook=list)]
+    for k in keys:
+        if keys.count(k) > 1:  # "1" twice, or "1" and "01"
+            raise UsageError(
+                f"cannot parse content map {text!r}: index {k} is given more than once"
+            )
     for k, n in content.items():
         if type(n) is not int:  # a JSON integer; no float, string or boolean
             raise UsageError(
@@ -393,9 +400,12 @@ def main(argv=None):
         return 2
     except BrokenPipeError:
         return 0
-    except Exception as e:  # verification failures carry exit code 1
+    except ArithmeticError as e:  # a failed mathematical check
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ from __future__ import annotations
 from .ratfunc import LaurentPoly, RatFunc, poly_gcd
 
 
-class SingularMatrixError(ValueError):
-    pass
+class SingularMatrixError(ValueError, ArithmeticError):
+    """A singular matrix where an invertible one is needed: a failed check."""
 
 
 def _lcm_poly(a, b):

@@ -378,8 +378,7 @@ class ThetaModule:
     # -- the rest of the graded-block protocol (shared with WordAlgebra) ----------
     #
     # A block is keyed by its symmetrized content key; index i moves the
-    # letter |i|, the lowering operator is E_i and the raising operator F_i
-    # (`F_op` on vectors).
+    # letter |i|, the lowering operator is E_i and the raising operator F_i.
 
     def letter(self, i):
         """The letter of the grading that index i moves."""

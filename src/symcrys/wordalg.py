@@ -20,9 +20,11 @@ graded-block protocol as their own methods (`basis_of_content`,
 block key type, the sorted (letter, count) pairs of `content_key`; the
 block methods of `WordAlgebra` also take a count map.  This module also
 holds the code written once over the protocol: the construction and cache
-of block matrices (`operator_matrix`), the q-boson split (`qboson_split`)
-and the modified root operators (`modified_root_op`), which rebuild each
-part from the space's own PBW vectors and raise it with the space's own F_i.
+of block matrices (`operator_matrix`), the q-boson split (`qboson_split`),
+read off from the top through the cached lowering and raising block
+matrices, and the modified root operators (`modified_root_op`), which raise
+each part in block coordinates (`raise_divided`) and build the result once
+from the space's own basis vectors.
 
 Results are cached on the algebra instance: PBW elements by multisegment,
 and per content block the basis, the word pairings, the Gram matrix, the
@@ -38,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations_with_replacement
 
-from .linalg import identity, inverse_rows, mat_vec, nullspace, solve_rect
+from .linalg import inverse_rows, mat_vec
 from .multisegment import (
     Multisegment,
     Segment,
@@ -547,10 +549,6 @@ class WordAlgebra:
     # A block is keyed by its content key; the lowering operator is e'_i and
     # the raising operator is left multiplication by f_i.
 
-    def F_op(self, i, x):
-        """The raising operator on vectors: left multiplication by f_i."""
-        return self.mul(self.f(i), x)
-
     def letter(self, i):
         """The letter of the grading that index i moves."""
         return i
@@ -616,50 +614,47 @@ def operator_matrix(space, name, i, key, step, image):
     return hit
 
 
-def qboson_split(space, i, key, column):
-    """The q-boson split of a vector of a block, in block coordinates.
+def raise_divided(space, i, key, column, n):
+    """The column of F_i^(n) x = F_i^n x / [n]! for x of block `key`, given
+    by its coordinate column: n products with the raising block matrices."""
+    for _ in range(n):
+        column = mat_vec(space.raise_matrix(i, key), column)
+        key = space.shifted_key(key, i, +1)
+    scale = RatFunc(1) / RatFunc(qfact(n))
+    return [scale * c for c in column]
 
-    `space` is a WordAlgebra or a ThetaModule, `key` a block key of it and
-    `column` the vector's coordinate column.  With E_i and F_i the block
-    protocol's lowering and raising operators, the vector is written as
-    sum_n F_i^(n) u_n with E_i u_n = 0.  Returns (n, coordinates of u_n) for
-    every nonzero u_n, n ascending; the coordinates are a Multisegment ->
-    RatFunc map of the nonzero entries on the basis of u_n's block.
+
+def qboson_split(space, i, key, column):
+    """The q-boson split x = sum_n F_i^(n) u_n with E_i u_n = 0 of the vector
+    x of block `key` of `space` (a WordAlgebra or a ThetaModule) with
+    coordinate column `column`, for the protocol's lowering and raising
+    operators E_i and F_i.  Returns (n, block key of u_n, column of u_n) for
+    every nonzero u_n, n ascending.
+
+    The parts are read off from the top.  E_i F_i = q^-2 F_i E_i + 1 gives
+    E_i^N F_i^(N) u = q^{-N(N-1)/2} u when E_i u = 0, and E_i^N kills the
+    parts below N; so for the largest N with E_i^N x != 0,
+    u_N = q^{N(N-1)/2} E_i^N x, and x - F_i^(N) u_N has a smaller N.  A step
+    that does not lower N means the relation fails: ArithmeticError.
     """
     letter = space.letter(i)
-    columns, tags = [], []
-    sub = key
-    for n in range(dict(key).get(letter, 0) + 1):
-        if n:
-            sub = space.shifted_key(sub, i, -1)
-        size = len(space.basis_of_content(sub))
-        if not size:
-            continue
-        if dict(sub).get(letter):
-            kern = nullspace(space.lower_matrix(i, sub), ncols=size)
-        else:
-            kern = identity(size)
-        scale = RatFunc(1) / RatFunc(qfact(n))
-        for vec in kern:
-            lifted, cur = vec, sub
-            for _ in range(n):
-                lifted = mat_vec(space.raise_matrix(i, cur), lifted)
-                cur = space.shifted_key(cur, i, +1)
-            columns.append([scale * v for v in lifted])
-            tags.append((n, vec, sub))
-    matrix = [[col[r] for col in columns] for r in range(len(column))]
-    lam = solve_rect(matrix, column)
-    parts = {}
-    for coef, (n, vec, sub) in zip(lam, tags):
-        if not coef.is_zero():
-            acc = parts.setdefault(n, [[RatFunc.zero()] * len(vec), sub])
-            acc[0] = [a + coef * b for a, b in zip(acc[0], vec)]
-    out = []
-    for n, (col, sub) in sorted(parts.items()):
-        coords = {m: c for m, c in zip(space.basis_of_content(sub), col) if not c.is_zero()}
-        if coords:
-            out.append((n, coords))
-    return out
+    parts = []
+    while any(column):
+        top, sub, n = column, key, 0
+        while dict(sub).get(letter):
+            low = mat_vec(space.lower_matrix(i, sub), top)
+            if not any(low):
+                break
+            top, sub, n = low, space.shifted_key(sub, i, -1), n + 1
+        if parts and n >= parts[-1][0]:
+            raise ArithmeticError(
+                f"q-boson split along index {i} on {space.block_label(key)}: "
+                f"a step does not lower N = {n}"
+            )
+        u = [RatFunc.q_power(n * (n - 1) // 2) * c for c in top]
+        parts.append((n, sub, u))
+        column = [a - b for a, b in zip(column, raise_divided(space, i, sub, u, n))]
+    return parts[::-1]
 
 
 def modified_root_op(space, i, x, key, step):
@@ -667,17 +662,16 @@ def modified_root_op(space, i, x, key, step):
 
     x is a vector of block `key` of `space`.  With the q-boson split
     x = sum_n F_i^(n) u_n, the result is the sum of F_i^(n+step) u_n over
-    n + step >= 0.  Each u_n is rebuilt from the space's own PBW vectors
-    (`from_coords`) and raised by its own `F_op`, so the result is the word
-    vector representative that these build.
+    n + step >= 0, summed in block coordinates and built once from the
+    space's own basis vectors (`from_coords`).
     """
-    out = space.from_coords({})
-    for n, coords in qboson_split(space, i, key, space.coord_vector(x, key)):
-        k = n + step
-        if k < 0:
-            continue
-        u = space.from_coords(coords)
-        for _ in range(k):
-            u = space.F_op(i, u)
-        out = out + u.scale(RatFunc(1) / RatFunc(qfact(k)))
-    return out
+    cols = [
+        raise_divided(space, i, sub, u, n + step)
+        for n, sub, u in qboson_split(space, i, key, space.coord_vector(x, key))
+        if n + step >= 0
+    ]
+    if not cols:
+        return space.from_coords({})
+    basis = space.basis_of_content(space.shifted_key(key, i, step))
+    total = [sum(c, RatFunc.zero()) for c in zip(*cols)]
+    return space.from_coords({m: c for m, c in zip(basis, total) if c})

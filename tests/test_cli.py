@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from symcrys import cli
 from symcrys.cli import build_parser, main
 
 
@@ -206,12 +207,28 @@ def test_out_of_window_segment_named(capsys):
     (["crystal-graph", "--mode", "typeA", "--window", "1,1"], "repeats index 1"),
     (["bar-matrix", "--window", "1,1,3", '{"1":1}'], "repeats index 1"),
     (["coords", "--window", "1,3,3", "[1]"], "repeats index 3"),
+    # a content map names each index once
+    (["bar-matrix", '{"1":1,"01":1}'], "index 1 is given more than once"),
+    (["bar-matrix", '{"1":1,"1":2}'], "index 1 is given more than once"),
 ])
 def test_malformed_requests_exit_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:") and named in err
+
+
+@pytest.mark.parametrize("error,code,message", [
+    (KeyError("boom"), 3, "internal error: KeyError: 'boom'\n"),
+    (ArithmeticError("boom"), 1, "error: boom\n"),
+], ids=["internal-error", "failed-check"])
+def test_exit_code_follows_the_error(capsys, monkeypatch, error, code, message):
+    """A failed check (the ArithmeticError family) exits 1, any other error 3."""
+    def broken(window):
+        raise error
+
+    monkeypatch.setattr(cli, "WordAlgebra", broken)
+    assert run(capsys, "coords", "[1,3]") == (code, "", message)
 
 
 def test_verify_gram_follows_the_mode(capsys):

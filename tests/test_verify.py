@@ -31,7 +31,7 @@ COUNTS = {
 # `canonical.BlockContext` and the suites) calls on a space
 PROTOCOL = [
     "basis_of_content", "coord_vector", "gram_matrix", "bar_column", "lower_matrix",
-    "raise_matrix", "F_op", "from_coords", "letter", "shifted_key", "block_keys",
+    "raise_matrix", "from_coords", "letter", "shifted_key", "block_keys",
     "block_label", "relation_scalar",
 ]
 
@@ -85,6 +85,20 @@ def test_gram_suite_checks_the_closed_form_diagonal():
     checked, fails = suite_gram("typeA", WIN, 2, spaces)
     assert checked == 14
     assert fails == ["Gram matrix on content {1: 1, 3: 1} is not diag(N_A(m))"]
+
+
+def test_a_singular_block_is_a_failed_check():
+    """linalg.SingularMatrixError is an ArithmeticError, so a suite reports a
+    singular block matrix as a failure instead of stopping."""
+    spaces = {}
+    alg = _space("typeA", WIN, spaces)
+    key = content_key({1: 1, 3: 1})
+    gram = [list(row) for row in alg.gram_matrix(dict(key))]
+    gram[0][0] = RatFunc.zero()
+    alg._gram[key] = gram
+    checked, fails = SUITES["global-basis"]("typeA", WIN, 2, spaces)
+    assert checked == 13
+    assert fails == ["content {1: 1, 3: 1}: triangular matrix has a zero on its diagonal"]
 
 
 def test_a_run_builds_one_algebra_in_either_order():
