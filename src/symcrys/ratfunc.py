@@ -12,7 +12,20 @@ primitive integer polynomial with nonzero positive constant coefficient, and
 any overall power of q lives in the numerator.  Most values are Laurent
 polynomials (denominator 1): their sums, differences and products are built
 directly, without normalisation.  Other values are normalised with a gcd
-taken by a primitive remainder sequence over the integers.
+taken by a primitive remainder sequence over the integers, except where the
+reduced form is already known:
+
+- a Laurent L plus a fraction c/d is (L d + c)/d, since gcd(L d + c, d) =
+  gcd(c, d) = 1;
+- a Laurent p times c/d has gcd(p c, d) = gcd(p, d): a monomial p keeps d
+  with no gcd, a p that d divides gives a Laurent value found by one
+  division, and otherwise only the gcd of p with d is taken;
+- the inverse of c/d is d/c, and bar maps c/d to bar(c)/bar(d), since bar
+  is a ring automorphism.
+
+On these routes only the power of q, the content and the sign of the
+denominator are renormalised, so each result is structurally the one the
+gcd route gives.  Products and sums of two fractions take the gcd route.
 """
 
 from __future__ import annotations
@@ -341,6 +354,56 @@ def _laurent(p):
     return r
 
 
+def _fraction(num, den):
+    """Trusted constructor of the RatFunc num / den, already in normal form."""
+    r = _new(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
+def _normal(num, den):
+    """The normal form (num, den) of the quotient of a nonzero num by a den
+    coprime to it.  Only the power of q, the content and the sign of den
+    move: the q-power goes to the numerator, and den becomes a primitive
+    integer polynomial with positive constant coefficient (_ONE if constant).
+    """
+    dc = den.coeffs
+    if len(dc) == 1:
+        (e, c), = dc.items()
+        if c == 1:
+            return num.shift(-e), _ONE
+        return _poly({k - e: _quo(v, c) for k, v in num.coeffs.items()}), _ONE
+    vd = min(dc)
+    den_l, den_g = _content(dc)
+    scale = _quo(den_l, den_g)
+    if dc[vd] < 0:
+        scale = -scale
+    return num.scale(scale).shift(-vd), den.shift(-vd).scale(scale)
+
+
+def _laurent_times(p, x):
+    """The RatFunc p * x of a Laurent polynomial p and a fraction x = c / d.
+
+    c and d are coprime and q does not divide d, so gcd(p c, d) = gcd(p, d):
+    a monomial p keeps d, a p that d divides gives a Laurent value, and
+    otherwise the gcd of p alone with d decides whether d is kept.
+    """
+    pc = p.coeffs
+    if not pc:
+        return _laurent(_ZERO)
+    c, d = x.num, x.den
+    if len(pc) > 1:
+        v = min(pc)
+        p0 = p.shift(-v)
+        quo, rem = p0.divmod_poly(d)
+        if not rem.coeffs:
+            return _laurent((quo * c).shift(v))
+        if max(poly_gcd(p0, d).coeffs) > 0:
+            return RatFunc(p * c, d)
+    return _fraction(p * c, d)
+
+
 class RatFunc:
     """Element of Q(q) as a normalized quotient of Laurent polynomials."""
 
@@ -353,36 +416,22 @@ class RatFunc:
         if not dc:
             raise ZeroDivisionError("rational function with zero denominator")
         nc = num.coeffs
-        self.den = _ONE
         if not nc:
             self.num = _ZERO
+            self.den = _ONE
             return
-        if len(dc) == 1:
-            # A monomial denominator c q^e: the value is Laurent.
-            (e, c), = dc.items()
-            if c == 1:
-                self.num = num.shift(-e)
-            else:
-                self.num = _poly({k - e: _quo(v, c) for k, v in nc.items()})
-            return
-        # Move q-power shifts into the numerator, cancel the polynomial gcd,
-        # then rescale so the denominator is a primitive integer polynomial
-        # with positive constant coefficient.
-        vn, vd = min(nc), min(dc)
-        num = num.shift(-vn)
-        den = den.shift(-vd)
-        g = poly_gcd(num, den)
-        if max(g.coeffs) > 0:
-            g = _poly({e: c for e, c in enumerate(_primitive_dense(g)) if c})
-            num = num.divmod_poly(g)[0]
-            den = den.divmod_poly(g)[0]
-        den_l, den_g = _content(den.coeffs)
-        scale = _quo(den_l, den_g)
-        if den.coeffs[0] < 0:
-            scale = -scale
-        self.num = num.scale(scale).shift(vn - vd)
-        if len(den.coeffs) > 1:
-            self.den = den.scale(scale)
+        if len(dc) > 1:
+            # Cancel the polynomial gcd of the parts free of q-powers.
+            vn, vd = min(nc), min(dc)
+            num = num.shift(-vn)
+            den = den.shift(-vd)
+            g = poly_gcd(num, den)
+            if max(g.coeffs) > 0:
+                g = _poly({e: c for e, c in enumerate(_primitive_dense(g)) if c})
+                num = num.divmod_poly(g)[0]
+                den = den.divmod_poly(g)[0]
+            num = num.shift(vn - vd)
+        self.num, self.den = _normal(num, den)
 
     # -- constructors ---------------------------------------------------
 
@@ -434,8 +483,14 @@ class RatFunc:
             return self
         if not self.num.coeffs:
             return o
-        if self.den is _ONE and o.den is _ONE:
-            return _laurent(self.num + o.num)
+        # A Laurent L plus a fraction c / d is (L d + c) / d, already
+        # reduced since gcd(L d + c, d) = gcd(c, d) = 1.
+        if self.den is _ONE:
+            if o.den is _ONE:
+                return _laurent(self.num + o.num)
+            return _fraction(self.num * o.den + o.num, o.den)
+        if o.den is _ONE:
+            return _fraction(o.num * self.den + self.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -464,8 +519,12 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den is _ONE and o.den is _ONE:
-            return _laurent(self.num * o.num)
+        if self.den is _ONE:
+            if o.den is _ONE:
+                return _laurent(self.num * o.num)
+            return _laurent_times(self.num, o)
+        if o.den is _ONE:
+            return _laurent_times(o.num, self)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -476,7 +535,8 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero in Q(q)")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        # 1 / (c / d) = d / c, already reduced.
+        return self * _fraction(*_normal(o.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -500,7 +560,8 @@ class RatFunc:
         """The field involution q -> q^{-1}."""
         if self.den is _ONE:
             return _laurent(self.num.bar())
-        return RatFunc(self.num.bar(), self.den.bar())
+        # bar is a ring automorphism, so the images stay coprime.
+        return _fraction(*_normal(self.num.bar(), self.den.bar()))
 
     def subs_one(self):
         """Exact evaluation at q = 1 (denominator must not vanish there)."""

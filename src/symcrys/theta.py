@@ -253,8 +253,9 @@ def crystal_E(i, m):
 
 
 def crystal_F(i, m):
-    out = theta_Ftilde(-i, m) if i < 0 else a_ftilde(i, m)
-    return check_theta_restricted(out)
+    if i < 0:
+        return theta_Ftilde(-i, m)  # checks the theta restriction itself
+    return check_theta_restricted(a_ftilde(i, m))
 
 
 # ---------------------------------------------------------------------------

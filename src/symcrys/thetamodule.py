@@ -38,6 +38,7 @@ from .theta import theta_of_symmetrized_content
 from .wordalg import (
     WordAlgebra,
     WordVector,
+    closed_form_norm,
     content_key,
     contents_up_to,
     modified_root_op,
@@ -65,6 +66,19 @@ def theta_scale(m):
             for nu in range(1, a + 1):
                 s = s / RatFunc(qint(2 * nu))
     return s
+
+
+def closed_form_norm_theta(m):
+    """N_theta(m) = N_A(m) times, for each symmetric segment <-j,j> of
+    multiplicity a, prod_{nu=1}^{a} 1 / (1 + q^{2 nu}).  The `gram` suite
+    checks that each theta Gram matrix is diag(N_theta(m)).  The form was
+    fitted on computed blocks; it is not a theorem cited here."""
+    out = closed_form_norm(m)
+    for seg, a in m:
+        if seg.i == -seg.j:
+            for nu in range(1, a + 1):
+                out = out / (RatFunc(1) + RatFunc.q_power(2 * nu))
+    return out
 
 
 class ThetaClassVector:

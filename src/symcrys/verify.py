@@ -27,7 +27,7 @@ from .canonical import (
     multiplicity_polys,
     q1_specialization,
 )
-from .linalg import mat_mul, rank
+from .linalg import mat_mul
 from .multisegment import (
     cartan,
     enumerate_multisegments,
@@ -47,7 +47,7 @@ from .theta import (
     theta_Ftilde,
     theta_signature_ops,
 )
-from .thetamodule import ThetaModule
+from .thetamodule import ThetaModule, closed_form_norm_theta
 from .wordalg import WordAlgebra, closed_form_norm, modified_root_op
 
 
@@ -166,23 +166,24 @@ def suite_serre(mode, window, max_degree, spaces=None):
 
 
 def suite_gram(mode, window, max_degree, spaces=None):
-    """Type A: each Gram matrix is exactly diag(N_A(m)), the closed-form norms
-    of the PBW basis.  Theta: each Gram matrix has full rank."""
+    """Each Gram matrix is exactly the diagonal of the closed-form norms of
+    its basis: N_A(m) of the PBW basis in type A, N_theta(m) of the P_theta
+    basis in theta mode."""
+    if mode == "theta":
+        norm, name = closed_form_norm_theta, "N_theta(m)"
+    else:
+        norm, name = closed_form_norm, "N_A(m)"
     checked = 0
     fails = []
     for ctx in _contexts(mode, window, max_degree, spaces):
         g = ctx.gram()
         checked += 1
-        if mode == "theta":
-            if rank(g) != len(g):
-                fails.append(f"singular Gram matrix on {ctx.label}")
-        else:
-            want = [
-                [closed_form_norm(m) if r == c else RatFunc.zero() for c in range(len(g))]
-                for r, m in enumerate(ctx.basis())
-            ]
-            if g != want:
-                fails.append(f"Gram matrix on {ctx.label} is not diag(N_A(m))")
+        want = [
+            [norm(m) if r == c else RatFunc.zero() for c in range(len(g))]
+            for r, m in enumerate(ctx.basis())
+        ]
+        if g != want:
+            fails.append(f"Gram matrix on {ctx.label} is not diag({name})")
     return checked, fails
 
 

@@ -2,7 +2,10 @@
 
 sympy is used only here, as an independent oracle: `RatFunc(num, den)` must
 be the reduced quotient that `sympy.cancel` finds, written in symcrys's
-normal form, and `poly_gcd` must be the monic `sympy.gcd`.  The storage
+normal form, and `poly_gcd` must be the monic `sympy.gcd`.  The arithmetic
+routes that skip the gcd (a Laurent value times or plus a fraction, the
+inverse, bar) must give that same quotient, structurally equal to the
+generic constructor's.  The storage
 tests check that every integral coefficient is held as an int after every
 operation, and that int and Fraction inputs of the same value give values
 that compare, hash and print alike.
@@ -13,7 +16,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcrys.ratfunc import LaurentPoly, RatFunc, poly_gcd
+from symcrys import ratfunc
+from symcrys.ratfunc import LaurentPoly, RatFunc, parse_ratfunc, poly_gcd
 
 sympy = pytest.importorskip("sympy")
 
@@ -60,7 +64,12 @@ def sympy_normal_den(expr):
     The q-power goes to the numerator, and the rest is made a primitive
     integer polynomial with positive constant coefficient.
     """
-    den = sympy.Poly(sympy.fraction(sympy.cancel(expr))[1], q, domain="QQ")
+    return normal_den(sympy.fraction(sympy.cancel(expr))[1])
+
+
+def normal_den(den):
+    """A sympy polynomial denominator, in symcrys's normal form."""
+    den = sympy.Poly(den, q, domain="QQ")
     while den.eval(0) == 0:
         den = den.quo(sympy.Poly(q, q, domain="QQ"))
     _, den = den.clear_denoms(convert=True)
@@ -152,3 +161,122 @@ def test_int_and_fraction_inputs_agree(num, den):
     # the same value reached through Fraction-valued arithmetic
     z = RatFunc(LaurentPoly(num_f).scale(Fraction(1, 3)), den) * Fraction(3)
     assert z == x and hash(z) == hash(x) and str(z) == str(x)
+
+
+# -- the routes that skip the gcd -------------------------------------------------
+
+nonzero_values = st.one_of(
+    monomials.map(RatFunc),
+    nonzero_polys.map(RatFunc),
+    st.builds(RatFunc, nonzero_polys, nonzero_polys).filter(lambda x: not x.in_A()),
+)
+values = st.one_of(st.just(RatFunc(0)), nonzero_values)
+
+
+def ratfunc_to_sympy(x):
+    return to_sympy(x.num) / to_sympy(x.den)
+
+
+def assert_sympy_normal_form(x, expr):
+    """x is the reduced quotient sympy finds for expr, in symcrys's normal form."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    if x.is_zero():
+        assert num == 0 and x.den == LaurentPoly.one()
+        return
+    assert dense(x.den) == normal_den(den)
+    assert sympy.expand(to_sympy(x.num) * den - num * to_sympy(x.den)) == 0
+
+
+def assert_structurally_equal(x, y):
+    assert x.num == y.num and x.den == y.den
+    assert x == y and hash(x) == hash(y) and str(x) == str(y)
+    assert stored_exactly(x.num) and stored_exactly(x.den)
+
+
+@given(values, values)
+@settings(max_examples=100, deadline=None)
+def test_every_route_gives_the_generic_normal_form(x, y):
+    sx, sy = ratfunc_to_sympy(x), ratfunc_to_sympy(y)
+    cases = [
+        (x * y, RatFunc(x.num * y.num, x.den * y.den), sx * sy),
+        (y * x, RatFunc(y.num * x.num, y.den * x.den), sx * sy),
+        (x + y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den), sx + sy),
+        (x - y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den), sx - sy),
+        (x.bar(), RatFunc(x.num.bar(), x.den.bar()), sx.subs(q, 1 / q)),
+    ]
+    if not y.is_zero():
+        cases.append((x / y, RatFunc(x.num * y.den, x.den * y.num), sx / sy))
+    for got, generic, expr in cases:
+        assert_structurally_equal(got, generic)
+        assert_sympy_normal_form(got, expr)
+
+
+def _counting_gcd(monkeypatch):
+    calls = []
+    real = ratfunc.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, x, want, gcds", [
+    # d divides p: the product is Laurent, found by one division and no gcd
+    ("1 - q^2", "1/(1 - q^2)", "1", 0),
+    ("q + q^-1", "q/(q^2 + 1)", "1", 0),
+    ("q^4 - 1", "2*q/(q^2 + 1)", "2*q^3 - 2*q", 0),
+    # gcd(p, d) = 1: d is kept after one gcd of p alone with d
+    ("1 + q", "1/(1 + q^2)", "(1 + q)/(1 + q^2)", 1),
+    ("q^-2 + 3*q^-1", "(q - 1)/(2 + q^3)", "(3 - 2*q^-1 - q^-2)/(q^3 + 2)", 1),
+    # a nontrivial gcd and d does not divide p: the generic constructor
+    ("1 + q", "2*q/(1 - q^2)", "2*q/(1 - q)", 2),
+    ("q^-2 + q^-1", "(1 + q^2)/(1 + q)/(2 - q)", "(1 + q^2)/(2*q^2 - q^3)", 2),
+])
+def test_laurent_times_fraction_outcomes(monkeypatch, p, x, want, gcds):
+    p, x, want = parse_ratfunc(p), parse_ratfunc(x), parse_ratfunc(want)
+    assert p.in_A() and not x.in_A()
+    generic = RatFunc(p.num * x.num, x.den)
+    calls = _counting_gcd(monkeypatch)
+    got = p * x
+    assert len(calls) == gcds
+    assert_structurally_equal(got, want)
+    assert_structurally_equal(got, generic)
+    assert_structurally_equal(x * p, want)
+
+
+def test_cheap_routes_never_take_a_gcd(monkeypatch):
+    fractions_ = [parse_ratfunc(t) for t in (
+        "q/(1 + q^2)", "(2*q^-1 - 3)/(1 - q + 4*q^3)", "(q^2 + 1)/(q^2 + q + 1)",
+        "-3/(2 - q)", "(1/2)*q^5/(3 + q^2)",
+    )]
+    monomial = RatFunc(LaurentPoly({-2: Fraction(-3, 2)}))
+    laurents = [parse_ratfunc(t) for t in ("1 + q", "q^-1 - 2*q^3", "(1/3)*q^2 + 5")]
+    expected = []
+    for x in fractions_ + laurents:
+        expected.append((1 / x, RatFunc(x.den, x.num)))
+        expected.append((x.bar(), RatFunc(x.num.bar(), x.den.bar())))
+    for x in fractions_:
+        expected.append((monomial * x, RatFunc(monomial.num * x.num, x.den)))
+        expected.append((x * monomial, RatFunc(monomial.num * x.num, x.den)))
+        for p in laurents:
+            expected.append((p + x, RatFunc(p.num * x.den + x.num, x.den)))
+            expected.append((x - p, RatFunc(x.num - p.num * x.den, x.den)))
+    for got, generic in expected:
+        assert_structurally_equal(got, generic)
+
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called on a route that needs no gcd")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
+    again = []
+    for x in fractions_ + laurents:
+        again += [1 / x, x.bar()]
+    for x in fractions_:
+        again += [monomial * x, x * monomial]
+        for p in laurents:
+            again += [p + x, x - p]
+    for got, (want, _) in zip(again, expected, strict=True):
+        assert_structurally_equal(got, want)

@@ -32,6 +32,13 @@ def test_restriction_validator_names_segment():
     check_theta_restricted(M((-1, 3, 2)))
 
 
+def test_crystal_F_rejects_an_unrestricted_result():
+    bad = M((-3, -3, 1))
+    for i in (-1, 1, 3):
+        with pytest.raises(ValueError, match="<-3,-3>"):
+            crystal_F(i, bad)
+
+
 def test_symmetrized_content():
     assert dict(symmetrized_content(M((-1, 3, 1)))) == {1: 2, 3: 1}
 

@@ -4,8 +4,9 @@ import pytest
 
 from symcrys.multisegment import enumerate_multisegments
 from symcrys.theta import enumerate_theta
-from symcrys.thetamodule import ThetaModule
+from symcrys.thetamodule import ThetaModule, sym_key_of_content
 from symcrys.ratfunc import RatFunc
+from symcrys import verify
 from symcrys.verify import SUITES, _space, suite_gram
 from symcrys.wordalg import WordAlgebra, content_key
 
@@ -85,6 +86,24 @@ def test_gram_suite_checks_the_closed_form_diagonal():
     checked, fails = suite_gram("typeA", WIN, 2, spaces)
     assert checked == 14
     assert fails == ["Gram matrix on content {1: 1, 3: 1} is not diag(N_A(m))"]
+
+
+def test_theta_gram_suite_checks_the_closed_form_diagonal(monkeypatch):
+    """In theta mode the suite compares each Gram matrix with diag(N_theta(m));
+    a wrong closed form on one block is a failure that names the block."""
+    real = verify.closed_form_norm_theta
+    wrong = content_key({1: 2})
+
+    def norm(m):
+        n = real(m)
+        return n * RatFunc.q_power(1) if sym_key_of_content(m.content()) == wrong else n
+
+    assert suite_gram("theta", WIN, 3) == (9, [])
+    assert suite_gram("theta", (-1, 1), 5) == (5, [])
+    monkeypatch.setattr(verify, "closed_form_norm_theta", norm)
+    checked, fails = suite_gram("theta", WIN, 3)
+    assert checked == 9
+    assert fails == ["Gram matrix on symmetrized content {1: 2} is not diag(N_theta(m))"]
 
 
 def test_a_singular_block_is_a_failed_check():
