@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import inverse_rows, mat_mul, mat_vec
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, dot
 from .wordalg import content_key
 
 
@@ -172,10 +172,8 @@ def global_lower(ctx, bar=None):
         c[col] = RatFunc(1)
         # rows below the diagonal, top down; (B bar(c))_m depends only on rows < m
         for m in range(col + 1, n):
-            rho = RatFunc.zero()
-            for k in range(col, m):
-                if M[m][k] and c[k]:
-                    rho = rho + M[m][k] * c[k].bar()
+            row = M[m]
+            rho = dot([(row[k], c[k].bar()) for k in range(col, m) if c[k]])
             c[m] = _split_antisymmetric(rho)
         for m in range(n):
             C[m][col] = c[m]

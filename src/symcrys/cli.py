@@ -4,7 +4,7 @@ Subcommands: crystal-graph, expand, coords, global-basis, bar-matrix,
 multiplicity, verify.  All numeric output uses the canonical rational
 function string format, and repeated runs produce byte-identical output.
 Exit codes: 0 success, 1 counterexample/verification failure, 2 usage error,
-3 internal error.
+3 internal error (`--debug`, before the subcommand, adds its traceback).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 from .canonical import (
     bar_matrix,
@@ -344,6 +345,8 @@ def build_parser():
         prog="symcrys",
         description="Crystal and canonical-basis computations on odd-index windows.",
     )
+    p.add_argument("--debug", action="store_true",
+                   help="print the traceback of an internal error (exit code 3)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, mode="typeA", max_degree=False, formats=("text", "json")):
@@ -404,6 +407,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:
+        if args.debug:
+            traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
 

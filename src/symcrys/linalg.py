@@ -9,11 +9,14 @@ the inner loop.  Back substitution returns RatFunc entries.
 lower or upper triangular matrix (a diagonal one included) come from forward
 or back substitution, which multiplies only nonzero entries, and any other
 matrix is eliminated.  Both paths end with the same exact check.
+
+Every sum of products (matrix products, substitution steps) is one call of
+`ratfunc.dot`, which adds the Laurent products in one coefficient dict.
 """
 
 from __future__ import annotations
 
-from .ratfunc import LaurentPoly, RatFunc, poly_gcd
+from .ratfunc import LaurentPoly, RatFunc, dot, poly_gcd
 
 
 class SingularMatrixError(ValueError, ArithmeticError):
@@ -114,10 +117,9 @@ def _back_substitute(rows, pivots, x, rhs):
     n = len(x)
     for prow, col in reversed(pivots):
         row = rows[prow]
-        acc = RatFunc(row[rhs]) if rhs is not None else RatFunc.zero()
-        for c in range(col + 1, n):
-            if row[c] and x[c]:
-                acc = acc - RatFunc(row[c]) * x[c]
+        acc = -dot([(RatFunc(row[c]), x[c]) for c in range(col + 1, n) if row[c] and x[c]])
+        if rhs is not None:
+            acc = acc + RatFunc(row[rhs])
         x[col] = acc / RatFunc(row[col])
     return x
 
@@ -163,9 +165,7 @@ def _triangular_inverse_rows(matrix, k, lower):
         x[i] = RatFunc(1) / diag[i]
         filled = [i]
         for j in (range(i - 1, -1, -1) if lower else range(i + 1, n)):
-            acc = sum(
-                (x[l] * matrix[l][j] for l in filled if matrix[l][j]), RatFunc.zero()
-            )
+            acc = dot([(x[l], matrix[l][j]) for l in filled])
             if acc:
                 x[j] = -acc / diag[j]
                 filled.append(j)
@@ -232,20 +232,12 @@ def solve_rect(matrix, rhs):
 
 
 def mat_mul(A, B):
-    return [
-        [
-            sum((A[i][k] * B[k][j] for k in range(len(B)) if A[i][k]), RatFunc.zero())
-            for j in range(len(B[0]))
-        ]
-        for i in range(len(A))
-    ]
+    cols = list(zip(*B))
+    return [[dot(zip(row, col)) for col in cols] for row in A]
 
 
 def mat_vec(A, v):
-    return [
-        sum((A[i][k] * v[k] for k in range(len(v)) if A[i][k]), RatFunc.zero())
-        for i in range(len(A))
-    ]
+    return [dot(zip(row, v)) for row in A]
 
 
 def identity(n):

@@ -26,6 +26,15 @@ reduced form is already known:
 On these routes only the power of q, the content and the sign of the
 denominator are renormalised, so each result is structurally the one the
 gcd route gives.  Products and sums of two fractions take the gcd route.
+
+A product with a factor 0 or 1 hands back an operand (both classes are
+immutable), and a LaurentPoly times an integer monomial c q^e is one pass
+that shifts and scales.  `dot(pairs)`, the sum of x * y over RatFunc pairs,
+is the one kernel for sums of products: it skips zero factors, accumulates
+every Laurent x Laurent product straight into one coefficient dict, settled
+once (zeros dropped, integral Fractions made ints), and sends only the pairs
+with a fraction through RatFunc arithmetic, adding their sum to the Laurent
+part once, by the gcd-free route.
 """
 
 from __future__ import annotations
@@ -54,14 +63,6 @@ def _quo(a, b):
             return q
     q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
-
-
-def _settle(d):
-    """Turn the integral Fractions among the values of d into ints, in place."""
-    for e, c in d.items():
-        if c.__class__ is not int and c.denominator == 1:
-            d[e] = c.numerator
-    return d
 
 
 def _poly(d):
@@ -148,26 +149,48 @@ class LaurentPoly:
         return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        d = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = d.get(e, 0) - c
+            if not s:
+                del d[e]
+            elif s.__class__ is int or s.denominator != 1:
+                d[e] = s
+            else:
+                d[e] = s.numerator
+        return _poly(d)
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPoly):
             if isinstance(other, (int, Fraction)):
                 return self.scale(other)
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _ZERO
+        if len(a) > len(b):
+            a, b, other = b, a, self
+        if len(a) == 1:
+            (e, c), = a.items()
+            if c.__class__ is int:
+                # An integer monomial c q^e: the constant 1 returns the other
+                # operand, any other one shifts and scales in one pass.
+                if c == 1:
+                    return other.shift(e)
+                d = {}
+                for k, v in b.items():
+                    v = c * v
+                    if v.__class__ is not int and v.denominator == 1:
+                        v = v.numerator
+                    d[k + e] = v
+                return _poly(d)
         d = {}
         get = d.get
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 d[e] = get(e, 0) + c1 * c2
-        out = {}
-        for e, c in d.items():
-            if c:
-                if c.__class__ is not int and c.denominator == 1:
-                    c = c.numerator
-                out[e] = c
-        return _poly(out)
+        return _poly(_settled(d))
 
     __rmul__ = __mul__
 
@@ -187,7 +210,7 @@ class LaurentPoly:
         c = _exact(c)
         if not c:
             return _poly({})
-        return _poly(_settle({e: c * v for e, v in self.coeffs.items()}))
+        return _poly(_settled({e: c * v for e, v in self.coeffs.items()}))
 
     def shift(self, n):
         """Multiply by q^n."""
@@ -226,7 +249,7 @@ class LaurentPoly:
                     r.pop(e2, None)
                 else:
                     r[e2] = s
-        return _poly(qout), _poly(_settle(r))
+        return _poly(qout), _poly(_settled(r))
 
     def __str__(self):
         return format_poly(self)
@@ -237,6 +260,18 @@ class LaurentPoly:
 
 _ZERO = _poly({})
 _ONE = _poly({0: 1})
+
+
+def _settled(d):
+    """The settled copy of a summed coefficient dict: zeros dropped and
+    integral Fractions turned into ints."""
+    out = {}
+    for e, c in d.items():
+        if c:
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            out[e] = c
+    return out
 
 
 def _content(coeffs):
@@ -383,15 +418,13 @@ def _normal(num, den):
 
 
 def _laurent_times(p, x):
-    """The RatFunc p * x of a Laurent polynomial p and a fraction x = c / d.
+    """The RatFunc p * x of a nonzero Laurent polynomial p and a fraction x = c / d.
 
     c and d are coprime and q does not divide d, so gcd(p c, d) = gcd(p, d):
     a monomial p keeps d, a p that d divides gives a Laurent value, and
     otherwise the gcd of p alone with d decides whether d is kept.
     """
     pc = p.coeffs
-    if not pc:
-        return _laurent(_ZERO)
     c, d = x.num, x.den
     if len(pc) > 1:
         v = min(pc)
@@ -404,6 +437,48 @@ def _laurent_times(p, x):
     return _fraction(p * c, d)
 
 
+def dot(pairs):
+    """The RatFunc sum of x * y over an iterable of (RatFunc, RatFunc) pairs.
+
+    Pairs with a zero factor are skipped.  Every product of two Laurent
+    values is accumulated straight into one coefficient dict, which is
+    settled once at the end.  A pair with a fraction is multiplied as
+    RatFuncs; a Laurent product joins the dict and the fractions are added
+    together and then, once, to the Laurent sum.  The result is the normal
+    form the sum of the products has.
+    """
+    d = {}
+    get = d.get
+    fracs = []
+    for x, y in pairs:
+        a = x.num.coeffs
+        if not a:
+            continue
+        b = y.num.coeffs
+        if not b:
+            continue
+        if x.den is not _ONE or y.den is not _ONE:
+            p = x * y
+            if p.den is not _ONE:
+                fracs.append(p)
+                continue
+            a, b = p.num.coeffs, _ONE.coeffs  # a Laurent product joins the dict
+        elif len(a) > len(b):
+            a, b = b, a
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = e1 + e2
+                d[e] = get(e, 0) + c1 * c2
+    d = _settled(d)
+    total = _laurent(_poly(d)) if d else _RZERO
+    if fracs:
+        f = fracs[0]
+        for g in fracs[1:]:
+            f = f + g
+        total = total + f
+    return total
+
+
 class RatFunc:
     """Element of Q(q) as a normalized quotient of Laurent polynomials."""
 
@@ -411,7 +486,11 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         num = _as_poly(num)
-        den = _ONE if den is None else _as_poly(den)
+        if den is None:  # a Laurent value is its own normal form
+            self.num = num
+            self.den = _ONE
+            return
+        den = _as_poly(den)
         dc = den.coeffs
         if not dc:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -519,6 +598,16 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # RatFunc is immutable, so a factor 0 or 1 can hand back an operand.
+        a, b = self.num.coeffs, o.num.coeffs
+        if not a:
+            return self
+        if not b:
+            return o
+        if self.den is _ONE and len(a) == 1 and a.get(0) == 1:
+            return o
+        if o.den is _ONE and len(b) == 1 and b.get(0) == 1:
+            return self
         if self.den is _ONE:
             if o.den is _ONE:
                 return _laurent(self.num * o.num)
@@ -604,6 +693,9 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({format_ratfunc(self)!r})"
+
+
+_RZERO = _laurent(_ZERO)  # the zero `dot` returns, shared: RatFunc is immutable
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from itertools import product
 
 from .linalg import RatFunc, echelon_form, inverse_rows, mat_vec
 from .multisegment import cartan, cry_sort_key
-from .ratfunc import qfact, qint
+from .ratfunc import dot, qfact, qint
 from .theta import theta_of_symmetrized_content
 from .wordalg import (
     WordAlgebra,
@@ -41,6 +41,7 @@ from .wordalg import (
     closed_form_norm,
     content_key,
     contents_up_to,
+    dot_vector,
     modified_root_op,
     operator_matrix,
     shift_key,
@@ -322,10 +323,11 @@ class ThetaModule:
         return mat_vec(block["coord_rows"], self._fiber_vector(v.rep, block))
 
     def from_coords(self, coords):
-        out = self.alg.zero()
+        pairs = {}
         for m, c in coords.items():
-            out = out + self.ptheta_vector(m).rep.scale(c)
-        return ThetaClassVector(out, self)
+            for w, p in self.ptheta_vector(m).rep.terms.items():
+                pairs.setdefault(w, []).append((c, p))
+        return ThetaClassVector(dot_vector(pairs, self.alg.window), self)
 
     def is_zero_class(self, v):
         """True iff every symmetrized-content part of v has zero coordinates."""
@@ -345,10 +347,7 @@ class ThetaModule:
         """(phi,phi) = 1 and (E_i u, v) = (u, F_i v), computed by peeling v."""
         if u.sym_key() != v.sym_key():
             return RatFunc.zero()
-        total = RatFunc.zero()
-        for w, c in v.rep.terms.items():
-            total = total + c * self._form_against_word(u, w)
-        return total
+        return dot([(c, self._form_against_word(u, w)) for w, c in v.rep.terms.items()])
 
     def _form_against_word(self, u, w):
         if not w:

@@ -26,12 +26,21 @@ matrices, and the modified root operators (`modified_root_op`), which raise
 each part in block coordinates (`raise_divided`) and build the result once
 from the space's own basis vectors.
 
-Results are cached on the algebra instance: PBW elements by multisegment,
-and per content block the basis, the word pairings, the Gram matrix, the
-word-coordinate table, the e'_i, f_i-left and f_i-right multiplication block
-matrices (in the one cache of `operator_matrix`) and (through `_contexts`,
-filled by `symcrys.canonical`) the block's bar matrix and global bases.  A
-fresh algebra starts cold.  Cached word vectors and matrices are shared
+Each PBW element is kept as (1/d(m), P~(m)): P~(m) is the product of the
+segment powers, whose coefficients are Laurent, d(m) = prod [a]! over the
+multiplicities a, and P(m) = P~(m) / d(m).  The pairings are summed in
+Laurent arithmetic, Phi = Phi~ / d with Phi~[m][v] = sum_w P~(m)_w (w, v),
+and divided by d(m) once per entry; G[m][n] is summed over the words of
+P~(n) and divided by d(n) once.  Every sum of products in this module
+(products of word vectors, e'_i and e*_i, the memoized word pairings, the
+tables, coordinates and `from_coords`) is one `ratfunc.dot`.
+
+Results are cached on the algebra instance: the pair (1/d(m), P~(m)) and
+P(m) by multisegment, and per content block the basis, the word pairings,
+the Gram matrix, the word-coordinate table, the e'_i, f_i-left and
+f_i-right multiplication block matrices (in the one cache of
+`operator_matrix`) and (through `_contexts`, filled by `symcrys.canonical`)
+the block's bar matrix and global bases.  A fresh algebra starts cold.  Cached word vectors and matrices are shared
 between callers, who must not mutate them.
 """
 
@@ -48,7 +57,7 @@ from .multisegment import (
     cry_sort_key,
     multisegments_of_content,
 )
-from .ratfunc import RatFunc, qfact
+from .ratfunc import RatFunc, dot, qfact
 
 
 def content_key(content):
@@ -117,6 +126,11 @@ def multiset_permutations(items):
         a[k], a[l] = a[l], a[k]
         a[k + 1:] = a[:k:-1]
         out.append(tuple(a))
+
+
+def dot_vector(pairs, window):
+    """The WordVector with coefficient dot(pairs[w]) at each word w."""
+    return WordVector({w: dot(p) for w, p in pairs.items()}, window)
 
 
 class WordVector:
@@ -221,6 +235,7 @@ class WordAlgebra:
         self._form_cache = {}
         self._eprime_word = {}
         self._pbw_seg = {}
+        self._pbw_tilde = {}
         self._pbw = {}
         self._pairings = {}
         self._gram = {}
@@ -261,16 +276,11 @@ class WordAlgebra:
     def mul(self, x, y):
         if x.window != self.window or y.window != self.window:
             raise ValueError("window mismatch")
-        d = {}
+        pairs = {}
         for w1, c1 in x.terms.items():
             for w2, c2 in y.terms.items():
-                w = w1 + w2
-                s = d.get(w, RatFunc.zero()) + c1 * c2
-                if s.is_zero():
-                    d.pop(w, None)
-                else:
-                    d[w] = s
-        return WordVector(d, self.window)
+                pairs.setdefault(w1 + w2, []).append((c1, c2))
+        return dot_vector(pairs, self.window)
 
     def ad_t(self, i, x):
         """Conjugation by t_i: a word of content beta is scaled by q^{-(alpha_i, beta)}."""
@@ -303,26 +313,23 @@ class WordAlgebra:
 
     def eprime(self, i, x):
         """The left derivation e'_i."""
-        out = self.zero()
+        pairs = {}
         for w, c in x.terms.items():
-            out = out + self._eprime_on_word(i, w).scale(c)
-        return out
+            for rest, t in self._eprime_on_word(i, w).terms.items():
+                pairs.setdefault(rest, []).append((c, t))
+        return dot_vector(pairs, self.window)
 
     def estar(self, i, x):
         """The right derivation e*_i."""
-        d = {}
+        pairs = {}
         for w, c in x.terms.items():
             twist = 0
             for p in range(len(w) - 1, -1, -1):
                 if w[p] == i:
                     rest = w[:p] + w[p + 1:]
-                    s = d.get(rest, RatFunc.zero()) + c * RatFunc.q_power(twist)
-                    if s.is_zero():
-                        d.pop(rest, None)
-                    else:
-                        d[rest] = s
+                    pairs.setdefault(rest, []).append((c, RatFunc.q_power(twist)))
                 twist -= cartan(i, w[p])
-        return WordVector(d, self.window)
+        return dot_vector(pairs, self.window)
 
     # -- the bilinear form --------------------------------------------------
 
@@ -336,15 +343,15 @@ class WordAlgebra:
         if hit is not None:
             return hit
         i, rest = w[0], w[1:]
-        acc = RatFunc.zero()
-        for v2, c in self._eprime_on_word(i, v).terms.items():
-            acc = acc + c * self._form_words(rest, v2)
-        self._form_cache[key] = acc
+        acc = self._form_cache[key] = dot([
+            (c, self._form_words(rest, v2))
+            for v2, c in self._eprime_on_word(i, v).terms.items()
+        ])
         return acc
 
     def form(self, x, y):
         """The bilinear form with (1,1)=1 and (f_i a, b) = (a, e'_i b)."""
-        acc = RatFunc.zero()
+        pairs = []
         by_content = y.homogeneous_parts()
         for xc, xpart in x.homogeneous_parts().items():
             ypart = by_content.get(xc)
@@ -354,8 +361,8 @@ class WordAlgebra:
                 for v, c2 in ypart.terms.items():
                     f = self._form_words(w, v)
                     if not f.is_zero():
-                        acc = acc + c1 * c2 * f
-        return acc
+                        pairs.append((c1 * c2, f))
+        return dot(pairs)
 
     def words_of_content(self, content):
         key = content_key(content)
@@ -396,20 +403,32 @@ class WordAlgebra:
         self._pbw_seg[key] = vec
         return vec
 
+    def _pbw_parts(self, m):
+        """(1/d(m), P~(m)) with P(m) = P~(m) / d(m): P~(m) is the ordered
+        product of the segment powers, PBW-descending, whose coefficients are
+        Laurent, and d(m) is the product of [a]! over the multiplicities a."""
+        hit = self._pbw_tilde.get(m)
+        if hit is None:
+            out = self.one()
+            d = RatFunc(1)
+            for seg in m.segments_desc_pbw():
+                mult = m.entries[seg]
+                piece = self.pbw_segment(seg.i, seg.j)
+                for _ in range(mult):
+                    out = self.mul(out, piece)
+                d = d * RatFunc(qfact(mult))
+            hit = self._pbw_tilde[m] = (RatFunc(1) / d, out)
+        return hit
+
     def pbw_element(self, m):
-        """P(m): ordered product of divided segment powers, PBW-descending."""
+        """P(m): ordered product of divided segment powers, PBW-descending,
+        read as P~(m) (1/d(m))."""
         hit = self._pbw.get(m)
-        if hit is not None:
-            return hit
-        out = self.one()
-        for seg in m.segments_desc_pbw():
-            mult = m.entries[seg]
-            piece = self.pbw_segment(seg.i, seg.j)
-            for _ in range(mult):
-                out = self.mul(out, piece)
-            out = out.scale(RatFunc(1) / RatFunc(qfact(mult)))
-        self._pbw[m] = out
-        return out
+        if hit is None:
+            inv_d, tilde = self._pbw_parts(m)
+            # 1/d(m) is Laurent only when d(m) = 1: then P(m) is P~(m) itself.
+            hit = self._pbw[m] = tilde if inv_d.in_A() else tilde.scale(inv_d)
+        return hit
 
     def basis_of_content(self, content):
         """Multisegments of the content, ordered descending in the crystal order."""
@@ -423,24 +442,24 @@ class WordAlgebra:
 
     def _word_pairings(self, key):
         """Phi of the content block: each word v -> the column ((P(m), v))_m,
-        with (P(m), v) = sum_w P(m)_w (w, v)."""
+        with (P(m), v) = (1/d(m)) sum_w P~(m)_w (w, v): the sum is Laurent
+        and is divided by d(m) once."""
         hit = self._pairings.get(key)
         if hit is None:
             words = self.words_of_content(key)
-            basis = self.basis_of_content(key)
-            hit = {v: [RatFunc.zero()] * len(basis) for v in words}
-            for r, m in enumerate(basis):
-                for w, c in self.pbw_element(m).terms.items():
-                    for v in words:
-                        f = self._form_words(w, v)
-                        if f:
-                            hit[v][r] = hit[v][r] + c * f
+            hit = {v: [] for v in words}
+            form = self._form_words
+            for m in self.basis_of_content(key):
+                inv_d, tilde = self._pbw_parts(m)
+                terms = tilde.terms.items()
+                for v in words:
+                    hit[v].append(dot([(c, form(w, v)) for w, c in terms]) * inv_d)
             self._pairings[key] = hit
         return hit
 
     def gram_matrix(self, content):
         """(P(m), P(n)) over the content block, in the crystal-ordered basis:
-        G[m][n] = sum over the words v of P(n) of P(n)_v (P(m), v)."""
+        G[m][n] = (1/d(n)) sum over the words v of P~(n) of P~(n)_v (P(m), v)."""
         key = content_key(content)
         hit = self._gram.get(key)
         if hit is None:
@@ -448,12 +467,11 @@ class WordAlgebra:
             phi = self._word_pairings(key)
             cols = []
             for n in basis:
-                col = [RatFunc.zero()] * len(basis)
-                for v, c in self.pbw_element(n).terms.items():
-                    for m, p in enumerate(phi[v]):
-                        if p:
-                            col[m] = col[m] + c * p
-                cols.append(col)
+                inv_d, tilde = self._pbw_parts(n)
+                terms = [(c, phi[v]) for v, c in tilde.terms.items()]
+                cols.append([
+                    dot([(c, p[m]) for c, p in terms]) * inv_d for m in range(len(basis))
+                ])
             hit = self._gram[key] = [list(row) for row in zip(*cols)]
         return hit
 
@@ -476,7 +494,7 @@ class WordAlgebra:
             for v, col in self._word_pairings(key).items():
                 entries = hit[v] = []
                 for m, row in enumerate(rows):
-                    d = sum((x * col[c] for c, x in row if col[c]), RatFunc.zero())
+                    d = dot([(x, col[c]) for c, x in row])
                     if d:
                         entries.append((m, d))
             self._word_coords[key] = hit
@@ -499,17 +517,18 @@ class WordAlgebra:
         zero."""
         key = content_key(content)
         table = self._word_table(key)
-        out = [RatFunc.zero()] * len(self.basis_of_content(key))
+        pairs = [[] for _ in self.basis_of_content(key)]
         for v, c in x.terms.items():
             for m, d in table.get(v, ()):
-                out[m] = out[m] + c * d
-        return out
+                pairs[m].append((c, d))
+        return [dot(p) for p in pairs]
 
     def from_coords(self, coords):
-        out = self.zero()
+        pairs = {}
         for m, c in coords.items():
-            out = out + self.pbw_element(m).scale(c)
-        return out
+            for w, p in self.pbw_element(m).terms.items():
+                pairs.setdefault(w, []).append((c, p))
+        return dot_vector(pairs, self.window)
 
     # -- block matrices of e'_i and of left and right multiplication by f_i -------
 

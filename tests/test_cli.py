@@ -231,6 +231,28 @@ def test_exit_code_follows_the_error(capsys, monkeypatch, error, code, message):
     assert run(capsys, "coords", "[1,3]") == (code, "", message)
 
 
+def test_debug_adds_the_traceback_of_an_internal_error(capsys, monkeypatch):
+    """`--debug` prints the traceback of an exit-3 error before its message
+    line; without it the output is that line alone."""
+    def broken(window):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "WordAlgebra", broken)
+    message = "internal error: KeyError: 'boom'\n"
+    assert run(capsys, "coords", "[1,3]") == (3, "", message)
+    code, out, err = run(capsys, "--debug", "coords", "[1,3]")
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in err and "KeyError: 'boom'\n" in err
+    assert err.endswith("\n" + message)
+    # the flag changes nothing on a failed check, a usage error or a success
+    monkeypatch.setattr(cli, "WordAlgebra", lambda window: 1 / 0)
+    assert run(capsys, "--debug", "coords", "[1,3]") == run(capsys, "coords", "[1,3]")
+    monkeypatch.undo()
+    for argv in (["coords", "[1,9]"], ["expand", '[{"i":1,"j":3,"mult":2}]']):
+        assert run(capsys, "--debug", *argv) == run(capsys, *argv)
+
+
 def test_verify_gram_follows_the_mode(capsys):
     counts = {}
     for mode in ("typeA", "theta"):

@@ -280,3 +280,96 @@ def test_cheap_routes_never_take_a_gcd(monkeypatch):
             again += [p + x, x - p]
     for got, (want, _) in zip(again, expected, strict=True):
         assert_structurally_equal(got, want)
+
+
+# -- the fused sum of products ------------------------------------------------------
+
+def generic_poly_mul(a, b):
+    """The product of two LaurentPolys by the general double loop."""
+    d = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            d[e1 + e2] = d.get(e1 + e2, 0) + Fraction(c1) * Fraction(c2)
+    return LaurentPoly(d)
+
+
+def generic_dot(pairs):
+    """sum(x * y) over the pairs, each step through the generic constructor."""
+    acc = RatFunc(0)
+    for x, y in pairs:
+        prod = RatFunc(generic_poly_mul(x.num, y.num), generic_poly_mul(x.den, y.den))
+        acc = RatFunc(
+            generic_poly_mul(acc.num, prod.den) + generic_poly_mul(prod.num, acc.den),
+            generic_poly_mul(acc.den, prod.den),
+        )
+    return acc
+
+
+laurent_factors = st.one_of(
+    st.sampled_from([LaurentPoly(), LaurentPoly.one(), LaurentPoly.const(-1)]),
+    monomials,
+    polys(),
+)
+dot_factors = st.one_of(
+    laurent_factors.map(RatFunc),
+    st.builds(RatFunc, nonzero_polys, nonzero_polys).filter(lambda x: not x.in_A()),
+)
+
+
+@given(laurent_factors, laurent_factors)
+@settings(max_examples=200, deadline=None)
+def test_laurent_products_match_the_double_loop(a, b):
+    for got in (a * b, b * a):
+        assert got.coeffs == generic_poly_mul(a, b).coeffs
+        assert stored_exactly(got)
+
+
+@given(st.lists(st.tuples(dot_factors, dot_factors), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_dot_is_the_generic_sum_of_products(pairs):
+    assert_structurally_equal(ratfunc.dot(pairs), generic_dot(pairs))
+    assert_structurally_equal(ratfunc.dot(iter(pairs)), generic_dot(pairs))
+
+
+@pytest.mark.parametrize("pairs, want", [
+    ([], "0"),
+    ([("q", "1 + q"), ("-q - q^2", "1")], "0"),
+    ([("q/(1 + q^2)", "1 + q"), ("q + q^2", "-1/(1 + q^2)")], "0"),
+    ([("(1/2)*q", "2"), ("3", "(1/3)*q^-1")], "q + q^-1"),
+    ([("1 + q", "q"), ("q/(1 + q^2)", "1 - q"), ("0", "1/(2 - q)"), ("q^-1", "q^2 + 1/2")],
+     "(q^4 + 2*q^3 + (7/2)*q + (1/2)*q^-1)/(q^2 + 1)"),
+])
+def test_dot_frozen_cases(pairs, want):
+    pairs = [(parse_ratfunc(x), parse_ratfunc(y)) for x, y in pairs]
+    got = ratfunc.dot(pairs)
+    assert_structurally_equal(got, parse_ratfunc(want))
+    assert_structurally_equal(got, generic_dot(pairs))
+
+
+def test_zero_and_one_factors_hand_back_an_operand():
+    p = LaurentPoly({-1: 2, 3: Fraction(1, 2)})
+    assert p * LaurentPoly.one() is p and LaurentPoly.one() * p is p
+    assert (p * LaurentPoly()).is_zero() and (LaurentPoly() * p).is_zero()
+    assert (p * LaurentPoly({2: 1})).coeffs == {1: 2, 5: Fraction(1, 2)}
+    assert (LaurentPoly({1: 4}) * p).coeffs == {0: 8, 4: 2}
+    x = parse_ratfunc("(1 + q)/(2 - q^3)")
+    one, zero = RatFunc(1), RatFunc(0)
+    assert x * one is x and one * x is x
+    assert x * zero is zero and zero * x is zero
+
+
+def test_dot_over_laurent_pairs_never_normalises(monkeypatch):
+    pairs = [(parse_ratfunc(x), parse_ratfunc(y)) for x, y in [
+        ("1", "q + q^-1"), ("-1", "q"), ("0", "q^3"), ("(1/2)*q^2", "2 - 4*q"),
+        ("q^-1 + 3", "(1/3)*q - 1"), ("2*q^4", "0"),
+    ]]
+    want = generic_dot(pairs)
+
+    def refuse(*args):
+        raise AssertionError("a Laurent sum of products was normalised")
+
+    monkeypatch.setattr(RatFunc, "__init__", refuse)
+    monkeypatch.setattr(ratfunc, "poly_gcd", refuse)
+    got = ratfunc.dot(pairs)
+    monkeypatch.undo()
+    assert_structurally_equal(got, want)

@@ -279,3 +279,101 @@ def test_rmul_matrix_is_right_multiplication(alg):
                 want = alg.pbw_coords(alg.mul(alg.pbw_element(m), alg.f(i)))
                 tgt = alg.basis_of_content({**content, i: content.get(i, 0) + 1})
                 assert {b: row[n] for b, row in zip(tgt, mat) if row[n]} == want
+
+
+# -- the word layer against the loops it fused --------------------------------------
+#
+# Private copies of the word layer as it was before its sums of products went
+# through `ratfunc.dot` and before the PBW denominators d(m) were factored out:
+# each sum is added one RatFunc product at a time, and P(m) is built with
+# its divided powers applied segment by segment.
+
+def _ref_mul(x, y):
+    d = {}
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            w = w1 + w2
+            s = d.get(w, RatFunc.zero()) + c1 * c2
+            if s.is_zero():
+                d.pop(w, None)
+            else:
+                d[w] = s
+    return wordalg.WordVector(d, x.window)
+
+
+def _ref_pbw_element(alg, m):
+    out = alg.one()
+    for seg in m.segments_desc_pbw():
+        mult = m.entries[seg]
+        piece = alg.pbw_segment(seg.i, seg.j)
+        for _ in range(mult):
+            out = _ref_mul(out, piece)
+        out = out.scale(RatFunc(1) / RatFunc(qfact(mult)))
+    return out
+
+
+def _ref_form_words(alg, w, v, memo):
+    if not w:
+        return RatFunc(1)
+    key = (w, v)
+    if key not in memo:
+        acc = RatFunc.zero()
+        for v2, c in alg._eprime_on_word(w[0], v).terms.items():
+            acc = acc + c * _ref_form_words(alg, w[1:], v2, memo)
+        memo[key] = acc
+    return memo[key]
+
+
+def _ref_word_pairings(alg, key, pbw, memo):
+    words = alg.words_of_content(key)
+    basis = alg.basis_of_content(key)
+    phi = {v: [RatFunc.zero()] * len(basis) for v in words}
+    for r, m in enumerate(basis):
+        for w, c in pbw[m].terms.items():
+            for v in words:
+                f = _ref_form_words(alg, w, v, memo)
+                if f:
+                    phi[v][r] = phi[v][r] + c * f
+    return phi
+
+
+def _ref_gram(alg, key, pbw, phi):
+    basis = alg.basis_of_content(key)
+    cols = []
+    for n in basis:
+        col = [RatFunc.zero()] * len(basis)
+        for v, c in pbw[n].terms.items():
+            for m, p in enumerate(phi[v]):
+                if p:
+                    col[m] = col[m] + c * p
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def _ref_word_coords(gram, phi):
+    rows = [[(c, x) for c, x in enumerate(row) if x]
+            for row in linalg.inverse_rows(gram, len(gram))]
+    table = {}
+    for v, col in phi.items():
+        table[v] = [
+            sum((x * col[c] for c, x in row if col[c]), RatFunc.zero()) for row in rows
+        ]
+    return table
+
+
+def test_word_layer_matches_the_unfused_loops():
+    fresh = WordAlgebra(WIN)
+    memo = {}
+    blocks = fresh.block_keys(4)
+    assert len(blocks) == 69
+    for key in blocks:
+        basis = fresh.basis_of_content(key)
+        pbw = {m: _ref_pbw_element(fresh, m) for m in basis}
+        for m in basis:
+            assert fresh.pbw_element(m) == pbw[m], m
+        phi = _ref_word_pairings(fresh, key, pbw, memo)
+        assert fresh._word_pairings(key) == phi, key
+        gram = _ref_gram(fresh, key, pbw, phi)
+        assert fresh.gram_matrix(key) == gram, key
+        for v, coords in _ref_word_coords(gram, phi).items():
+            assert fresh.coord_vector(fresh.f(*v), key) == coords, (key, v)
