@@ -27,7 +27,7 @@ from .multisegment import Multisegment, cry_sort_key, ftilde as a_ftilde
 from .ratfunc import RatFunc
 from .theta import crystal_F
 from .thetamodule import ThetaModule
-from .verify import CRYSTAL_SUITES, SUITES, UsageError, require_symmetric
+from .verify import CRYSTAL_SUITES, FIXED_MODES, SUITES, UsageError, require_symmetric
 from .wordalg import WordAlgebra
 
 
@@ -320,13 +320,13 @@ def cmd_verify(args):
         window = parse_window(args.window)
     else:
         window = algebra_window(args.window, "typeA")
+    for name in names:  # before any suite prints its line
+        if FIXED_MODES.get(name, args.mode) == "theta":
+            require_symmetric(window, f"suite {name}")
     bad = 0
     spaces = {}  # one algebra and one module, shared by every suite of the run
     for name in names:
-        fn = SUITES.get(name)
-        if fn is None:
-            raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        checked, fails = fn(args.mode, window, args.max_degree, spaces)
+        checked, fails = SUITES[name](args.mode, window, args.max_degree, spaces)
         status = "PASS" if not fails else "FAIL"
         print(f"{name}: {status} ({checked} identities checked)")
         if fails:

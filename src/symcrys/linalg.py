@@ -194,11 +194,11 @@ def inverse_rows(matrix, k):
 
 
 def nullspace(matrix, ncols=None):
-    """Basis of the right kernel of A, as RatFunc vectors."""
-    if not matrix:
-        return []
+    """Basis of the right kernel of A, as RatFunc vectors: one per free
+    column of its echelon form, 1 there and 0 at the other free columns.
+    A matrix with no rows has the whole space of `ncols` columns as kernel."""
     if ncols is None:
-        ncols = len(matrix[0])
+        ncols = len(matrix[0]) if matrix else 0
     rows, pivots = echelon_form(matrix, ncols)
     pivot_cols = {col: prow for prow, col in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]

@@ -11,15 +11,15 @@ direct sum of the type-A content blocks of its genuine contents:
 - the ideal is spanned by the columns of R_k - R_{-k} over the PBW bases of
   the sub-fibre contents, with R_k the type-A block matrix of right
   multiplication by f_k (`WordAlgebra.rmul_matrix`): one generator per
-  multisegment, echelonized to a basis.
+  multisegment.
 
-The module caches per block the matrix whose columns are the P_theta columns
-followed by the ideal basis, and the rows of its inverse that read off the
-P_theta coordinates, stored after the exact check that they invert it; the
-fibre vector of a class is read through the type-A word-coordinate tables,
-so class membership and canonical coordinates are one matrix-vector
-product.  `ideal_generators` keeps the word-level generators
-w (f_k - f_{-k}) for tests.
+A block's coordinate rows are the kernel vectors of its ideal rows, each
+divided by s(m), found in one elimination with the theta positions as the
+last (free) columns and stored after the exact check that they give [I | 0]
+on [P_theta columns | ideal rows].  A class's fibre vector is read through
+the type-A word-coordinate tables, so class membership and canonical
+coordinates are one matrix-vector product.  `ideal_generators` keeps the
+word-level generators w (f_k - f_{-k}) for tests.
 `ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
 with E_i/F_i as lowering/raising operators, whose block matrices
 `wordalg.operator_matrix` builds and caches, and its modified root
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .linalg import RatFunc, echelon_form, inverse_rows, mat_vec
+from .linalg import RatFunc, identity, mat_vec, nullspace
 from .multisegment import cartan, cry_sort_key
 from .ratfunc import dot, qfact, qint
 from .theta import theta_of_symmetrized_content
@@ -263,6 +263,8 @@ class ThetaModule:
         return rows
 
     def block(self, sym_key):
+        """The fibre `offsets`, `dim`, `theta_basis` and checked `coord_rows`
+        of a symmetrized content; ArithmeticError if P_theta is no basis."""
         hit = self._blocks.get(sym_key)
         if hit is not None:
             return hit
@@ -278,28 +280,26 @@ class ThetaModule:
             reverse=True,
         )
         block["theta_basis"] = theta_basis
-        ptheta_cols = []
+        theta_cols = []
         for m in theta_basis:
             ck = content_key(m.content())
-            col = [RatFunc.zero()] * dim
-            col[offsets[ck] + self.alg.basis_of_content(ck).index(m)] = theta_scale(m)
-            ptheta_cols.append(col)
+            theta_cols.append(offsets[ck] + self.alg.basis_of_content(ck).index(m))
+        order = [c for c in range(dim) if c not in theta_cols] + theta_cols
         gen_rows = self._ideal_rows(sym_key, block)
-        if gen_rows:
-            rows, pivots = echelon_form(gen_rows, ncols=dim)
-            ideal_basis = [
-                [RatFunc(p) for p in rows[prow]] for prow, _ in pivots
-            ]
-        else:
-            ideal_basis = []
-        if len(theta_basis) + len(ideal_basis) != dim:
+        kernel = nullspace([[row[c] for c in order] for row in gen_rows], dim)
+        rows = [
+            [x * inv for _, x in sorted(zip(order, v))]  # back in fibre order
+            for v, inv in zip(kernel, [RatFunc(1) / theta_scale(m) for m in theta_basis])
+        ]
+        t = len(theta_basis)
+        if [v[dim - t:] for v in kernel] != identity(t) or any(
+            x for row in rows for x in mat_vec(gen_rows, row)
+        ):
             raise ArithmeticError(
-                f"block {dict(sym_key)}: {len(theta_basis)} theta multisegments + "
-                f"ideal rank {len(ideal_basis)} != quotient ambient dim {dim}"
+                f"block {dict(sym_key)}: {t} theta multisegments are not a basis "
+                f"of the quotient (ideal rank {dim - len(kernel)}, ambient dim {dim})"
             )
-        cols = ptheta_cols + ideal_basis
-        block["matrix"] = [[cols[c][r] for c in range(dim)] for r in range(dim)]
-        block["coord_rows"] = inverse_rows(block["matrix"], len(theta_basis))
+        block["coord_rows"] = rows
         self._blocks[sym_key] = block
         return block
 

@@ -55,11 +55,9 @@ class UsageError(Exception):
     """Bad arguments or malformed input; the CLI exits with code 2."""
 
 
-def require_symmetric(window):
+def require_symmetric(window, who="theta mode"):
     if set(window) != {-i for i in window}:
-        raise UsageError(
-            f"theta mode needs a negation-symmetric window, got {list(window)}"
-        )
+        raise UsageError(f"{who} needs a negation-symmetric window, got {list(window)}")
     return window
 
 
@@ -339,3 +337,5 @@ SUITES = {
 
 # suites that never build an algebra, and so accept any window
 CRYSTAL_SUITES = {"crystal-axioms", "oracle-cross-check"}
+# suites that ignore the mode, with the one they run in
+FIXED_MODES = {"serre": "typeA", "theta-dims": "theta"}

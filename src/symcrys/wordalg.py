@@ -338,14 +338,14 @@ class WordAlgebra:
             return RatFunc.zero()
         if not w:
             return RatFunc(1)
-        key = (w, v)
+        key = (w, v) if w <= v else (v, w)  # the form is symmetric
         hit = self._form_cache.get(key)
         if hit is not None:
             return hit
-        i, rest = w[0], w[1:]
+        w, v = key
         acc = self._form_cache[key] = dot([
-            (c, self._form_words(rest, v2))
-            for v2, c in self._eprime_on_word(i, v).terms.items()
+            (c, self._form_words(w[1:], v2))
+            for v2, c in self._eprime_on_word(w[0], v).terms.items()
         ])
         return acc
 

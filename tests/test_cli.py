@@ -145,6 +145,11 @@ def test_verify_pass(capsys):
     )
     assert code == 0
     assert "serre: PASS" in out
+    # serre runs in type A whatever the mode, so it takes any window
+    code, out, _ = run(
+        capsys, "verify", "--suite", "serre", "--mode", "theta", "--window", "1,3",
+    )
+    assert (code, out) == (0, "serre: PASS (2 identities checked)\n")
 
 
 def test_verify_small_crystal_suite(capsys):
@@ -210,6 +215,12 @@ def test_out_of_window_segment_named(capsys):
     # a content map names each index once
     (["bar-matrix", '{"1":1,"01":1}'], "index 1 is given more than once"),
     (["bar-matrix", '{"1":1,"1":2}'], "index 1 is given more than once"),
+    # a suite that needs a symmetric window is named before any suite runs
+    (["verify", "--mode", "typeA", "--window", "1"], "suite theta-dims needs"),
+    (["verify", "--mode", "theta", "--window", "1,3"], "suite bar-triangular needs"),
+    (["verify", "--suite", "theta-dims", "--mode", "typeA", "--window", "1,3"],
+     "suite theta-dims needs"),
+    (["verify", "--suite", "crystal-axioms", "--window", "1,5"], "suite crystal-axioms needs"),
 ])
 def test_malformed_requests_exit_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)

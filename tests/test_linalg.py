@@ -155,6 +155,9 @@ def test_nullspace():
     v = basis[0]
     assert mat_vec(A, v) == [RatFunc.zero(), RatFunc.zero()]
     assert any(not x.is_zero() for x in v)
+    # with no rows the kernel is the whole space of `ncols` columns
+    assert nullspace([], ncols=2) == identity(2)
+    assert nullspace([]) == []
 
 
 def test_solve_rect_consistent_and_not():

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from symcrys import linalg
-from symcrys.linalg import rank, solve_vector
+from symcrys import linalg, thetamodule
+from symcrys.linalg import echelon_form, mat_vec, rank, solve_vector
 from symcrys.multisegment import Multisegment, Segment
 from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact, qint
 from symcrys.theta import crystal_E, crystal_F, enumerate_theta
 from symcrys.thetamodule import ThetaClassVector, ThetaModule, theta_scale
+from symcrys.verify import suite_theta_dims
 from symcrys.wordalg import content_key
 
 WIN = (-3, -1, 1, 3)
@@ -264,9 +265,29 @@ def test_A_integrality_of_word_coordinates(mod):
 
 # -- the stored coordinate rows against the per-vector block solve ---------------
 
+def word_ideal_basis(mod, key):
+    """A basis of the block's ideal from the word generators w (f_k - f_{-k}):
+    the echelon rows of their fibre vectors, read through the type-A
+    word-coordinate tables."""
+    block = mod.block(key)
+    words = [mod._fiber_vector(g, block) for g in mod.ideal_generators(key)]
+    rows, pivots = echelon_form(words, ncols=block["dim"])
+    return [[RatFunc(p) for p in rows[prow]] for prow, _ in pivots]
+
+
+def reference_matrix(mod, key):
+    """The block's basis-change matrix [P_theta columns | ideal basis], with
+    the fibre vectors of the P_theta(m) phi and the word-generator ideal."""
+    block = mod.block(key)
+    cols = [mod._fiber_vector(mod.ptheta_vector(m).rep, block)
+            for m in block["theta_basis"]]
+    return [list(row) for row in zip(*(cols + word_ideal_basis(mod, key)))]
+
+
 def reference_coords(mod, v, key):
     """The per-vector route: the fibre vector of v from Gram solves on each
-    content of the fibre, then the theta part of the block matrix's solve."""
+    content of the fibre, then the theta part of the solve against the
+    reference basis-change matrix."""
     block = mod.block(key)
     fibre = [RatFunc.zero()] * block["dim"]
     for ck, part in v.rep.homogeneous_parts().items():
@@ -275,7 +296,7 @@ def reference_coords(mod, v, key):
                for m in mod.alg.basis_of_content(content)]
         col = solve_vector(mod.alg.gram_matrix(content), rhs)
         fibre[block["offsets"][ck]:block["offsets"][ck] + len(col)] = col
-    return solve_vector(block["matrix"], fibre)[: len(block["theta_basis"])]
+    return solve_vector(reference_matrix(mod, key), fibre)[: len(block["theta_basis"])]
 
 
 def ideal_elements(mod, key):
@@ -300,18 +321,62 @@ def test_coord_vector_matches_the_block_solve(mod):
 
 
 def test_pbw_ideal_spans_the_word_generators(mod):
-    """The ideal basis of each block, built from R_k - R_{-k} in PBW
-    coordinates, spans the fibre vectors of the word generators
-    w (f_k - f_{-k}): equal ranks, and no generator raises the rank."""
+    """The ideal rows of each block, the columns of R_k - R_{-k} in PBW
+    coordinates, span the fibre vectors of the word generators
+    w (f_k - f_{-k}): equal ranks, and no generator raises the rank.  The
+    stored coordinate rows kill both."""
     blocks = mod.block_keys(4)
     assert len(blocks) == 14
     for key in blocks:
         block = mod.block(key)
         k = len(block["theta_basis"])
-        ideal = [[row[c] for row in block["matrix"]] for c in range(k, block["dim"])]
-        words = [mod._fiber_vector(g, block) for g in mod.ideal_generators(key)]
-        assert rank(words) == len(ideal) == block["dim"] - k, key
-        assert rank(ideal + words) == len(ideal), key
+        ideal = mod._ideal_rows(key, block)
+        words = word_ideal_basis(mod, key)
+        assert rank(ideal) == len(words) == block["dim"] - k, key
+        assert rank(ideal + words) == len(words), key
+        for row in block["coord_rows"]:
+            assert not any(mat_vec(ideal + words, row)), key
+
+
+def test_cold_theta_blocks_make_no_solve(monkeypatch):
+    """A block's one elimination is the ideal's kernel: no basis-change
+    matrix is stored or solved."""
+    def no_solve(*args):
+        raise AssertionError("linalg.solve called")
+
+    monkeypatch.setattr(linalg, "solve", no_solve)
+    fresh = ThetaModule(WIN)
+    blocks = [()] + fresh.block_keys(4)
+    for key in blocks:
+        assert set(fresh.block(key)) == {"offsets", "dim", "theta_basis", "coord_rows"}
+    assert len(fresh._blocks) == len(blocks)
+
+
+@pytest.mark.parametrize("wrong", ["dropped", "swapped"])
+def test_block_check_fires_on_a_wrong_theta_basis(monkeypatch, wrong):
+    """Drop a theta multisegment of the block {1: 2}, or swap <-1,1> for
+    <-1> + <1>, whose class is (q + q^-1) P_theta(2<1>) phi: either way the
+    P_theta no longer form a basis, and a cold block raises naming the
+    block, which the theta-dims suite reports as a FAIL."""
+    real = thetamodule.theta_of_symmetrized_content
+    key = content_key({1: 2})
+
+    def patched(window, sym):
+        msegs = list(real(window, sym))
+        if content_key(sym) == key:
+            at = msegs.index(M((-1, 1, 1)))
+            if wrong == "dropped":
+                del msegs[at]
+            else:
+                msegs[at] = M((-1, -1, 1), (1, 1, 1))
+        return msegs
+
+    monkeypatch.setattr(thetamodule, "theta_of_symmetrized_content", patched)
+    with pytest.raises(ArithmeticError, match=r"^block \{1: 2\}: "):
+        ThetaModule(WIN).block(key)
+    checked, fails = suite_theta_dims("theta", WIN, 2)
+    assert checked == len(ThetaModule(WIN).block_keys(2)) - 1
+    assert len(fails) == 1 and fails[0].startswith("block {1: 2}: "), fails
 
 
 def test_is_zero_class_matches_the_block_solve(mod):

@@ -377,3 +377,20 @@ def test_word_layer_matches_the_unfused_loops():
         assert fresh.gram_matrix(key) == gram, key
         for v, coords in _ref_word_coords(gram, phi).items():
             assert fresh.coord_vector(fresh.f(*v), key) == coords, (key, v)
+
+
+def test_word_pairings_are_memoized_once_per_unordered_pair():
+    """The one-sided recursion gives (w, v) = (v, w) on every pair of words of
+    a content, and `_form_words` matches it while keeping one memo entry for
+    both orders."""
+    fresh = WordAlgebra(WIN)
+    memo = {}
+    for key in fresh.block_keys(4):
+        words = fresh.words_of_content(key)
+        for w in words:
+            for v in words:
+                f = _ref_form_words(fresh, w, v, memo)
+                assert f == _ref_form_words(fresh, v, w, memo), (w, v)
+                assert fresh._form_words(w, v) == f, (w, v)
+    assert fresh._form_cache
+    assert all(w <= v for w, v in fresh._form_cache)
