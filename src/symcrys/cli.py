@@ -94,36 +94,30 @@ def mseg_label(m, compact):
 # ---------------------------------------------------------------------------
 
 def build_graph(mode, window, max_degree):
+    """The crystal graph from the empty multisegment up to max_degree, by
+    breadth-first search.  Each F adds one letter, so a search level is a
+    degree; nodes are ordered by (degree, decreasing crystal order)."""
     if mode == "theta":
         require_symmetric(window)
         F = crystal_F
     else:
-        F = lambda i, m: a_ftilde(i, m)
-    start = Multisegment.empty()
-    nodes = {start}
-    frontier = [start]
+        F = a_ftilde
+    levels = [[Multisegment.empty()]]  # levels[d]: the nodes of degree d
+    nodes = set(levels[0])
     edges = set()
-    while frontier:
+    while len(levels) <= max_degree and levels[-1]:
         nxt = []
-        for m in frontier:
-            if m.degree() >= max_degree:
-                continue
+        for m in levels[-1]:
             for i in window:
                 m2 = F(i, m)
-                if m2.degree() > max_degree:
-                    continue
                 edges.add((m, m2, i))
                 if m2 not in nodes:
                     nodes.add(m2)
                     nxt.append(m2)
-        frontier = nxt
-    order = sorted(nodes, key=cry_sort_key, reverse=True)
-    order = sorted(order, key=lambda m: m.degree())
+        levels.append(nxt)
+    order = [m for level in levels for m in sorted(level, key=cry_sort_key, reverse=True)]
     index = {m: k for k, m in enumerate(order)}
-    edge_list = sorted(
-        ((index[a], index[b], i) for a, b, i in edges),
-        key=lambda e: (e[0], e[1], e[2]),
-    )
+    edge_list = sorted((index[a], index[b], i) for a, b, i in edges)
     return order, edge_list
 
 

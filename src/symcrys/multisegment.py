@@ -3,7 +3,9 @@
 Indices are odd integers.  The crystal operators come in two independent
 implementations: the closed formulas (epsilon / etilde / ftilde) and the
 plus-minus signature algorithm (signature_ops); they must agree everywhere
-and the test suite cross-checks them exhaustively.
+and the test suite cross-checks them exhaustively.  The two routes share no
+helper: the closed formulas edit the entries through `_edited`, the signature
+route through `swap`/`add`/`remove`.
 
 Segments are interned per process: `Segment(i, j)` validates a pair the first
 time it is made and afterwards returns that same immutable instance, so
@@ -11,6 +13,9 @@ segments compare by identity and carry a stored hash.  A multisegment's hash
 is computed on first use.  Results of `add`/`remove`, the enumerators and the
 crystal operators are built from segments already known to be valid and are
 not re-validated; the public `Multisegment(...)` constructor checks its input.
+A closed-formula result is one copy of the input's entries, edited in place
+with the interned segments.  Content enumeration searches only the segments
+that fit the content.
 """
 
 from __future__ import annotations
@@ -289,21 +294,25 @@ def _A_extremes(i, m):
     the support of m.  eps = max(0, max_k A_k), and k_e / k_f are the largest
     and smallest k with A_k = eps.  One pass over the segments collects the
     differences; a suffix sum from the top of the support accumulates them.
+    With no segment starting at i or i+2 every A_k is 0: (0, i+2, i).
     """
     top = i
+    i2 = i + 2
     diff = {}
     for seg, n in m.entries.items():
         a = seg.i
         if a == i:
             k = seg.j
             diff[k] = diff.get(k, 0) + n
-        elif a == i + 2:
+        elif a == i2:
             k = seg.j - 2
             diff[k] = diff.get(k, 0) - n
         else:
             continue
         if k > top:
             top = k
+    if not diff:
+        return 0, i2, i
     eps = acc = 0
     k_e = k_f = top + 2
     for k in range(top, i - 1, -2):
@@ -315,26 +324,45 @@ def _A_extremes(i, m):
     return eps, k_e, k_f
 
 
+def _edited(m, old, new):
+    """m with one copy of the segment <old> taken out, then one copy of <new>
+    put in, on one copy of the entries; `old` and `new` are (i, j) pairs or
+    None.  The entries keep the order that remove(old) then add(new) gives.
+    Taking out an absent segment raises ValueError."""
+    d = dict(m.entries)
+    if old is not None:
+        seg = _SEGMENTS.get(old)
+        c = d.get(seg, 0) - 1
+        if c < 0:
+            raise ValueError(f"removing absent segment {Segment(*old)}")
+        if c:
+            d[seg] = c
+        else:
+            del d[seg]
+    if new is not None:
+        seg = _SEGMENTS.get(new) or Segment(*new)
+        d[seg] = d.get(seg, 0) + 1
+    return Multisegment._trusted(d)
+
+
 def epsilon(i, m):
     """epsilon_i(m) = max(0, max_k A_k^{(i)}(m))."""
     return _A_extremes(i, m)[0]
 
 
 def etilde(i, m):
-    """The modified root operator, or None when epsilon_i(m) = 0."""
+    """The modified root operator, or None when epsilon_i(m) = 0:
+    <i,k_e> becomes <i+2,k_e>, or is dropped when k_e = i."""
     eps, k_e, _ = _A_extremes(i, m)
     if eps == 0:
         return None
-    if k_e == i:
-        return m.remove(Segment(i, i))
-    return m.swap(Segment(i, k_e), Segment(i + 2, k_e))
+    return _edited(m, (i, k_e), (i + 2, k_e) if k_e != i else None)
 
 
 def ftilde(i, m):
+    """<i+2,k_f> becomes <i,k_f>, or <i> is added when k_f = i."""
     _, _, k_f = _A_extremes(i, m)
-    if k_f == i:
-        return m.add(Segment(i, i))
-    return m.swap(Segment(i + 2, k_f), Segment(i, k_f))
+    return _edited(m, (i + 2, k_f) if k_f != i else None, (i, k_f))
 
 
 # ---------------------------------------------------------------------------
@@ -392,15 +420,15 @@ def signature_ops(i, m):
 
 def window_segments(window):
     """All segments whose index set lies inside the window, each once (a
-    repeated window index adds nothing)."""
+    repeated window index adds nothing), ordered by (i, j).  From each letter
+    i the walk runs up through the consecutive window letters j = i, i+2, ..."""
     members = set(window)
-    win = sorted(members)
     out = []
-    for a in range(len(win)):
-        for b in range(a, len(win)):
-            i, j = win[a], win[b]
-            if all(k in members for k in range(i, j + 1, 2)):
-                out.append(Segment(i, j))
+    for i in sorted(members):
+        j = i
+        while j in members:
+            out.append(Segment(i, j))
+            j += 2
     return out
 
 
@@ -434,29 +462,36 @@ def of_weighted_content(segs, weights, content):
     letters one copy of segs[t] puts there.  The result is the sublist of
     enumerate_multisegments(..., segments=segs) with that content, in the
     same order (the multiplicity of segs[0] most significant, each
-    ascending).  Each multiplicity is bounded by the content still to be
-    filled, and a key must be filled exactly once the last segment touching
-    it has been chosen.  A negative count, or a key no segment touches, gives [].
+    ascending).  Only the segments that fit the content, every weight at most
+    the count needed there, can appear, so the search runs over those alone.
+    Each multiplicity is bounded by the content still to be filled, and a key
+    must be filled exactly once the last segment touching it has been chosen.
+    A negative count, or a key no fitting segment touches, gives [].
     """
     need = {k: v for k, v in content.items() if v}
+    if any(v < 0 for v in need.values()):
+        return []
+    fit = [(seg, w) for seg, w in zip(segs, weights)
+           if all(need.get(key, 0) >= c for key, c in w.items())]
     last = {}
-    for t, w in enumerate(weights):
+    for t, (_, w) in enumerate(fit):
         for key in w:
             last[key] = t
-    if any(v < 0 or key not in last for key, v in need.items()):
+    if any(key not in last for key in need):
         return []
-    closes = [[] for _ in segs]
+    closes = [[] for _ in fit]
     for key, t in last.items():
         closes[t].append(key)
-    remaining = {key: need.get(key, 0) for key in last}
+    remaining = dict(need)
     out = []
     acc = {}
 
     def rec(t):
-        if t == len(segs):
+        if t == len(fit):
             out.append(Multisegment._trusted(dict(acc)))
             return
-        seg, w, done = segs[t], weights[t].items(), closes[t]
+        (seg, w), done = fit[t], closes[t]
+        w = w.items()
         top = min(remaining[key] // c for key, c in w)
         for n in range(top + 1):
             if n:

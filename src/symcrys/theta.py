@@ -5,6 +5,12 @@ A multisegment is theta-restricted when every segment <i,j> satisfies
 index -k follow the four-case closed formulas; the plus-minus signature
 algorithm is implemented independently as an oracle.  Operators at positive
 index k are the ordinary type-A ones.
+
+The closed formulas read (eps, n_e, n_f) off one pass over the segments and
+apply their case's edit to one copy of the entries (`multisegment._edited`).
+The signature route sorts the segments it reads, tagged in one pass, into
+the scanning order and edits through `swap`/`add`/`remove`; the two routes
+share no helper.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from collections import Counter
 
 from .multisegment import (
     Segment,
+    _edited,
     enumerate_multisegments,
     epsilon as a_epsilon,
     etilde as a_etilde,
@@ -45,12 +52,15 @@ def symmetrized_content(m):
 # closed formulas (Def-style route)
 # ---------------------------------------------------------------------------
 
-def _theta_A_values(k, m):
-    """The values A_ell at index -k, keyed in selection order, largest first:
-    top, ..., k+2, k, -k+2, -k+4, ..., k-2.
+def _theta_extremes(k, m):
+    """(eps, n_e, n_f) for the values A_ell at index -k, taken in selection
+    order, largest first: top, ..., k+2, k, -k+2, -k+4, ..., k-2.
 
-    One pass over the segments collects what each part of the formula needs;
-    running sums then give the values.
+    eps = max(0, max A_ell), and n_e / n_f are the first and the last ell of
+    that order with A_ell = eps.  One pass over the segments collects what
+    each part of the formula needs; running sums then give the values, each
+    compared as it is made.  The first value, at ell = top beyond the
+    support, is 0.
     """
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"index must be positive odd, got {k}")
@@ -85,65 +95,62 @@ def _theta_A_values(k, m):
             step[a - 2] = step.get(a - 2, 0) + n
         elif b == k - 2:
             step[a] = step.get(a, 0) - n
-    vals = {}
+    eps, n_e, n_f = 0, top, top
     acc = 0
-    for ell in range(top, k, -2):
+    for ell in range(top - 2, k, -2):
         acc += diff.get(ell, 0)
-        vals[ell] = acc
+        if acc > eps:
+            eps, n_e, n_f = acc, ell, ell
+        elif acc == eps:
+            n_f = ell
     head = tail + 2 * center
-    vals[k] = head + odd % 2
-    run = head - 2 * dbl
-    for j in range(lo2, k - 1, 2):
-        run += step.get(j, 0)
-        vals[j] = run
-    return vals
+    acc = head + odd % 2
+    if acc > eps:
+        eps, n_e, n_f = acc, k, k
+    elif acc == eps:
+        n_f = k
+    acc = head - 2 * dbl
+    for ell in range(lo2, k - 1, 2):
+        acc += step.get(ell, 0)
+        if acc > eps:
+            eps, n_e, n_f = acc, ell, ell
+        elif acc == eps:
+            n_f = ell
+    return eps, n_e, n_f
 
 
 def theta_epsilon(k, m):
     """epsilon_{-k}(m) for k > 0, clamped at 0."""
-    vals = _theta_A_values(k, m)
-    return max(0, max(vals.values()))
+    return _theta_extremes(k, m)[0]
 
 
 def theta_Ftilde(k, m):
     """The operator at index -k (always defined)."""
-    vals = _theta_A_values(k, m)
-    eps = max(0, max(vals.values()))
-    n_f = next(ell for ell in reversed(vals) if vals[ell] == eps)
+    _, _, n_f = _theta_extremes(k, m)
     if n_f > k:
-        out = m.swap(Segment(-k + 2, n_f), Segment(-k, n_f))
+        out = _edited(m, (-k + 2, n_f), (-k, n_f))
     elif n_f == k and m.mult(-k + 2, k) % 2 == 1:
-        out = m.swap(Segment(-k + 2, k), Segment(-k, k))
+        out = _edited(m, (-k + 2, k), (-k, k))
     elif n_f == k:
-        out = m.add(Segment(-k + 2, k))
-        if k != 1:
-            out = out.remove(Segment(-k + 2, k - 2))
+        out = _edited(m, (-k + 2, k - 2) if k != 1 else None, (-k + 2, k))
     else:
-        out = m.add(Segment(n_f + 2, k))
-        if n_f != k - 2:
-            out = out.remove(Segment(n_f + 2, k - 2))
+        out = _edited(m, (n_f + 2, k - 2) if n_f != k - 2 else None, (n_f + 2, k))
     return check_theta_restricted(out)
 
 
 def theta_Etilde(k, m):
     """The operator at index -k; None when epsilon_{-k}(m) = 0."""
-    vals = _theta_A_values(k, m)
-    eps = max(0, max(vals.values()))
+    eps, n_e, _ = _theta_extremes(k, m)
     if eps == 0:
         return None
-    n_e = next(ell for ell, v in vals.items() if v == eps)
     if n_e > k:
-        out = m.swap(Segment(-k, n_e), Segment(-k + 2, n_e))
+        out = _edited(m, (-k, n_e), (-k + 2, n_e))
     elif n_e == k and m.mult(-k + 2, k) % 2 == 0:
-        out = m.swap(Segment(-k, k), Segment(-k + 2, k))
+        out = _edited(m, (-k, k), (-k + 2, k))
     elif n_e == k:
-        out = m.remove(Segment(-k + 2, k))
-        if k != 1:
-            out = out.add(Segment(-k + 2, k - 2))
+        out = _edited(m, (-k + 2, k), (-k + 2, k - 2) if k != 1 else None)
     else:
-        out = m.remove(Segment(n_e + 2, k))
-        if n_e != k - 2:
-            out = out.add(Segment(n_e + 2, k - 2))
+        out = _edited(m, (n_e + 2, k), (n_e + 2, k - 2) if n_e != k - 2 else None)
     return check_theta_restricted(out)
 
 
@@ -153,32 +160,42 @@ def theta_Etilde(k, m):
 
 def _theta_signature(k, m):
     """The reduced sign sequence -...- +...+ as two lists of runs
-    [segment, copies], minus and plus, each left to right."""
-    top = k
-    for seg in m.entries:
-        top = max(top, seg.j)
-    mult = m.mult
-    seq = []  # (sign, i, j, copies) in scanning order
+    [segment, copies], minus and plus, each left to right.
 
-    for j in range(top, k, -2):
-        seq.append(("-", -k, j, mult(-k, j)))
-        seq.append(("+", -k + 2, j, mult(-k + 2, j)))
-    seq.append(("-", -k, k, 2 * mult(-k, k)))
-    if mult(-k + 2, k) % 2 == 1:
-        seq.append(("-", -k + 2, k, 1))
-        seq.append(("+", -k + 2, k, 1))
-    if k > 1:
-        seq.append(("+", -k + 2, k - 2, 2 * mult(-k + 2, k - 2)))
-    for i in range(-k + 4, k + 1, 2):
-        seq.append(("-", i, k, mult(i, k)))
-        if i <= k - 2:
-            seq.append(("+", i, k - 2, mult(i, k - 2)))
+    The scan reads, left to right: for each j > k from the top down, <-k,j>
+    (sign -) and <-k+2,j> (+); then <-k,k> twice (-); one -+ pair for an
+    odd count of <-k+2,k>; <-k+2,k-2> twice (+); then for each i from -k+4
+    up, <i,k> (-) and <i,k-2> (+).  One pass over m's segments tags each
+    one with its place (part, position, sign: 0 for -, 1 for +) and its
+    copies; sorting the tags gives the scan.
+    """
+    lo, lo2 = -k, 2 - k
+    seq = []
+    for seg, n in m.entries.items():
+        a, b = seg.i, seg.j
+        if a == lo:
+            if b > k:
+                seq.append((0, -b, 0, seg, n))
+            elif b == k:
+                seq.append((1, 0, 0, seg, 2 * n))
+        elif a == lo2:
+            if b > k:
+                seq.append((0, -b, 1, seg, n))
+            elif b == k:
+                if n % 2:
+                    seq += [(1, 1, 0, seg, 1), (1, 1, 1, seg, 1)]
+            elif b == k - 2:
+                seq.append((1, 2, 1, seg, 2 * n))
+        elif a > lo2:
+            if b == k:
+                seq.append((2, a, 0, seg, n))
+            elif b == k - 2:
+                seq.append((2, a, 1, seg, n))
+    seq.sort()
     minus, plus = [], []
-    for sign, i, j, n in seq:
-        if not n:
-            continue
-        if sign == "+":
-            plus.append([Segment(i, j), n])
+    for _, _, sign, seg, n in seq:
+        if sign:
+            plus.append([seg, n])
             continue
         while n and plus:
             run = plus[-1]
@@ -188,7 +205,7 @@ def _theta_signature(k, m):
             if not run[1]:
                 plus.pop()
         if n:
-            minus.append([Segment(i, j), n])
+            minus.append([seg, n])
     return minus, plus
 
 

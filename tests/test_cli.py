@@ -5,6 +5,7 @@ import pytest
 
 from symcrys import cli
 from symcrys.cli import build_parser, main
+from symcrys.multisegment import Multisegment, cry_sort_key
 
 
 def run(capsys, *argv):
@@ -90,6 +91,55 @@ def test_graph_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def reference_build_graph(mode, window, max_degree):
+    """The crystal graph by a breadth-first search that reads each node's
+    degree, kept as the reference for `cli.build_graph`."""
+    if mode == "theta":
+        cli.require_symmetric(window)
+        F = cli.crystal_F
+    else:
+        F = cli.a_ftilde
+    start = Multisegment.empty()
+    nodes = {start}
+    frontier = [start]
+    edges = set()
+    while frontier:
+        nxt = []
+        for m in frontier:
+            if m.degree() >= max_degree:
+                continue
+            for i in window:
+                m2 = F(i, m)
+                if m2.degree() > max_degree:
+                    continue
+                edges.add((m, m2, i))
+                if m2 not in nodes:
+                    nodes.add(m2)
+                    nxt.append(m2)
+        frontier = nxt
+    order = sorted(nodes, key=cry_sort_key, reverse=True)
+    order = sorted(order, key=lambda m: m.degree())
+    index = {m: k for k, m in enumerate(order)}
+    edge_list = sorted(((index[a], index[b], i) for a, b, i in edges),
+                       key=lambda e: (e[0], e[1], e[2]))
+    return order, edge_list
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+@pytest.mark.parametrize("mode, window, degree", [
+    ("typeA", "-5,-3,-1,1,3,5", 3), ("typeA", "1,5,7", 3), ("typeA", "1", 0),
+    ("theta", "-5,-3,-1,1,3,5", 4), ("theta", "-1,1", 6), ("theta", "-3,3", 2),
+])
+def test_graph_by_levels_prints_what_the_degree_search_prints(
+        capsys, monkeypatch, mode, window, degree, fmt):
+    argv = ("crystal-graph", "--mode", mode, "--window=" + window,
+            "--max-degree", str(degree), "--format", fmt)
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_graph", reference_build_graph)
+    assert got == run(capsys, *argv)
+    assert got[0] == 0 and got[1]
 
 
 # -- expand / coords ---------------------------------------------------------

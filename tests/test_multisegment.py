@@ -240,6 +240,35 @@ def test_repeated_window_indices_add_nothing():
         M((1, 3, 1)), M((1, 1, 1), (3, 3, 1))]
 
 
+def brute_window_segments(window):
+    """Every <i,j> with both ends and all letters between them in the window,
+    ordered by (i, j)."""
+    members = set(window)
+    return [Segment(i, j) for i in sorted(members) for j in sorted(members)
+            if i <= j and all(k in members for k in range(i, j + 1, 2))]
+
+
+@pytest.mark.parametrize("window", [
+    (), (1,), (5, -3, 1, -1, 3), (7, 1, 3, -5, 11, -3, 9), (1, 1, 3, 3, 1),
+    (-5, -3, 1, 3, 7), (13, 1, 5, 9), (3, -1, 3, 1, -1, 7, 9, 9),
+])
+def test_window_segments_matches_the_brute_force_reference(window):
+    assert window_segments(window) == brute_window_segments(window)
+
+
+GAPPED = (-5, -3, 1, 3, 7)
+
+
+def test_of_content_on_a_gapped_window():
+    found = 0
+    for content in contents_up_to(GAPPED, 4):
+        got, want = multisegments_of_content(GAPPED, content), filtered_of_content(GAPPED, content)
+        assert got == want, content
+        assert [list(m.entries) for m in got] == [list(m.entries) for m in want]
+        found += len(got)
+    assert found == len(enumerate_multisegments(GAPPED, 4))
+
+
 def test_of_content_leaves_its_input_and_later_calls_intact():
     content = {-1: 2, 1: 3, 3: 1}
     before = dict(content)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from symcrys.multisegment import enumerate_multisegments
+from symcrys.multisegment import Segment, enumerate_multisegments
 from symcrys.theta import enumerate_theta
 from symcrys.thetamodule import ThetaModule, sym_key_of_content
 from symcrys.ratfunc import RatFunc
@@ -49,6 +49,21 @@ def test_every_suite_passes_with_its_identity_count(mode):
         checked[name], fails = suite(mode, WIN, 3)
         assert fails == [], name
     assert checked == COUNTS[mode]
+
+
+@pytest.mark.parametrize("mode, name", [("typeA", "a_ftilde"), ("theta", "crystal_F")])
+def test_crystal_axioms_check_E_of_F_on_top_degree_inputs(monkeypatch, mode, name):
+    """An F that is wrong only on inputs of the top degree, whose F(m) lies
+    one degree above --max-degree, makes the suite fail."""
+    real = getattr(verify, name)
+
+    def broken(i, m):
+        return m.add(Segment(abs(i), abs(i))) if m.degree() == 3 else real(i, m)
+
+    monkeypatch.setattr(verify, name, broken)
+    checked, fails = verify.suite_crystal_axioms(mode, WIN, 3)
+    assert checked == COUNTS[mode]["crystal-axioms"]
+    assert fails and all(f.startswith("E(F(m)) != m at ") for f in fails)
 
 
 def test_suites_of_one_run_share_its_space(monkeypatch):
