@@ -28,20 +28,36 @@ Returned matrices are shared and must not be mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import inverse_rows, mat_mul, mat_vec
 from .ratfunc import RatFunc, dot
 from .wordalg import content_key
 
 
-@dataclass
 class TransitionMatrix:
-    """Square matrix against the crystal-ordered multisegment basis of a block."""
+    """Square matrix against the crystal-ordered multisegment basis of a block.
 
-    label: str
-    basis: list
-    entries: list
+    A plain record: equal when the class and all three fields are equal, and
+    unhashable (defining `__eq__` sets `__hash__` to None), since `basis`
+    and `entries` are lists.
+    """
+
+    __slots__ = ("label", "basis", "entries")
+
+    def __init__(self, label, basis, entries):
+        self.label = label
+        self.basis = basis
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.basis, self.entries) == (other.label, other.basis, other.entries)
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(label={self.label!r}, "
+            f"basis={self.basis!r}, entries={self.entries!r})"
+        )
 
     def entry(self, m, n):
         r = self.basis.index(m)

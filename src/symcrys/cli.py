@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 
 from .canonical import (
     bar_matrix,
@@ -55,29 +54,49 @@ def algebra_window(text, mode):
 
 
 def mseg_from_arg(text):
+    def bad(why):
+        return UsageError(f"cannot parse multisegment {text!r}: {why}")
+
     try:
-        return Multisegment.from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as e:
-        raise UsageError(f"cannot parse multisegment {text!r}: {e}")
+        obj = json.loads(text)
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise bad(e)
+    if isinstance(obj, list):
+        for rec in obj:
+            if not isinstance(rec, dict):
+                raise bad(f"segment {json.dumps(rec)} is not a JSON object with keys i, j, mult")
+            for key in ("i", "j", "mult"):
+                if key not in rec:
+                    raise bad(f'segment {json.dumps(rec)} has no key "{key}"')
+    try:
+        return Multisegment.from_json_obj(obj)
+    except (ValueError, TypeError) as e:
+        raise bad(e)
 
 
 def content_from_arg(text):
+    def bad(why):
+        return UsageError(f"cannot parse content map {text!r}: {why}")
+
     try:
-        content = {int(k): n for k, n in json.loads(text).items()}
-    except (json.JSONDecodeError, ValueError, AttributeError) as e:
-        raise UsageError(f"cannot parse content map {text!r}: {e}")
-    keys = [int(k) for k, _ in json.loads(text, object_pairs_hook=list)]
+        obj = json.loads(text)
+    except ValueError as e:  # json.JSONDecodeError is a ValueError
+        raise bad(e)
+    if not isinstance(obj, dict):
+        raise bad("a content map must be a JSON object of index -> count")
+    keys = []
+    for key, _ in json.loads(text, object_pairs_hook=list):  # every key, repeats kept
+        try:
+            keys.append(int(key))
+        except ValueError:
+            raise bad(f"index {json.dumps(key)} is not an integer")
     for k in keys:
         if keys.count(k) > 1:  # "1" twice, or "1" and "01"
-            raise UsageError(
-                f"cannot parse content map {text!r}: index {k} is given more than once"
-            )
+            raise bad(f"index {k} is given more than once")
+    content = dict(zip(keys, obj.values()))
     for k, n in content.items():
         if type(n) is not int:  # a JSON integer; no float, string or boolean
-            raise UsageError(
-                f"cannot parse content map {text!r}: count {json.dumps(n)} of "
-                f"index {k} is not an integer"
-            )
+            raise bad(f"count {json.dumps(n)} of index {k} is not an integer")
     return content
 
 
@@ -402,6 +421,8 @@ def main(argv=None):
         return 1
     except Exception as e:
         if args.debug:
+            import traceback  # only here: a fresh process need not load it
+
             traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3

@@ -293,7 +293,21 @@ def enumerate_theta(window, max_degree):
 
 def theta_of_symmetrized_content(window, content):
     """Theta-restricted multisegments in the window of a given symmetrized
-    content, in the order of enumerate_theta."""
-    segs = theta_window_segments(window)
-    weights = [Counter(abs(k) for k in seg.indices()) for seg in segs]
+    content, in the order of enumerate_theta.
+
+    Only the segments whose letters all lie in the content get a weight map
+    (absolute letter -> copies); `of_weighted_content` would drop the others.
+    """
+    present = {k for k, n in content.items() if n}
+    segs, weights = [], []
+    for seg in theta_window_segments(window):
+        w = {}
+        for k in seg.indices():
+            k = abs(k)
+            if k not in present:
+                break
+            w[k] = w.get(k, 0) + 1
+        else:
+            segs.append(seg)
+            weights.append(w)
     return of_weighted_content(segs, weights, content)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from symcrys.canonical import (
@@ -365,3 +367,31 @@ def test_memoized_matrices_equal_fresh_ones(factory, make, letters):
         assert bar_matrix(ctx).entries == bar_matrix(fresh).entries
         assert global_lower(ctx).entries == global_lower(fresh).entries
         assert global_upper(ctx).entries == global_upper(fresh).entries
+
+
+def test_transition_matrix_keeps_the_dataclass_contract():
+    """TransitionMatrix is a plain slotted class.  It behaves as the
+    three-field dataclass it was: equal by class and fields, unhashable, with
+    the dataclass repr."""
+    Reference = dataclasses.make_dataclass("TransitionMatrix", ["label", "basis", "entries"])
+    m, n = Multisegment({Segment(1, 1): 1}), Multisegment({Segment(3, 3): 1})
+    args = ("A(1)", [m, n], [[RatFunc(1), RatFunc(0)], [parse_ratfunc("q"), RatFunc(1)]])
+    tm = TransitionMatrix(*args)
+    assert repr(tm) == repr(Reference(*args))
+    assert tm == TransitionMatrix(label=args[0], basis=list(args[1]), entries=args[2])
+    assert not tm != TransitionMatrix(*args)
+    assert tm != TransitionMatrix("A(3)", *args[1:])
+    assert tm != TransitionMatrix(args[0], args[1], [[RatFunc(1), RatFunc(0)], [RatFunc(0), RatFunc(1)]])
+    assert tm != args and args != tm
+    assert tm != Reference(*args)
+    with pytest.raises(TypeError):
+        hash(tm)
+    assert not hasattr(tm, "__dict__")
+    with pytest.raises(AttributeError):
+        tm.note = "x"
+    assert (tm.entry(n, m), tm.size()) == (parse_ratfunc("q"), 2)
+    assert tm.to_json_obj() == {
+        "label": "A(1)",
+        "basis": [m.to_json_obj(), n.to_json_obj()],
+        "entries": [["1", "0"], ["q", "1"]],
+    }

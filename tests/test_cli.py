@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -279,6 +282,29 @@ def test_malformed_requests_exit_2(capsys, argv, named):
     assert err.startswith("usage error:") and named in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bar-matrix", "[]"],
+     "cannot parse content map '[]': a content map must be a JSON object of index -> count"),
+    (["bar-matrix", '{"a":1}'],
+     """cannot parse content map '{"a":1}': index "a" is not an integer"""),
+    (["expand", "[1]"],
+     "cannot parse multisegment '[1]': segment 1 is not a JSON object with keys i, j, mult"),
+    (["expand", '[{"i":1,"j":1}]'],
+     'cannot parse multisegment \'[{"i":1,"j":1}]\': segment {"i": 1, "j": 1} has no key "mult"'),
+])
+def test_malformed_json_is_named_not_reported_from_python(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_multisegment_parser_keeps_its_exception_types():
+    """The CLI names a bad record before `Multisegment.from_json_obj` sees it;
+    the parser itself raises what it raised before."""
+    with pytest.raises(TypeError):
+        Multisegment.from_json_obj([1])
+    with pytest.raises(KeyError):
+        Multisegment.from_json_obj([{"i": 1, "j": 1}])
+
+
 @pytest.mark.parametrize("error,code,message", [
     (KeyError("boom"), 3, "internal error: KeyError: 'boom'\n"),
     (ArithmeticError("boom"), 1, "error: boom\n"),
@@ -375,3 +401,32 @@ def test_one_parser_serves_requests_across_usage_errors(capsys):
         assert exc.value.code == 2
         capsys.readouterr()
     assert run(capsys, *argv) == before
+
+
+# -- start-up ----------------------------------------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+RARE_MODULES = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "linecache",
+    "traceback", "textwrap", "typing",
+}
+
+
+def _modules_loaded_by(code):
+    """The names in sys.modules after `code` runs in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules, sep='\\n')"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(done.stdout.split())
+
+
+def test_import_loads_no_rarely_used_stdlib_module():
+    """A symcrys process loads `traceback` only to print one, and no module
+    of the dataclasses/inspect family.  The comparison is with a bare
+    interpreter, whose own start-up (site hooks included) may load any."""
+    bare = _modules_loaded_by("pass")
+    loaded = _modules_loaded_by("import symcrys.cli")
+    assert "symcrys.cli" in loaded
+    assert sorted((loaded - bare) & RARE_MODULES) == []

@@ -174,6 +174,14 @@ def test_of_symmetrized_content_matches_the_filtered_enumeration():
             assert [list(m.entries) for m in got] == [list(m.entries) for m in want]
 
 
+@pytest.mark.parametrize("content", [{1: 2, 3: 0}, {3: 1, 1: 1}, {5: 1, 1: 2, 7: 0}])
+def test_of_symmetrized_content_ignores_zero_counts_and_key_order(content):
+    got = theta_of_symmetrized_content(WIN5, content)
+    want = filtered_of_symmetrized_content(WIN5, content)
+    assert got == want != []
+    assert [list(m.entries) for m in got] == [list(m.entries) for m in want]
+
+
 @pytest.mark.parametrize("content", [
     {7: 1}, {1: 1, 7: 1}, {-1: 1}, {-1: 1, 1: 1}, {2: 1}, {1: -1}, {1: 3, 3: -1},
 ])
