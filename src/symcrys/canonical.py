@@ -21,8 +21,10 @@ proves, and `lower_inverse` keeps the checked inverse of C, so
 `multiplicity_polys` reads both of its routes through stored inverses and
 inverts each matrix at most once.  The PBW Gram matrix G is diagonal, so C
 is unitriangular and G C lower triangular, and `linalg.inverse_rows`
-inverts both by substitution, with no elimination.  `multiplicity_polys` is
-not memoized, so its direct/adjoint cross-check runs on every call.
+inverts both by forward substitution.  It refuses a matrix that is not
+lower triangular, so a Gram matrix that is not diagonal fails the duality
+check of `global_upper`.  `multiplicity_polys` is not memoized, so its
+direct/adjoint cross-check runs on every call.
 Returned matrices are shared and must not be mutated.
 """
 
@@ -212,13 +214,12 @@ def global_upper(ctx, lower=None):
     C = lower if lower is not None else global_lower(ctx)
     G = ctx.gram()
     GC = mat_mul(G, C.entries)
-    n = len(GC)
     # U^T, since U^T (G C) = I is the duality; inverse_rows checks it exactly
     try:
-        UT = inverse_rows(GC, n)
+        UT = inverse_rows(GC)
     except ArithmeticError as e:
         raise ArithmeticError(f"{ctx.label}: upper/lower duality failed") from e
-    U = [[UT[c][r] for c in range(n)] for r in range(n)]
+    U = [list(row) for row in zip(*UT)]
     result = TransitionMatrix(ctx.label, C.basis, U)
     if lower is None:
         ctx.upper = result
@@ -231,7 +232,7 @@ def lower_inverse(ctx):
     C^{-1} C = I."""
     if ctx.lower_inv is None:
         C = global_lower(ctx).entries
-        ctx.lower_inv = inverse_rows(C, len(C))
+        ctx.lower_inv = inverse_rows(C)
     return ctx.lower_inv
 
 
@@ -246,7 +247,7 @@ def balanced_split(ctx, coords, lower=None):
     if lower is None or lower is ctx.lower:
         inv = lower_inverse(ctx)
     else:
-        inv = inverse_rows(lower.entries, len(lower.entries))
+        inv = inverse_rows(lower.entries)
     g = mat_vec(inv, coords)
     pos, neg = [], []
     for a in g:

@@ -5,10 +5,12 @@ fraction-free (cross-multiplication of Laurent-polynomial rows, with the row
 content divided out after each step), so no rational normalization happens in
 the inner loop.  Back substitution returns RatFunc entries.
 
-`inverse_rows` reads the shape of its matrix: the rows of the inverse of a
-lower or upper triangular matrix (a diagonal one included) come from forward
-or back substitution, which multiplies only nonzero entries, and any other
-matrix is eliminated.  Both paths end with the same exact check.
+`inverse_rows` inverts only lower triangular matrices (a diagonal one
+included), by forward substitution, which multiplies only nonzero entries;
+every inverse the global bases take is of that shape (a diagonal Gram
+matrix G, a unitriangular C, a lower triangular G C).  It refuses any other
+matrix, and returns its rows only after an exact check.  The theta blocks
+read their coordinate rows off one elimination (`nullspace`).
 
 Every sum of products (matrix products, substitution steps) is one call of
 `ratfunc.dot`, which adds the Laurent products in one coefficient dict.
@@ -149,46 +151,34 @@ def inverse(matrix):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _triangular_inverse_rows(matrix, k, lower):
-    """The first k rows of the inverse of a triangular matrix, by substitution.
+def inverse_rows(matrix):
+    """The rows R of the inverse of a lower triangular matrix A (a diagonal
+    one included), as lists, by forward substitution.
 
-    Row i of A^{-1} solves x A = e_i and is zero outside the columns <= i
-    (A lower) or >= i (A upper); its entries are filled from the diagonal
-    outwards, x_j = -(sum over the filled l of x_l A_lj) / A_jj."""
+    Row i of A^{-1} solves x A = e_i and is zero outside the columns <= i;
+    its entries are filled from the diagonal leftwards,
+    x_j = -(sum over the filled l of x_l A_lj) / A_jj.  R is returned only
+    after checking exactly that R A = I.  Raises ArithmeticError when A has
+    a nonzero entry above its diagonal or the check fails, and
+    SingularMatrixError when its diagonal has a zero."""
     n = len(matrix)
+    if any(matrix[r][c] for r in range(n) for c in range(r + 1, n)):
+        raise ArithmeticError("matrix is not lower triangular")
     diag = [matrix[j][j] for j in range(n)]
     if not all(diag):
         raise SingularMatrixError("triangular matrix has a zero on its diagonal")
     rows = []
-    for i in range(k):
+    for i in range(n):
         x = [RatFunc.zero()] * n
         x[i] = RatFunc(1) / diag[i]
         filled = [i]
-        for j in (range(i - 1, -1, -1) if lower else range(i + 1, n)):
+        for j in range(i - 1, -1, -1):
             acc = dot([(x[l], matrix[l][j]) for l in filled])
             if acc:
                 x[j] = -acc / diag[j]
                 filled.append(j)
         rows.append(x)
-    return rows
-
-
-def inverse_rows(matrix, k):
-    """The first k rows R of the inverse of a square matrix A, as lists.
-
-    A lower or upper triangular A (a diagonal one included) is inverted by
-    substitution; any other A by solving A^T X = [e_1 ... e_k] (the columns
-    of X are the rows of A^{-1}).  R is returned only after checking exactly
-    that R A = [I_k | 0].  Raises SingularMatrixError when A is singular,
-    ArithmeticError when the check fails."""
-    n = len(matrix)
-    units = identity(n)[:k]
-    lower = all(not matrix[r][c] for r in range(n) for c in range(r + 1, n))
-    if lower or all(not matrix[r][c] for r in range(n) for c in range(r)):
-        rows = _triangular_inverse_rows(matrix, k, lower)
-    else:
-        rows = solve([list(col) for col in zip(*matrix)], units)
-    if mat_mul(rows, matrix) != units:
+    if mat_mul(rows, matrix) != identity(n):
         raise ArithmeticError("inverse rows do not invert the matrix")
     return rows
 

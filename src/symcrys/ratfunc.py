@@ -194,18 +194,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a LaurentPoly; use RatFunc")
-        out = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c):
         c = _exact(c)
         if not c:
@@ -517,10 +505,6 @@ class RatFunc:
     @staticmethod
     def zero():
         return _laurent(_ZERO)
-
-    @staticmethod
-    def one():
-        return _laurent(_ONE)
 
     @staticmethod
     def q_power(n):

@@ -295,19 +295,25 @@ def theta_of_symmetrized_content(window, content):
     """Theta-restricted multisegments in the window of a given symmetrized
     content, in the order of enumerate_theta.
 
-    Only the segments whose letters all lie in the content get a weight map
-    (absolute letter -> copies); `of_weighted_content` would drop the others.
+    Only the segments whose letters all lie in the content are built, each
+    with its weight map (absolute letter -> copies); `of_weighted_content`
+    would drop the others.  From each window letter i the walk runs up
+    through the window letters j = i, i+2, ... whose absolute value is in
+    the content, growing one weight map a letter at a time, and keeps the
+    theta-restricted <i,j>, j >= -i.
     """
+    members = set(window)
+    if members != {-i for i in window}:
+        raise ValueError("theta enumeration needs a negation-symmetric window")
     present = {k for k, n in content.items() if n}
     segs, weights = [], []
-    for seg in theta_window_segments(window):
+    for i in sorted(members):
         w = {}
-        for k in seg.indices():
-            k = abs(k)
-            if k not in present:
-                break
-            w[k] = w.get(k, 0) + 1
-        else:
-            segs.append(seg)
-            weights.append(w)
+        j = i
+        while j in members and abs(j) in present:
+            w[abs(j)] = w.get(abs(j), 0) + 1
+            if j >= -i:
+                segs.append(Segment(i, j))
+                weights.append(dict(w))
+            j += 2
     return of_weighted_content(segs, weights, content)

@@ -5,14 +5,15 @@ in U_q^- (i.e. modulo the Serre ideal) is mediated by the boson-adjoint
 bilinear form, which is nondegenerate on the quotient: a homogeneous word vector is
 zero in U_q^- iff it pairs to zero with every word of its content.
 
-PBW coordinates are read through a word-coordinate table, built once per
-content c on first use.  The pairings Phi[m][v] = (P(m), v) of the PBW
-elements with every word v of c are sums of the memoized word pairings
-(w, v) over the words w of P(m).  The Gram matrix is
-G[m][n] = sum_v P(n)_v Phi[m][v], the rows R of G^{-1} are kept only after
-the exact check R G = I, and each word's coordinate column D_c[v] = R Phi[:, v]
-is stored as its nonzero entries.  The coordinates of a vector x of c are
-then the sparse sum sum_v x_v D_c[v] over x's words.
+PBW coordinates are read through one record per content c, built on first
+use: the Gram matrix G and the word-coordinate table D_c.  The build sums
+the pairings Phi[m][v] = (P(m), v) of the PBW elements with every word v of
+c from the memoized word pairings (w, v) over the words w of P(m), forms
+G[m][n] = sum_v P(n)_v Phi[m][v], takes the rows R of G^{-1} (by
+substitution: G is diagonal) only after the exact check R G = I, and stores
+each word's coordinate column D_c[v] = R Phi[:, v] as its nonzero entries;
+Phi itself is dropped.  The coordinates of a vector x of c are then the
+sparse sum sum_v x_v D_c[v] over x's words.
 
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
 graded-block protocol as their own methods (`basis_of_content`,
@@ -36,12 +37,12 @@ P~(n) and divided by d(n) once.  Every sum of products in this module
 tables, coordinates and `from_coords`) is one `ratfunc.dot`.
 
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)) and
-P(m) by multisegment, and per content block the basis, the word pairings,
-the Gram matrix, the word-coordinate table, the e'_i, f_i-left and
-f_i-right multiplication block matrices (in the one cache of
-`operator_matrix`) and (through `_contexts`, filled by `symcrys.canonical`)
-the block's bar matrix and global bases.  A fresh algebra starts cold.  Cached word vectors and matrices are shared
-between callers, who must not mutate them.
+P(m) by multisegment, and per content block the basis, the record
+(G, D_c), the e'_i, f_i-left and f_i-right multiplication block matrices
+(in the one cache of `operator_matrix`) and (through `_contexts`, filled by
+`symcrys.canonical`) the block's bar matrix and global bases.  A fresh
+algebra starts cold.  Cached word vectors and matrices are shared between
+callers, who must not mutate them.
 """
 
 from __future__ import annotations
@@ -237,9 +238,7 @@ class WordAlgebra:
         self._pbw_seg = {}
         self._pbw_tilde = {}
         self._pbw = {}
-        self._pairings = {}
-        self._gram = {}
-        self._word_coords = {}
+        self._tables = {}
         self._basis = {}
         self._operator_mats = {}
         self._words = {}
@@ -440,65 +439,53 @@ class WordAlgebra:
             self._basis[key] = hit
         return hit
 
-    def _word_pairings(self, key):
-        """Phi of the content block: each word v -> the column ((P(m), v))_m,
-        with (P(m), v) = (1/d(m)) sum_w P~(m)_w (w, v): the sum is Laurent
-        and is divided by d(m) once."""
-        hit = self._pairings.get(key)
-        if hit is None:
-            words = self.words_of_content(key)
-            hit = {v: [] for v in words}
-            form = self._form_words
-            for m in self.basis_of_content(key):
-                inv_d, tilde = self._pbw_parts(m)
-                terms = tilde.terms.items()
-                for v in words:
-                    hit[v].append(dot([(c, form(w, v)) for w, c in terms]) * inv_d)
-            self._pairings[key] = hit
-        return hit
+    def _table(self, key):
+        """The record (G, D_c) of the content block, built once: the Gram
+        matrix G and the word-coordinate table D_c, each word v -> the
+        nonzero entries (m, c) of its PBW coordinate column R Phi[:, v].
 
-    def gram_matrix(self, content):
-        """(P(m), P(n)) over the content block, in the crystal-ordered basis:
-        G[m][n] = (1/d(n)) sum over the words v of P~(n) of P~(n)_v (P(m), v)."""
-        key = content_key(content)
-        hit = self._gram.get(key)
+        Phi[m][v] = (P(m), v) = (1/d(m)) sum_w P~(m)_w (w, v) is summed in
+        Laurent arithmetic and divided by d(m) once, and
+        G[m][n] = (1/d(n)) sum over the words v of P~(n) of P~(n)_v Phi[m][v].
+        R = G^{-1} is used only after the exact check R G = I, as the nonzero
+        entries of its rows, so each entry of D_c costs one product per
+        nonzero entry of its row of R (one, for the diagonal G of every
+        block).  Phi is not kept."""
+        hit = self._tables.get(key)
         if hit is None:
             basis = self.basis_of_content(key)
-            phi = self._word_pairings(key)
+            if not basis:
+                raise ValueError(f"no PBW basis vectors for content {dict(key)}")
+            words = self.words_of_content(key)
+            parts = [self._pbw_parts(m) for m in basis]
+            form = self._form_words
+            phi = {v: [] for v in words}
+            for inv_d, tilde in parts:
+                terms = tilde.terms.items()
+                for v in words:
+                    phi[v].append(dot([(c, form(w, v)) for w, c in terms]) * inv_d)
             cols = []
-            for n in basis:
-                inv_d, tilde = self._pbw_parts(n)
+            for inv_d, tilde in parts:
                 terms = [(c, phi[v]) for v, c in tilde.terms.items()]
                 cols.append([
                     dot([(c, p[m]) for c, p in terms]) * inv_d for m in range(len(basis))
                 ])
-            hit = self._gram[key] = [list(row) for row in zip(*cols)]
-        return hit
-
-    def _word_table(self, key):
-        """D_c of the content block: each word v -> the nonzero entries (m, c)
-        of its PBW coordinate column R Phi[:, v], where R = G^{-1} is used
-        only after the exact check R G = I.  R is kept as the nonzero entries
-        of its rows, so each entry of D_c costs one product per nonzero entry
-        of its row of R (one, for the diagonal G of every block)."""
-        hit = self._word_coords.get(key)
-        if hit is None:
-            gram = self.gram_matrix(key)
-            if not gram:
-                raise ValueError(f"no PBW basis vectors for content {dict(key)}")
-            rows = [
-                [(c, x) for c, x in enumerate(row) if x]
-                for row in inverse_rows(gram, len(gram))
-            ]
-            hit = {}
-            for v, col in self._word_pairings(key).items():
-                entries = hit[v] = []
+            gram = [list(row) for row in zip(*cols)]
+            rows = [[(c, x) for c, x in enumerate(row) if x] for row in inverse_rows(gram)]
+            table = {}
+            for v, col in phi.items():
+                entries = table[v] = []
                 for m, row in enumerate(rows):
                     d = dot([(x, col[c]) for c, x in row])
                     if d:
                         entries.append((m, d))
-            self._word_coords[key] = hit
+            hit = self._tables[key] = (gram, table)
         return hit
+
+    def gram_matrix(self, content):
+        """(P(m), P(n)) over the content block, in the crystal-ordered basis,
+        read from the block's record."""
+        return self._table(content_key(content))[0]
 
     def pbw_coords(self, x):
         """Coordinates of x in the PBW basis, as a Multisegment -> RatFunc map."""
@@ -516,7 +503,7 @@ class WordAlgebra:
         the block's word-coordinate table.  Words of another content pair to
         zero."""
         key = content_key(content)
-        table = self._word_table(key)
+        table = self._table(key)[1]
         pairs = [[] for _ in self.basis_of_content(key)]
         for v, c in x.terms.items():
             for m, d in table.get(v, ()):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from symcrys import cli
+from symcrys import cli, verify
 from symcrys.cli import build_parser, main
 from symcrys.multisegment import Multisegment, cry_sort_key
 
@@ -188,6 +188,8 @@ def test_multiplicity_example(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == [{"b": "0", "b_prime": "<1>", "poly": "1", "at_q1": "1"}]
+    assert run(capsys, "multiplicity", "{}", "--index", "1", "--side", "F") == (
+        0, "(0 ; <1>): 1   [q=1: 1]\n", "")
 
 
 # -- verify ------------------------------------------------------------------
@@ -203,6 +205,15 @@ def test_verify_pass(capsys):
         capsys, "verify", "--suite", "serre", "--mode", "theta", "--window", "1,3",
     )
     assert (code, out) == (0, "serre: PASS (2 identities checked)\n")
+
+
+def test_verify_failure_prints_the_first_counterexample(capsys, monkeypatch):
+    def failing(mode, window, max_degree, spaces=None):
+        return 2, ["<first>", "<second>"]
+
+    monkeypatch.setitem(verify.SUITES, "serre", failing)
+    assert run(capsys, "verify", "--suite", "serre") == (
+        1, "serre: FAIL (2 identities checked)\n  counterexample: <first>\n", "")
 
 
 def test_verify_small_crystal_suite(capsys):
@@ -274,6 +285,12 @@ def test_out_of_window_segment_named(capsys):
     (["verify", "--suite", "theta-dims", "--mode", "typeA", "--window", "1,3"],
      "suite theta-dims needs"),
     (["verify", "--suite", "crystal-axioms", "--window", "1,5"], "suite crystal-axioms needs"),
+    # unparsable options and JSON
+    (["verify", "--max-degree", "-1"], "--max-degree"),
+    (["verify", "--window", "a,b"], "cannot parse window 'a,b'"),
+    (["verify", "--window", "2"], "nonempty odd integers, got '2'"),
+    (["bar-matrix", "{1"], "cannot parse content map '{1'"),
+    (["expand", "[{"], "cannot parse multisegment '[{'"),
 ])
 def test_malformed_requests_exit_2(capsys, argv, named):
     code, out, err = run(capsys, *argv)

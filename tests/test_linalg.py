@@ -69,24 +69,6 @@ def test_inverse():
         assert is_identity(mat_mul(A, inverse(A)))
 
 
-def test_inverse_rows_are_the_leading_rows_of_the_inverse():
-    rng = random.Random(13)
-    checked = 0
-    for n in (1, 2, 3, 4):
-        for _ in range(4):
-            A = random_matrix(rng, n)
-            if rank(A) < n:
-                continue
-            full = inverse(A)
-            for k in range(n + 1):
-                assert inverse_rows(A, k) == full[:k]
-            checked += 1
-    assert checked >= 8
-    assert inverse_rows([[R("q")]], 0) == []
-    with pytest.raises(SingularMatrixError):
-        inverse_rows([[R("1"), R("q")], [R("q"), R("q^2")]], 1)
-
-
 def triangular_matrix(rng, n, shape):
     """A random nonsingular n x n matrix over Q(q) of the given shape, with
     entries off the Laurent ring (a denominator 1 + q^2 or 1 - q^4)."""
@@ -101,9 +83,7 @@ def triangular_matrix(rng, n, shape):
         for c in range(n):
             if r == c:
                 A[r][c] = RatFunc(1) if shape == "unitriangular" else entry(True)
-            elif (shape in ("lower", "unitriangular") and r > c) or (
-                shape == "upper" and r < c
-            ):
+            elif shape in ("lower", "unitriangular") and r > c:
                 A[r][c] = entry(False)
     return A
 
@@ -115,7 +95,7 @@ def counting_solve(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", ["lower", "upper", "diagonal", "unitriangular"])
+@pytest.mark.parametrize("shape", ["lower", "diagonal", "unitriangular"])
 def test_triangular_inverse_rows_by_substitution(shape, monkeypatch):
     rng = random.Random(shape)
     cases = []
@@ -125,27 +105,43 @@ def test_triangular_inverse_rows_by_substitution(shape, monkeypatch):
             cases.append((A, inverse(A)))
     calls = counting_solve(monkeypatch)
     for A, full in cases:
-        for k in range(len(A) + 1):
-            assert inverse_rows(A, k) == full[:k]
+        assert inverse_rows(A) == full
+    assert inverse_rows([]) == []
     assert calls == []
 
 
 def test_zero_on_the_diagonal_of_a_triangular_matrix_is_singular():
     for A in (
         [[R("q"), R("0")], [R("1"), R("0")]],
-        [[R("0"), R("1")], [R("0"), R("q")]],
         [[R("0"), R("0")], [R("0"), R("1/(1 + q^2)")]],
     ):
-        with pytest.raises(SingularMatrixError):
-            inverse_rows(A, 1)
+        with pytest.raises(SingularMatrixError, match="zero on its diagonal"):
+            inverse_rows(A)
 
 
-def test_a_matrix_that_is_not_triangular_is_eliminated(monkeypatch):
-    A = [[R("1"), R("q")], [R("q"), R("1/(1 + q^2)")]]
-    full = inverse(A)
+def test_a_matrix_that_is_not_lower_triangular_is_refused(monkeypatch):
+    """Upper triangular and general matrices, singular or not, an upper one
+    with a zero on its diagonal included, are all refused before any
+    elimination, with an ArithmeticError that is not a SingularMatrixError."""
+    rng = random.Random(13)
+    cases = [
+        [[R("1"), R("q")], [R("q"), R("1/(1 + q^2)")]],
+        [[R("1"), R("q")], [R("q"), R("q^2")]],
+        [[R("0"), R("1")], [R("0"), R("q")]],
+    ]
+    for n in (2, 3, 4):
+        upper = [list(col) for col in zip(*triangular_matrix(rng, n, "lower"))]
+        cases += [A for A in [upper] + [random_matrix(rng, n) for _ in range(4)]
+                  if any(A[r][c] for r in range(n) for c in range(r + 1, n))]
+    assert len(cases) >= 12
     calls = counting_solve(monkeypatch)
-    assert inverse_rows(A, 2) == full
-    assert len(calls) == 1
+    for A in cases:
+        with pytest.raises(ArithmeticError, match="not lower triangular") as err:
+            inverse_rows(A)
+        assert type(err.value) is ArithmeticError
+    assert calls == []
+    with pytest.raises(TypeError):
+        inverse_rows(identity(2), 1)  # the rows of the whole inverse, always
 
 
 def test_nullspace():

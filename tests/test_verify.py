@@ -97,7 +97,7 @@ def test_gram_suite_checks_the_closed_form_diagonal():
     key = content_key({1: 1, 3: 1})
     gram = [list(row) for row in alg.gram_matrix(dict(key))]
     gram[0][1] = RatFunc.q_power(1)
-    alg._gram[key] = gram
+    alg._tables[key] = (gram, alg._tables[key][1])
     checked, fails = suite_gram("typeA", WIN, 2, spaces)
     assert checked == 14
     assert fails == ["Gram matrix on content {1: 1, 3: 1} is not diag(N_A(m))"]
@@ -123,16 +123,56 @@ def test_theta_gram_suite_checks_the_closed_form_diagonal(monkeypatch):
 
 def test_a_singular_block_is_a_failed_check():
     """linalg.SingularMatrixError is an ArithmeticError, so a suite reports a
-    singular block matrix as a failure instead of stopping."""
+    singular block matrix as a failure instead of stopping: a Gram matrix
+    with a zero on its diagonal makes G C singular in `global_upper`."""
     spaces = {}
     alg = _space("typeA", WIN, spaces)
     key = content_key({1: 1, 3: 1})
     gram = [list(row) for row in alg.gram_matrix(dict(key))]
     gram[0][0] = RatFunc.zero()
-    alg._gram[key] = gram
+    alg._tables[key] = (gram, alg._tables[key][1])
     checked, fails = SUITES["global-basis"]("typeA", WIN, 2, spaces)
     assert checked == 13
-    assert fails == ["content {1: 1, 3: 1}: triangular matrix has a zero on its diagonal"]
+    assert fails == ["content {1: 1, 3: 1}: upper/lower duality failed"]
+
+
+def test_a_gram_matrix_that_is_not_diagonal_is_a_failed_check(monkeypatch):
+    """The word-coordinate table inverts only a lower triangular Gram matrix,
+    so a form that pairs two PBW elements of a block makes the table build
+    fail, and the gram suite reports it on that block."""
+    real = WordAlgebra._form_words
+
+    def form(self, w, v):
+        f = real(self, w, v)
+        return f + RatFunc.q_power(1) if {w, v} == {(1, 3), (3, 1)} else f
+
+    monkeypatch.setattr(WordAlgebra, "_form_words", form)
+    checked, fails = suite_gram("typeA", WIN, 2)
+    assert checked == 13
+    assert fails == ["content {1: 1, 3: 1}: matrix is not lower triangular"]
+
+
+@pytest.mark.parametrize("suite", ["bar-triangular", "global-basis"])
+def test_a_failure_in_canonical_names_its_block_once(monkeypatch, suite):
+    """`canonical` names the block in its own errors, and the suites add no
+    second label; an error from below it is labelled by the suite."""
+    real = WordAlgebra.bar_column
+    key = content_key({1: 1, 3: 1})
+
+    def bar_column(self, m, k):
+        col = real(self, m, k)
+        if k == key and m == self.basis_of_content(k)[0]:
+            col = [RatFunc(2)] + col[1:]
+        return col
+
+    monkeypatch.setattr(WordAlgebra, "bar_column", bar_column)
+    checked, fails = SUITES[suite]("typeA", WIN, 2)
+    assert checked == 13
+    assert fails == ["content {1: 1, 3: 1}: diagonal bar entry at <1,3> is 2"]
+
+    monkeypatch.setattr(WordAlgebra, "bar_column", lambda self, m, k: 1 / RatFunc.zero())
+    checked, fails = SUITES[suite]("typeA", (1,), 1)
+    assert (checked, fails) == (0, ["content {1: 1}: division by zero in Q(q)"])
 
 
 def test_a_run_builds_one_algebra_in_either_order():
