@@ -69,6 +69,31 @@ def test_inverse():
         assert is_identity(mat_mul(A, inverse(A)))
 
 
+def test_inverse_rows_are_the_leading_rows_of_the_inverse():
+    """With no row count to pass, the rows of a lower triangular matrix's
+    inverse are all its rows: random Laurent lower triangular matrices match
+    the reference `inverse` row for row, and a zero on the diagonal is
+    singular."""
+    rng = random.Random(13)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            A = random_matrix(rng, n)
+            for r in range(n):
+                A[r][r + 1:] = [RatFunc.zero()] * (n - r - 1)
+            if rank(A) < n:
+                with pytest.raises(SingularMatrixError):
+                    inverse_rows(A)
+                continue
+            full = inverse(A)
+            rows = inverse_rows(A)
+            for k in range(n + 1):
+                assert rows[:k] == full[:k]
+            checked += 1
+    assert checked >= 8
+    assert inverse_rows([[R("q")]]) == [[R("q^-1")]]
+
+
 def triangular_matrix(rng, n, shape):
     """A random nonsingular n x n matrix over Q(q) of the given shape, with
     entries off the Laurent ring (a denominator 1 + q^2 or 1 - q^4)."""
@@ -83,7 +108,9 @@ def triangular_matrix(rng, n, shape):
         for c in range(n):
             if r == c:
                 A[r][c] = RatFunc(1) if shape == "unitriangular" else entry(True)
-            elif shape in ("lower", "unitriangular") and r > c:
+            elif (shape in ("lower", "unitriangular") and r > c) or (
+                shape == "upper" and r < c
+            ):
                 A[r][c] = entry(False)
     return A
 
@@ -95,8 +122,14 @@ def counting_solve(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", ["lower", "diagonal", "unitriangular"])
+def transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+@pytest.mark.parametrize("shape", ["lower", "upper", "diagonal", "unitriangular"])
 def test_triangular_inverse_rows_by_substitution(shape, monkeypatch):
+    """An upper triangular A is inverted through its lower triangular
+    transpose, (A^-1)^T = (A^T)^-1; no shape is eliminated."""
     rng = random.Random(shape)
     cases = []
     for n in (1, 2, 3, 4, 5):
@@ -105,7 +138,10 @@ def test_triangular_inverse_rows_by_substitution(shape, monkeypatch):
             cases.append((A, inverse(A)))
     calls = counting_solve(monkeypatch)
     for A, full in cases:
-        assert inverse_rows(A) == full
+        if shape == "upper":
+            assert transpose(inverse_rows(transpose(A))) == full
+        else:
+            assert inverse_rows(A) == full
     assert inverse_rows([]) == []
     assert calls == []
 
@@ -119,6 +155,19 @@ def test_zero_on_the_diagonal_of_a_triangular_matrix_is_singular():
             inverse_rows(A)
 
 
+def test_a_matrix_that_is_not_triangular_is_eliminated(monkeypatch):
+    """Only `inverse` eliminates a matrix that is not triangular, with one
+    solve; `inverse_rows` refuses it before any elimination."""
+    A = [[R("1"), R("q")], [R("q"), R("1/(1 + q^2)")]]
+    calls = counting_solve(monkeypatch)
+    with pytest.raises(ArithmeticError, match="not lower triangular"):
+        inverse_rows(A)
+    assert calls == []
+    full = inverse(A)
+    assert len(calls) == 1
+    assert is_identity(mat_mul(full, A)) and is_identity(mat_mul(A, full))
+
+
 def test_a_matrix_that_is_not_lower_triangular_is_refused(monkeypatch):
     """Upper triangular and general matrices, singular or not, an upper one
     with a zero on its diagonal included, are all refused before any
@@ -130,7 +179,7 @@ def test_a_matrix_that_is_not_lower_triangular_is_refused(monkeypatch):
         [[R("0"), R("1")], [R("0"), R("q")]],
     ]
     for n in (2, 3, 4):
-        upper = [list(col) for col in zip(*triangular_matrix(rng, n, "lower"))]
+        upper = triangular_matrix(rng, n, "upper")
         cases += [A for A in [upper] + [random_matrix(rng, n) for _ in range(4)]
                   if any(A[r][c] for r in range(n) for c in range(r + 1, n))]
     assert len(cases) >= 12
