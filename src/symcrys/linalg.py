@@ -6,10 +6,12 @@ content divided out after each step), so no rational normalization happens in
 the inner loop.  Back substitution returns RatFunc entries.
 
 `inverse_rows` inverts only lower triangular matrices (a diagonal one
-included), by forward substitution, which multiplies only nonzero entries;
-every inverse the global bases take is of that shape (a diagonal Gram
-matrix G, a unitriangular C, a lower triangular G C).  It refuses any other
-matrix, and returns its rows only after an exact check.  The theta blocks
+included), by forward substitution over each column's nonzero entries, so
+it multiplies only nonzero factors; every inverse the global bases take is
+of that shape (a diagonal Gram matrix G, a unitriangular C, a lower
+triangular G C).  It refuses any other matrix, and returns its rows only
+after the exact check R A = I on and below the diagonal, the only entries
+where a product can be nonzero.  The theta blocks
 read their coordinate rows off one elimination (`nullspace`).
 
 Every sum of products (matrix products, substitution steps) is one call of
@@ -153,13 +155,18 @@ def inverse(matrix):
 
 def inverse_rows(matrix):
     """The rows R of the inverse of a lower triangular matrix A (a diagonal
-    one included), as lists, by forward substitution.
+    one included), as lists, by forward substitution over the nonzero
+    entries of A.
 
-    Row i of A^{-1} solves x A = e_i and is zero outside the columns <= i;
-    its entries are filled from the diagonal leftwards,
-    x_j = -(sum over the filled l of x_l A_lj) / A_jj.  R is returned only
-    after checking exactly that R A = I.  Raises ArithmeticError when A has
-    a nonzero entry above its diagonal or the check fails, and
+    The nonzero entries (l, A_lj) below the diagonal are collected once per
+    column j.  Row i of A^{-1} solves x A = e_i and is zero outside the
+    columns <= i; its entries are filled from the diagonal leftwards,
+    x_j = -(sum over the nonzero x_l of x_l A_lj) / A_jj.  R is returned
+    only after checking exactly that R A = I on and below the diagonal,
+    entry by entry from the same column lists plus the diagonal: above it
+    every product has a zero factor, as row i of R is zero right of i and A
+    is zero right of its diagonal.  Raises ArithmeticError when A has a
+    nonzero entry above its diagonal or the check fails, and
     SingularMatrixError when its diagonal has a zero."""
     n = len(matrix)
     if any(matrix[r][c] for r in range(n) for c in range(r + 1, n)):
@@ -167,19 +174,25 @@ def inverse_rows(matrix):
     diag = [matrix[j][j] for j in range(n)]
     if not all(diag):
         raise SingularMatrixError("triangular matrix has a zero on its diagonal")
+    below = [[(l, matrix[l][j]) for l in range(n - 1, j, -1) if matrix[l][j]]
+             for j in range(n)]
+    one, zero = RatFunc(1), RatFunc.zero()
     rows = []
     for i in range(n):
-        x = [RatFunc.zero()] * n
-        x[i] = RatFunc(1) / diag[i]
-        filled = [i]
+        x = [zero] * n
+        x[i] = one / diag[i]
         for j in range(i - 1, -1, -1):
-            acc = dot([(x[l], matrix[l][j]) for l in filled])
+            acc = dot([(x[l], a) for l, a in below[j] if x[l]])
             if acc:
                 x[j] = -acc / diag[j]
-                filled.append(j)
         rows.append(x)
-    if mat_mul(rows, matrix) != identity(n):
-        raise ArithmeticError("inverse rows do not invert the matrix")
+    for i, x in enumerate(rows):
+        for k in range(i + 1):
+            pairs = [(x[l], a) for l, a in below[k] if x[l]]
+            if x[k]:
+                pairs.append((x[k], diag[k]))
+            if dot(pairs) != (one if k == i else zero):
+                raise ArithmeticError("inverse rows do not invert the matrix")
     return rows
 
 

@@ -328,7 +328,11 @@ def suite_multiplicity_consistency(mode, window, max_degree, spaces=None):
                         print(f"warning: {ctx.label}: {w}", file=sys.stderr)
                     checked += 1
                 except ArithmeticError as e:
-                    fails.append(f"{ctx.label}, index {i}, side {side}: {e}")
+                    # canonical's mismatch message already names the block
+                    msg = str(e)
+                    if not msg.startswith(f"{ctx.label}, "):
+                        msg = f"{ctx.label}, index {i}, side {side}: {msg}"
+                    fails.append(msg)
     return checked, fails
 
 

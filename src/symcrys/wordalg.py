@@ -29,15 +29,20 @@ from the space's own basis vectors.
 
 Each PBW element is kept as (1/d(m), P~(m)): P~(m) is the product of the
 segment powers, whose coefficients are Laurent, d(m) = prod [a]! over the
-multiplicities a, and P(m) = P~(m) / d(m).  The pairings are summed in
+multiplicities a, and P(m) = P~(m) / d(m).  Each is built from the element
+one segment smaller, m- = m minus one copy of its PBW-smallest segment s of
+multiplicity a: P~(m) = P~(m-) <s> and 1/d(m) = (1/d(m-)) / [a], one word
+product per new element.  The pairings are summed in
 Laurent arithmetic, Phi = Phi~ / d with Phi~[m][v] = sum_w P~(m)_w (w, v),
 and divided by d(m) once per entry; G[m][n] is summed over the words of
 P~(n) and divided by d(n) once.  Every sum of products in this module
 (products of word vectors, e'_i and e*_i, the memoized word pairings, the
-tables, coordinates and `from_coords`) is one `ratfunc.dot`.
+tables, coordinates and `from_coords`) is one `ratfunc.dot`.  Block keys of
+words are read off a plain letter count.
 
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)) and
-P(m) by multisegment, and per content block the basis, the record
+P(m) by multisegment, the window's segments with their letter weights (from
+the first basis request), and per content block the basis, the record
 (G, D_c), the e'_i, f_i-left and f_i-right multiplication block matrices
 (in the one cache of `operator_matrix`) and (through `_contexts`, filled by
 `symcrys.canonical`) the block's bar matrix and global bases.  A fresh
@@ -47,7 +52,6 @@ callers, who must not mutate them.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations_with_replacement
 
 from .linalg import inverse_rows, mat_vec
@@ -56,9 +60,10 @@ from .multisegment import (
     Segment,
     cartan,
     cry_sort_key,
-    multisegments_of_content,
+    of_weighted_content,
+    window_segments,
 )
-from .ratfunc import RatFunc, dot, qfact
+from .ratfunc import RatFunc, dot, qfact, qint
 
 
 def content_key(content):
@@ -69,11 +74,20 @@ def content_key(content):
     return tuple(sorted((i, n) for i, n in content.items() if n))
 
 
+def _word_key(word):
+    """The block key of a word (any sequence of letters): its (letter, count)
+    pairs, sorted."""
+    count = {}
+    for i in word:
+        count[i] = count.get(i, 0) + 1
+    return tuple(sorted(count.items()))
+
+
 def shift_key(key, letter, step):
     """The block key with `step` more letters `letter` (fewer, for step < 0)."""
-    c = Counter(dict(key))
-    c[letter] += step
-    if c[letter] < 0:
+    c = dict(key)
+    n = c[letter] = c.get(letter, 0) + step
+    if n < 0:
         raise ValueError(f"content {dict(key)} has no letter {letter}")
     return content_key(c)
 
@@ -81,7 +95,7 @@ def shift_key(key, letter, step):
 def contents_up_to(letters, max_degree):
     """The content keys over `letters` of degree 1..max_degree, sorted."""
     return sorted(
-        content_key(Counter(c))
+        _word_key(c)
         for d in range(1, max_degree + 1)
         for c in combinations_with_replacement(letters, d)
     )
@@ -185,18 +199,18 @@ class WordVector:
 
     def content(self):
         """Content of a homogeneous vector (raises when mixed)."""
-        cs = {content_key(Counter(w)) for w in self.terms}
+        cs = self.contents()
         if len(cs) > 1:
             raise ValueError("word vector is not homogeneous")
-        return Counter(dict(cs.pop())) if cs else Counter()
+        return dict(cs.pop()) if cs else {}
 
     def contents(self):
-        return {content_key(Counter(w)) for w in self.terms}
+        return {_word_key(w) for w in self.terms}
 
     def homogeneous_parts(self):
         parts = {}
         for w, c in self.terms.items():
-            parts.setdefault(content_key(Counter(w)), {})[w] = c
+            parts.setdefault(_word_key(w), {})[w] = c
         return {k: WordVector(d, self.window) for k, d in parts.items()}
 
     def __str__(self):
@@ -240,6 +254,7 @@ class WordAlgebra:
         self._pbw = {}
         self._tables = {}
         self._basis = {}
+        self._segments = None
         self._operator_mats = {}
         self._words = {}
         self._contexts = {}
@@ -405,18 +420,30 @@ class WordAlgebra:
     def _pbw_parts(self, m):
         """(1/d(m), P~(m)) with P(m) = P~(m) / d(m): P~(m) is the ordered
         product of the segment powers, PBW-descending, whose coefficients are
-        Laurent, and d(m) is the product of [a]! over the multiplicities a."""
+        Laurent, and d(m) is the product of [a]! over the multiplicities a.
+
+        Built from the element one segment smaller: with s the PBW-smallest
+        segment of m, a its multiplicity and m- = m - s,
+        P~(m) = P~(m-) <s> and 1/d(m) = (1/d(m-)) / [a], so each new element
+        costs one product; P~(<s>) is the segment vector itself and
+        P~(0) = 1.  The chain down from m is cached with it."""
         hit = self._pbw_tilde.get(m)
         if hit is None:
-            out = self.one()
-            d = RatFunc(1)
-            for seg in m.segments_desc_pbw():
-                mult = m.entries[seg]
+            if not m:
+                hit = (RatFunc(1), self.one())
+            else:
+                seg = min(m.entries, key=Segment.pbw_key)
+                a = m.entries[seg]
                 piece = self.pbw_segment(seg.i, seg.j)
-                for _ in range(mult):
-                    out = self.mul(out, piece)
-                d = d * RatFunc(qfact(mult))
-            hit = self._pbw_tilde[m] = (RatFunc(1) / d, out)
+                rest = m.remove(seg)
+                if not rest:
+                    hit = (RatFunc(1), piece)
+                else:
+                    inv_d, tilde = self._pbw_parts(rest)
+                    if a > 1:
+                        inv_d = inv_d / RatFunc(qint(a))
+                    hit = (inv_d, self.mul(tilde, piece))
+            self._pbw_tilde[m] = hit
         return hit
 
     def pbw_element(self, m):
@@ -434,7 +461,10 @@ class WordAlgebra:
         key = content_key(content)
         hit = self._basis.get(key)
         if hit is None:
-            ms = multisegments_of_content(self.window, dict(key))
+            if self._segments is None:
+                segs = window_segments(self.window)
+                self._segments = (segs, [dict.fromkeys(seg.indices(), 1) for seg in segs])
+            ms = of_weighted_content(*self._segments, dict(key))
             hit = sorted(ms, key=cry_sort_key, reverse=True)
             self._basis[key] = hit
         return hit

@@ -193,6 +193,58 @@ def test_a_matrix_that_is_not_lower_triangular_is_refused(monkeypatch):
         inverse_rows(identity(2), 1)  # the rows of the whole inverse, always
 
 
+def test_a_wrong_quotient_fails_the_inverse_check(monkeypatch):
+    """Each quotient of the substitution, made wrong alone, is caught by the
+    check R A = I on and below the diagonal."""
+    A = triangular_matrix(random.Random(7), 4, "lower")
+    for r in range(4):
+        for c in range(r):
+            A[r][c] = A[r][c] or RatFunc(r + c)
+    real_div = RatFunc.__truediv__
+    calls = []
+    monkeypatch.setattr(RatFunc, "__truediv__",
+                        lambda x, y: calls.append(1) or real_div(x, y))
+    inverse_rows(A)
+    quotients = len(calls)
+    assert quotients == 10  # one per entry on and below the diagonal
+    for wrong in range(quotients):
+        seen = []
+
+        def div(x, y, wrong=wrong):
+            seen.append(1)
+            q = real_div(x, y)
+            return q + RatFunc.q_power(1) if len(seen) == wrong + 1 else q
+
+        monkeypatch.setattr(RatFunc, "__truediv__", div)
+        with pytest.raises(ArithmeticError) as err:
+            inverse_rows(A)
+        assert type(err.value) is ArithmeticError
+        assert str(err.value) == "inverse rows do not invert the matrix"
+
+
+@pytest.mark.parametrize("shape", ["diagonal", "unitriangular"])
+def test_inverse_rows_multiply_only_nonzero_factors(shape, monkeypatch):
+    """The substitution and the check pass `dot` no pair with a zero factor;
+    on a diagonal matrix every product is a diagonal entry by its inverse."""
+    rng = random.Random(shape)
+    cases = [triangular_matrix(rng, n, shape) for n in (1, 3, 6) for _ in range(2)]
+    want = [inverse(A) for A in cases]
+    pairs = []
+    real_dot = linalg.dot
+
+    def dot(ps):
+        ps = list(ps)
+        pairs.extend(ps)
+        return real_dot(ps)
+
+    monkeypatch.setattr(linalg, "dot", dot)
+    assert [inverse_rows(A) for A in cases] == want
+    assert pairs
+    assert all(x and y for x, y in pairs)
+    if shape == "diagonal":
+        assert len(pairs) == sum(len(A) for A in cases)
+
+
 def test_nullspace():
     A = [[R("1"), R("q"), R("0")], [R("0"), R("0"), R("1")]]
     basis = nullspace(A, ncols=3)

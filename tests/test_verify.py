@@ -208,3 +208,37 @@ def test_block_keys_are_the_enumerated_contents(window, degree):
     if window != (1,):
         assert ThetaModule(window).block_keys(degree) == _enumerated_keys(
             enumerate_theta(window, degree), abs)
+
+
+def test_a_multiplicity_mismatch_names_its_block_once(monkeypatch, capsys):
+    """canonical's MultiplicityMismatch already starts with the block label
+    and is reported as it is; an error that does not name the block gets the
+    suite's label, index and side."""
+    from symcrys.canonical import MultiplicityMismatch
+    from symcrys.cli import main
+
+    def mismatch(i, ctx, side):
+        raise MultiplicityMismatch(
+            f"{ctx.label}, side {side}, index {i}: direct and adjoint "
+            "multiplicity computations disagree"
+        )
+
+    monkeypatch.setattr(verify, "multiplicity_polys", mismatch)
+    argv = ["verify", "--mode", "typeA", "--window=-1,1", "--max-degree", "1",
+            "--suite", "multiplicity-consistency"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "multiplicity-consistency: FAIL (0 identities checked)",
+        "  counterexample: content {-1: 1}, side E, index -1: direct and adjoint "
+        "multiplicity computations disagree",
+    ]
+
+    def not_laurent(i, ctx, side):
+        raise ArithmeticError("multiplicity 1/q at (<1>, 0) is not a Laurent polynomial")
+
+    monkeypatch.setattr(verify, "multiplicity_polys", not_laurent)
+    checked, fails = SUITES["multiplicity-consistency"]("typeA", (-1, 1), 1)
+    assert (checked, fails[0]) == (
+        0, "content {-1: 1}, index -1, side E: multiplicity 1/q at (<1>, 0) "
+           "is not a Laurent polynomial",
+    )

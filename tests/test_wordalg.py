@@ -392,3 +392,64 @@ def test_word_pairings_are_memoized_once_per_unordered_pair():
                 assert fresh._form_words(w, v) == f, (w, v)
     assert fresh._form_cache
     assert all(w <= v for w, v in fresh._form_cache)
+
+
+# A private copy of the PBW build as a left fold from 1 over every segment
+# copy, PBW-descending, with d(m) multiplied up segment by segment.
+
+def _fold_pbw_parts(alg, m):
+    out = alg.one()
+    d = RatFunc(1)
+    for seg in m.segments_desc_pbw():
+        mult = m.entries[seg]
+        piece = alg.pbw_segment(seg.i, seg.j)
+        for _ in range(mult):
+            out = alg.mul(out, piece)
+        d = d * RatFunc(qfact(mult))
+    return RatFunc(1) / d, out
+
+
+def _shape(x):
+    """The structure of a RatFunc or WordVector, coefficient types included,
+    so that 1 and Fraction(1) or two forms of one fraction differ."""
+    if isinstance(x, RatFunc):
+        return tuple(
+            tuple(sorted((e, type(c).__name__, c) for e, c in p.coeffs.items()))
+            for p in (x.num, x.den)
+        )
+    return tuple(sorted((w, _shape(c)) for w, c in x.terms.items()))
+
+
+@pytest.mark.parametrize("window, degree", [(WIN, 5), ((-1, 1), 6)])
+@pytest.mark.parametrize("descending", [False, True])
+def test_pbw_from_the_element_one_segment_smaller_is_the_fold(
+    monkeypatch, window, degree, descending
+):
+    """P~(m) = P~(m-) <s> and 1/d(m) = (1/d(m-)) / [a] give the fold's terms
+    and 1/d structurally, in either order of asking, with one product per
+    element built of two or more segment copies and none for the others."""
+    ms = sorted(enumerate_multisegments(window, degree), key=Multisegment.degree,
+                reverse=descending)
+    assert max(a for m in ms for _, a in m) == degree
+    ref = WordAlgebra(window)
+    want = {m: _fold_pbw_parts(ref, m) for m in ms}
+    fresh = WordAlgebra(window)
+    for i in window:
+        for j in window:
+            if i <= j:
+                fresh.pbw_segment(i, j)
+    calls = []
+    real_mul = WordAlgebra.mul
+    monkeypatch.setattr(WordAlgebra, "mul",
+                        lambda self, x, y: calls.append(1) or real_mul(self, x, y))
+    for m in ms:
+        before, made = set(fresh._pbw_tilde), len(calls)
+        inv_d, tilde = fresh._pbw_parts(m)
+        want_inv_d, want_tilde = want[m]
+        assert _shape(inv_d) == _shape(want_inv_d), m
+        assert _shape(tilde) == _shape(want_tilde), m
+        new = set(fresh._pbw_tilde) - before
+        assert len(calls) - made == sum(1 for n in new if sum(a for _, a in n) >= 2), m
+        p = want_tilde if want_inv_d.in_A() else want_tilde.scale(want_inv_d)
+        assert _shape(fresh.pbw_element(m)) == _shape(p), m
+    assert len(calls) == sum(1 for m in ms if sum(a for _, a in m) >= 2)
