@@ -13,9 +13,10 @@ Each block's canonical data is computed once per algebra: `block_context`
 BlockContext for the same block key (cached on the WordAlgebra or
 ThetaModule instance), and the context keeps the bar matrix and the lower
 and upper global bases it produced.  A matrix is stored only after its
-unitriangularity, bar-invariance or duality check passed; a `bar=` or
-`lower=` supplied by the caller is used but its result is not stored,
-unless it is the block's own memoized matrix.  With the upper basis U the
+unitriangularity, bar-invariance or duality check passed, and every result
+is the stored one.  The `bar=` and `lower=` arguments accept only the
+block's own stored matrix, which is the same as passing none; any other
+matrix raises ValueError.  With the upper basis U the
 context keeps its inverse (G C)^T, which the duality check U^T G C = I
 proves, and `lower_inverse` keeps the checked inverse of C, so
 `multiplicity_polys` reads both of its routes through stored inverses and
@@ -175,13 +176,18 @@ def _split_antisymmetric(r):
     return r.positive_part()
 
 
+def _own_matrix(ctx, given, stored, name):
+    """Refuse a `given` matrix that is not the block's `stored` one."""
+    if given is not None and given is not stored:
+        raise ValueError(f"{ctx.label}: the {name} matrix passed is not the block's own")
+
+
 def global_lower(ctx, bar=None):
     """C with G(n) = sum_m C_{mn} P(m): bar-invariant, off-diagonal in q.Q[q]."""
-    if bar is ctx.bar:  # the block's own memoized matrix counts as no argument
-        bar = None
-    if bar is None and ctx.lower is not None:
+    _own_matrix(ctx, bar, ctx.bar, "bar")
+    if ctx.lower is not None:
         return ctx.lower
-    B = bar if bar is not None else bar_matrix(ctx)
+    B = bar_matrix(ctx)
     n = B.size()
     M = B.entries
     C = [[RatFunc.zero()] * n for _ in range(n)]
@@ -199,19 +205,16 @@ def global_lower(ctx, bar=None):
     barC = [[x.bar() for x in row] for row in C]
     if mat_mul(M, barC) != C:
         raise ArithmeticError(f"{ctx.label}: lower global basis is not bar-invariant")
-    result = TransitionMatrix(ctx.label, B.basis, C)
-    if bar is None:
-        ctx.lower = result
-    return result
+    ctx.lower = TransitionMatrix(ctx.label, B.basis, C)
+    return ctx.lower
 
 
 def global_upper(ctx, lower=None):
     """Coordinates of the form-dual basis: U = (Gram . C)^{-T}."""
-    if lower is ctx.lower:  # the block's own memoized matrix counts as no argument
-        lower = None
-    if lower is None and ctx.upper is not None:
+    _own_matrix(ctx, lower, ctx.lower, "lower")
+    if ctx.upper is not None:
         return ctx.upper
-    C = lower if lower is not None else global_lower(ctx)
+    C = global_lower(ctx)
     G = ctx.gram()
     GC = mat_mul(G, C.entries)
     # U^T, since U^T (G C) = I is the duality; inverse_rows checks it exactly
@@ -220,11 +223,9 @@ def global_upper(ctx, lower=None):
     except ArithmeticError as e:
         raise ArithmeticError(f"{ctx.label}: upper/lower duality failed") from e
     U = [list(row) for row in zip(*UT)]
-    result = TransitionMatrix(ctx.label, C.basis, U)
-    if lower is None:
-        ctx.upper = result
-        ctx.upper_inv = [list(row) for row in zip(*GC)]  # U^{-1} = (G C)^T
-    return result
+    ctx.upper = TransitionMatrix(ctx.label, C.basis, U)
+    ctx.upper_inv = [list(row) for row in zip(*GC)]  # U^{-1} = (G C)^T
+    return ctx.upper
 
 
 def lower_inverse(ctx):
@@ -241,14 +242,10 @@ def balanced_split(ctx, coords, lower=None):
 
     Returns (positive part coords, negative part coords) in the G basis;
     raises when the expansion leaves the Laurent ring.  The G coordinates are
-    read through the block's stored C^{-1} (`lower_inverse`), or through the
-    checked inverse of a caller-supplied `lower`.
+    read through the block's stored C^{-1} (`lower_inverse`).
     """
-    if lower is None or lower is ctx.lower:
-        inv = lower_inverse(ctx)
-    else:
-        inv = inverse_rows(lower.entries)
-    g = mat_vec(inv, coords)
+    _own_matrix(ctx, lower, ctx.lower, "lower")
+    g = mat_vec(lower_inverse(ctx), coords)
     pos, neg = [], []
     for a in g:
         if not a.in_A():

@@ -8,10 +8,10 @@ direct sum of the type-A content blocks of its genuine contents:
 - P_theta(m) = s(m) P(m), where s(m) is the product over the symmetric
   segments <-j,j> of multiplicity a of [a]! / prod_{nu<=a} [2 nu], so the
   fibre column of P_theta(m)phi is s(m) times a unit vector;
-- the ideal is spanned by the columns of R_k - R_{-k} over the PBW bases of
-  the sub-fibre contents, with R_k the type-A block matrix of right
-  multiplication by f_k (`WordAlgebra.rmul_matrix`): one generator per
-  multisegment.
+- the ideal is spanned by the fibre vectors of P(m)(f_k - f_{-k}), for
+  every letter k > 0 of the key and every m of the PBW bases of the
+  sub-fibre contents (the key with one letter k fewer): one generator per
+  multisegment, the PBW analogue of `ideal_generators`.
 
 A block's coordinate rows are the kernel vectors of its ideal rows, each
 divided by s(m), found in one elimination with the theta positions as the
@@ -244,22 +244,16 @@ class ThetaModule:
         return vec
 
     def _ideal_rows(self, sym_key, block):
-        """Fibre rows spanning the ideal: the columns of R_k - R_{-k} on the PBW
-        bases of the contents of sym_key - k, for every letter k > 0."""
+        """Fibre rows spanning the ideal: the fibre vectors of
+        P(m)(f_k - f_{-k}) over the PBW bases of the contents of sym_key - k,
+        for every letter k > 0."""
+        alg = self.alg
         rows = []
         for k, _ in sym_key:
+            gen = alg.f(k) - alg.f(-k)
             for ck in self.fiber_contents(shift_key(sym_key, k, -1)):
-                plus = self.alg.rmul_matrix(k, ck)
-                minus = self.alg.rmul_matrix(-k, ck)
-                p_off = block["offsets"][shift_key(ck, k, 1)]
-                m_off = block["offsets"][shift_key(ck, -k, 1)]
-                for n in range(len(self.alg.basis_of_content(ck))):
-                    row = [RatFunc.zero()] * block["dim"]
-                    for r, line in enumerate(plus):
-                        row[p_off + r] = line[n]
-                    for r, line in enumerate(minus):
-                        row[m_off + r] = -line[n]
-                    rows.append(row)
+                for m in alg.basis_of_content(ck):
+                    rows.append(self._fiber_vector(alg.mul(alg.pbw_element(m), gen), block))
         return rows
 
     def block(self, sym_key):

@@ -31,8 +31,9 @@ Each PBW element is kept as (1/d(m), P~(m)): P~(m) is the product of the
 segment powers, whose coefficients are Laurent, d(m) = prod [a]! over the
 multiplicities a, and P(m) = P~(m) / d(m).  Each is built from the element
 one segment smaller, m- = m minus one copy of its PBW-smallest segment s of
-multiplicity a: P~(m) = P~(m-) <s> and 1/d(m) = (1/d(m-)) / [a], one word
-product per new element.  The pairings are summed in
+multiplicity a: P~(m) = P~(m-) <s> and d(m) = d(m-) [a], one word product
+per new element; 1/d(m) is the inverse of that Laurent product, which takes
+no gcd.  The pairings are summed in
 Laurent arithmetic, Phi = Phi~ / d with Phi~[m][v] = sum_w P~(m)_w (w, v),
 and divided by d(m) once per entry; G[m][n] is summed over the words of
 P~(n) and divided by d(n) once.  Every sum of products in this module
@@ -43,8 +44,8 @@ words are read off a plain letter count.
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)) and
 P(m) by multisegment, the window's segments with their letter weights (from
 the first basis request), and per content block the basis, the record
-(G, D_c), the e'_i, f_i-left and f_i-right multiplication block matrices
-(in the one cache of `operator_matrix`) and (through `_contexts`, filled by
+(G, D_c), the e'_i and f_i-left multiplication block matrices (in the one
+cache of `operator_matrix`) and (through `_contexts`, filled by
 `symcrys.canonical`) the block's bar matrix and global bases.  A fresh
 algebra starts cold.  Cached word vectors and matrices are shared between
 callers, who must not mutate them.
@@ -256,7 +257,6 @@ class WordAlgebra:
         self._basis = {}
         self._segments = None
         self._operator_mats = {}
-        self._words = {}
         self._contexts = {}
 
     # -- constructors ---------------------------------------------------
@@ -379,15 +379,8 @@ class WordAlgebra:
         return dot(pairs)
 
     def words_of_content(self, content):
-        key = content_key(content)
-        hit = self._words.get(key)
-        if hit is None:
-            letters = []
-            for i, n in key:
-                letters.extend([i] * n)
-            hit = multiset_permutations(letters)
-            self._words[key] = hit
-        return hit
+        """The distinct words of the content, in increasing lexicographic order."""
+        return multiset_permutations([i for i, n in content_key(content) for _ in range(n)])
 
     def is_zero_in_uq(self, x):
         """True iff x lies in the Serre ideal (form against every word vanishes)."""
@@ -424,9 +417,11 @@ class WordAlgebra:
 
         Built from the element one segment smaller: with s the PBW-smallest
         segment of m, a its multiplicity and m- = m - s,
-        P~(m) = P~(m-) <s> and 1/d(m) = (1/d(m-)) / [a], so each new element
-        costs one product; P~(<s>) is the segment vector itself and
-        P~(0) = 1.  The chain down from m is cached with it."""
+        P~(m) = P~(m-) <s> and d(m) = d(m-) [a], so each new element costs
+        one product; P~(<s>) is the segment vector itself and P~(0) = 1.
+        d(m-) [a] = [a] / (1/d(m-)) is Laurent, so 1/d(m) is read as the
+        inverse of a Laurent value, with no gcd.  The chain down from m is
+        cached with it."""
         hit = self._pbw_tilde.get(m)
         if hit is None:
             if not m:
@@ -441,7 +436,7 @@ class WordAlgebra:
                 else:
                     inv_d, tilde = self._pbw_parts(rest)
                     if a > 1:
-                        inv_d = inv_d / RatFunc(qint(a))
+                        inv_d = RatFunc(1) / (RatFunc(qint(a)) / inv_d)
                     hit = (inv_d, self.mul(tilde, piece))
             self._pbw_tilde[m] = hit
         return hit
@@ -547,7 +542,7 @@ class WordAlgebra:
                 pairs.setdefault(w, []).append((c, p))
         return dot_vector(pairs, self.window)
 
-    # -- block matrices of e'_i and of left and right multiplication by f_i -------
+    # -- block matrices of e'_i and of left multiplication by f_i -----------------
 
     def eprime_matrix(self, i, content):
         """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
@@ -561,13 +556,6 @@ class WordAlgebra:
         return operator_matrix(
             self, "fmul", i, content_key(content), +1,
             lambda m: self.mul(self.f(i), self.pbw_element(m)),
-        )
-
-    def rmul_matrix(self, i, content):
-        """Matrix of right multiplication by f_i, content block -> content + alpha_i."""
-        return operator_matrix(
-            self, "rmul", i, content_key(content), +1,
-            lambda m: self.mul(self.pbw_element(m), self.f(i)),
         )
 
     # -- modified root operators -------------------------------------------------

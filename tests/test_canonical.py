@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -295,17 +296,16 @@ def test_multiplicity_solves_nothing_once_the_inverses_are_stored(factory, make,
 
 @pytest.mark.parametrize("factory,make", [s[:2] for s in SETTINGS])
 def test_balanced_split_solves_nothing(factory, make, monkeypatch):
-    """The split reads the stored C^{-1}, and inverts a caller-supplied C,
-    which is unitriangular, by substitution."""
+    """The split reads the stored C^{-1}."""
     ctx = factory(make(), {1: 1, 3: 1})
     C = global_lower(ctx)
     lower_inverse(ctx)
-    own = TransitionMatrix(C.label, C.basis, [list(row) for row in C.entries])
     coords = [RatFunc.q_power(k) - RatFunc(k) for k in range(C.size())]
     calls = []
     real_solve = linalg.solve
     monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
-    assert balanced_split(ctx, coords) == balanced_split(ctx, coords, own)
+    pos, neg = balanced_split(ctx, coords)
+    assert any(pos)
     assert calls == []
 
 
@@ -326,25 +326,60 @@ def test_typeA_blocks_are_inverted_without_elimination(monkeypatch):
     assert calls == []
 
 
+def _copy(tm):
+    return TransitionMatrix(tm.label, tm.basis, [list(row) for row in tm.entries])
+
+
 @pytest.mark.parametrize("factory,make,idx", SETTINGS)
-def test_explicit_bar_and_lower_are_used_not_stored(factory, make, idx):
+def test_foreign_bar_and_lower_are_refused(factory, make, idx):
+    """A `bar=` or `lower=` other than the block's own stored matrix raises
+    ValueError naming the block, before and after the block's own are
+    stored, and stores nothing: the identity, and a copy equal in value."""
     ctx = factory(make(), {1: 1, 3: 1})
     n = len(ctx.basis())
     assert n >= 2
     ident = TransitionMatrix(ctx.label, ctx.basis(), identity(n))
-    # the identity is a valid bar matrix whose lower basis is the identity
-    assert global_lower(ctx, ident).entries == identity(n)
-    assert ctx.bar is None and ctx.lower is None
-    U_ident = global_upper(ctx, ident)
-    assert ctx.lower is None and ctx.upper is None
+    coords = [RatFunc.q_power(k) - RatFunc(k) for k in range(n)]
+    refused = pytest.raises(ValueError, match="^" + re.escape(ctx.label) + ": ")
+
+    def refuse_all(bar, lower):
+        with refused:
+            global_lower(ctx, bar)
+        with refused:
+            global_upper(ctx, lower)
+        with refused:
+            balanced_split(ctx, coords, lower)
+
+    refuse_all(ident, ident)
+    assert (ctx.bar, ctx.lower, ctx.upper, ctx.lower_inv) == (None, None, None, None)
+    B = bar_matrix(ctx)
     C = global_lower(ctx)
-    assert C.entries != identity(n)
-    assert ctx.bar is bar_matrix(ctx) and ctx.lower is C
     U = global_upper(ctx)
-    assert U.entries != U_ident.entries
-    assert ctx.upper is U and global_upper(ctx) is U
-    # passing the block's own memoized matrices is the same as passing none
-    assert global_lower(ctx, ctx.bar) is C and global_upper(ctx, C) is U
+    assert C.entries != identity(n)
+    assert _copy(B) == B and _copy(C) == C
+    for bar, lower in [(ident, ident), (_copy(B), _copy(C))]:
+        refuse_all(bar, lower)
+    assert ctx.bar is B and ctx.lower is C and ctx.upper is U
+    assert ctx.lower_inv is None
+
+
+@pytest.mark.parametrize("factory,make,idx", SETTINGS)
+def test_benchmark_call_shapes_return_the_stored_matrices(factory, make, idx):
+    """The block's own matrices handed back, as the benchmark and `verify`
+    do, are the same as no argument: the stored objects come back."""
+    ctx = factory(make(), {1: 1, 3: 1})
+    B = bar_matrix(ctx)
+    C = global_lower(ctx, bar_matrix(ctx))
+    assert ctx.bar is B and ctx.lower is C
+    U = global_upper(ctx, global_lower(ctx))
+    assert ctx.upper is U
+    assert global_lower(ctx, B) is C and global_lower(ctx) is C
+    assert global_upper(ctx, C) is U and global_upper(ctx) is U
+    coords = [RatFunc.q_power(k) - RatFunc(k) for k in range(C.size())]
+    split = balanced_split(ctx, coords, global_lower(ctx))
+    inv = ctx.lower_inv
+    assert inv is not None and lower_inverse(ctx) is inv
+    assert balanced_split(ctx, coords) == split and ctx.lower_inv is inv
 
 
 @pytest.mark.parametrize("factory,make,letters", [

@@ -55,6 +55,7 @@ ARGVS = [
     ["bar-matrix", "--mode", "theta", W4, '{"1":1}'],
     ["bar-matrix", "--mode", "theta", W4, '{"1":1,"3":1}', "--format", "json"],
     ["bar-matrix", "--mode", "theta", W2, '{"1":3}', "--format", "json"],
+    ["bar-matrix", "--mode", "theta", W4, '{"1":2,"3":1}'],
     ["bar-matrix", "--mode", "typeA", W2, '{"-1":2,"1":2}', "--format", "json"],
     # global-basis, lower and upper
     ["global-basis", "--mode", "typeA", W4, '{"-3":1,"-1":1}'],
@@ -64,6 +65,7 @@ ARGVS = [
     ["global-basis", "--mode", "theta", W4, '{"1":2}'],
     ["global-basis", "--mode", "theta", W4, '{"3":2}', "--format", "json"],
     ["global-basis", "--mode", "theta", W4, '{"1":1,"3":1}', "--upper"],
+    ["global-basis", "--mode", "theta", W4, '{"1":2,"3":1}', "--upper", "--format", "json"],
     ["global-basis", "--mode", "theta", W2, '{"1":3}', "--upper", "--format", "json"],
     ["global-basis", "--mode", "theta", W2, '{"1":4}', "--format", "json"],
     # multiplicity
@@ -74,6 +76,7 @@ ARGVS = [
     ["multiplicity", "--mode", "theta", W4, '{"1":1,"3":1}', "--index", "-1",
      "--side", "E", "--format", "json"],
     ["multiplicity", "--mode", "theta", W4, '{"1":1}', "--index", "-3"],
+    ["multiplicity", "--mode", "theta", W4, '{"1":1,"3":2}', "--index", "-3", "--side", "E"],
     ["multiplicity", "--mode", "theta", W2, '{"1":2}', "--index", "-1", "--format", "json"],
     # verify: every suite at once in both modes, and single suites
     ["verify", "--mode", "typeA", W2, "--max-degree", "3"],

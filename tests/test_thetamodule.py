@@ -9,7 +9,7 @@ from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact, qint
 from symcrys.theta import crystal_E, crystal_F, enumerate_theta
 from symcrys.thetamodule import ThetaClassVector, ThetaModule, theta_scale
 from symcrys.verify import suite_theta_dims
-from symcrys.wordalg import content_key
+from symcrys.wordalg import content_key, shift_key
 
 WIN = (-3, -1, 1, 3)
 
@@ -321,8 +321,8 @@ def test_coord_vector_matches_the_block_solve(mod):
 
 
 def test_pbw_ideal_spans_the_word_generators(mod):
-    """The ideal rows of each block, the columns of R_k - R_{-k} in PBW
-    coordinates, span the fibre vectors of the word generators
+    """The ideal rows of each block, the fibre vectors of P(m)(f_k - f_{-k}),
+    span the fibre vectors of the word generators
     w (f_k - f_{-k}): equal ranks, and no generator raises the rank.  The
     stored coordinate rows kill both."""
     blocks = mod.block_keys(4)
@@ -350,6 +350,60 @@ def test_cold_theta_blocks_make_no_solve(monkeypatch):
     for key in blocks:
         assert set(fresh.block(key)) == {"offsets", "dim", "theta_basis", "coord_rows"}
     assert len(fresh._blocks) == len(blocks)
+
+
+# A private copy of the ideal rows as they were built through the type-A block
+# matrices R_k of right multiplication by f_k: the columns of R_k - R_{-k} on
+# the PBW bases of the sub-fibre contents, placed at the fibre offsets.
+
+def _rmul_matrix(alg, i, ck):
+    tgt = shift_key(ck, i, 1)
+    cols = [alg.coord_vector(alg.mul(alg.pbw_element(m), alg.f(i)), tgt)
+            for m in alg.basis_of_content(ck)]
+    return [[col[r] for col in cols] for r in range(len(alg.basis_of_content(tgt)))]
+
+
+def _rk_ideal_rows(mod, sym_key, block):
+    rows = []
+    for k, _ in sym_key:
+        for ck in mod.fiber_contents(shift_key(sym_key, k, -1)):
+            plus = _rmul_matrix(mod.alg, k, ck)
+            minus = _rmul_matrix(mod.alg, -k, ck)
+            p_off = block["offsets"][shift_key(ck, k, 1)]
+            m_off = block["offsets"][shift_key(ck, -k, 1)]
+            for n in range(len(mod.alg.basis_of_content(ck))):
+                row = [RatFunc.zero()] * block["dim"]
+                for r, line in enumerate(plus):
+                    row[p_off + r] = line[n]
+                for r, line in enumerate(minus):
+                    row[m_off + r] = -line[n]
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("window,degree", [
+    (WIN, 4), ((-1, 1), 6), (tuple(range(-5, 6, 2)), 3),
+])
+def test_ideal_rows_are_the_right_multiplication_columns(monkeypatch, window, degree):
+    """The rows P(m)(f_k - f_{-k}) are the columns of R_k - R_{-k}, entry for
+    entry and in the same order, and a block built from either set stores
+    the same coordinate rows."""
+    new = ThetaModule(window)
+    keys = [()] + new.block_keys(degree)
+    for key in keys:
+        block = new.block(key)
+        assert new._ideal_rows(key, block) == _rk_ideal_rows(new, key, block), key
+    monkeypatch.setattr(ThetaModule, "_ideal_rows", _rk_ideal_rows)
+    old = ThetaModule(window)
+    for key in keys:
+        assert new.block(key)["coord_rows"] == old.block(key)["coord_rows"], key
+
+
+def test_theta_blocks_store_no_operator_matrix():
+    fresh = ThetaModule(WIN)
+    for key in [()] + fresh.block_keys(4):
+        fresh.block(key)
+    assert fresh._operator_mats == {} and fresh.alg._operator_mats == {}
 
 
 @pytest.mark.parametrize("wrong", ["dropped", "swapped"])

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from symcrys import linalg, wordalg
+from symcrys import linalg, ratfunc, wordalg
 from symcrys.linalg import solve_vector
 from symcrys.multisegment import Multisegment, Segment, enumerate_multisegments
 from symcrys.multisegment import ftilde
-from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact
+from symcrys.ratfunc import RatFunc, parse_ratfunc, qfact, qint
 from symcrys.wordalg import WordAlgebra, closed_form_norm, multiset_permutations
 
 WIN = (-3, -1, 1, 3)
@@ -270,17 +270,6 @@ def test_gram_is_the_closed_form_diagonal(alg):
         assert gram == form_gram(alg, content), key
 
 
-def test_rmul_matrix_is_right_multiplication(alg):
-    for key in alg.block_keys(2):
-        content = dict(key)
-        for i in WIN:
-            mat = alg.rmul_matrix(i, content)
-            for n, m in enumerate(alg.basis_of_content(content)):
-                want = alg.pbw_coords(alg.mul(alg.pbw_element(m), alg.f(i)))
-                tgt = alg.basis_of_content({**content, i: content.get(i, 0) + 1})
-                assert {b: row[n] for b, row in zip(tgt, mat) if row[n]} == want
-
-
 # -- the word layer against the loops it fused --------------------------------------
 #
 # Private copies of the word layer as it was before its sums of products went
@@ -453,3 +442,27 @@ def test_pbw_from_the_element_one_segment_smaller_is_the_fold(
         p = want_tilde if want_inv_d.in_A() else want_tilde.scale(want_inv_d)
         assert _shape(fresh.pbw_element(m)) == _shape(p), m
     assert len(calls) == sum(1 for m in ms if sum(a for _, a in m) >= 2)
+
+
+@pytest.mark.parametrize("window, degree", [(WIN, 5), ((-1, 1), 6)])
+def test_pbw_parts_take_no_gcd(monkeypatch, window, degree):
+    """1/d(m) is the inverse of the Laurent product d(m-) [a], so building
+    every element's parts takes no polynomial gcd, while the fraction route
+    (1/d(m-)) / [a] takes one for each m whose a > 1 and d(m-) != 1."""
+    calls = []
+    real_gcd = ratfunc.poly_gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda a, b: calls.append(1) or real_gcd(a, b))
+    fresh = WordAlgebra(window)
+    ms = enumerate_multisegments(window, degree)
+    for m in ms:
+        fresh._pbw_parts(m)
+    assert calls == []
+    fractions = 0
+    for m in filter(None, ms):
+        seg = min(m.entries, key=Segment.pbw_key)
+        a, rest = m.entries[seg], m.remove(seg)
+        inv_d = fresh._pbw_parts(rest)[0]
+        if a > 1 and not inv_d.in_A():
+            fractions += 1
+            assert inv_d / RatFunc(qint(a)) == fresh._pbw_parts(m)[0], m
+    assert fractions and len(calls) >= fractions
