@@ -61,6 +61,8 @@ def mseg_from_arg(text):
         obj = json.loads(text)
     except ValueError as e:  # json.JSONDecodeError is a ValueError
         raise bad(e)
+    except RecursionError:
+        raise bad("JSON nested too deeply")
     if isinstance(obj, list):
         for rec in obj:
             if not isinstance(rec, dict):
@@ -82,6 +84,8 @@ def content_from_arg(text):
         obj = json.loads(text)
     except ValueError as e:  # json.JSONDecodeError is a ValueError
         raise bad(e)
+    except RecursionError:
+        raise bad("JSON nested too deeply")
     if not isinstance(obj, dict):
         raise bad("a content map must be a JSON object of index -> count")
     keys = []
@@ -209,7 +213,7 @@ def _coords_to_output(coords, fmt):
 def _word_from_arg(text):
     try:
         letters = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # bad JSON, nested too deeply, or a too long integer
         letters = None
     if not isinstance(letters, list) or any(type(k) is not int for k in letters):
         raise UsageError(f"cannot parse word {text!r} (expect a JSON list of letters)")

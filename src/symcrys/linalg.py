@@ -1,9 +1,8 @@
 """Exact linear algebra over Q(q).
 
-Rows are cleared of denominators up front and the forward elimination is
-fraction-free (cross-multiplication of Laurent-polynomial rows, with the row
-content divided out after each step), so no rational normalization happens in
-the inner loop.  Back substitution returns RatFunc entries.
+`echelon_form` is the one elimination: Gauss-Jordan over RatFunc, to the
+reduced row echelon form.  `solve`, `solve_rect` and `nullspace` read their
+results straight off the reduced rows, with no back substitution.
 
 `inverse_rows` inverts only lower triangular matrices (a diagonal one
 included), by forward substitution over each column's nonzero entries, so
@@ -11,8 +10,8 @@ it multiplies only nonzero factors; every inverse the global bases take is
 of that shape (a diagonal Gram matrix G, a unitriangular C, a lower
 triangular G C).  It refuses any other matrix, and returns its rows only
 after the exact check R A = I on and below the diagonal, the only entries
-where a product can be nonzero.  The theta blocks
-read their coordinate rows off one elimination (`nullspace`).
+where a product can be nonzero.  The theta blocks read their coordinate
+rows off one elimination (`nullspace`).
 
 Every sum of products (matrix products, substitution steps) is one call of
 `ratfunc.dot`, which adds the Laurent products in one coefficient dict.
@@ -20,89 +19,56 @@ Every sum of products (matrix products, substitution steps) is one call of
 
 from __future__ import annotations
 
-from .ratfunc import LaurentPoly, RatFunc, dot, poly_gcd
+from .ratfunc import RatFunc, dot
 
 
 class SingularMatrixError(ValueError, ArithmeticError):
     """A singular matrix where an invertible one is needed: a failed check."""
 
 
-def _lcm_poly(a, b):
-    g = poly_gcd(a, b)
-    return a * b.divmod_poly(g)[0]
+def _terms(x):
+    return len(x.num.coeffs) + len(x.den.coeffs)
 
 
-def _clear_row(row):
-    """list[RatFunc] -> (list[LaurentPoly],) with denominators cleared."""
-    if all(x.in_A() for x in row):
-        return [x.num for x in row]
-    den = LaurentPoly.one()
-    for x in row:
-        if not x.is_zero():
-            den = _lcm_poly(den, x.den)
-    out = []
-    for x in row:
-        if x.is_zero():
-            out.append(LaurentPoly.zero())
-        else:
-            out.append(x.num * den.divmod_poly(x.den)[0])
-    return out
+def echelon_form(matrix, ncols=None):
+    """Reduced row echelon form of a RatFunc matrix, by one Gauss-Jordan
+    elimination on a copy.  Returns (rows, pivots): `pivots` lists
+    (row index, pivot column) in elimination order, so its columns increase.
+    Each pivot entry is 1 and every other entry of its column is 0; the rows
+    that hold no pivot are 0 in the first `ncols` columns.  Columns past
+    `ncols` (right-hand sides) are carried along, never pivoted on.
 
-
-def _strip_content(row):
-    """Divide a Laurent-poly row by the gcd of its entries (and any q-shift)."""
-    nonzero = [p for p in row if not p.is_zero()]
-    if not nonzero:
-        return row
-    shift = min(p.min_exp() for p in nonzero)
-    g = LaurentPoly.zero()
-    for p in nonzero:
-        g = poly_gcd(g, p.shift(-p.min_exp())) if not g.is_zero() else p.shift(-p.min_exp())
-        if g == LaurentPoly.one():
-            break
-    if g == LaurentPoly.one() and shift == 0:
-        return row
-    return [
-        p.shift(-shift).divmod_poly(g)[0] if not p.is_zero() else p
-        for p in row
-    ]
-
-
-def _complexity(p):
-    return len(p.coeffs)
-
-
-def _echelon(rows, ncols):
-    """Fraction-free forward elimination in place.
-
-    Returns the list of (row index, pivot column) in elimination order.
+    In each column the pivot is the entry with the fewest terms (numerator
+    plus denominator), ties going to the row with the fewest nonzero entries.
     """
+    rows = [list(row) for row in matrix]
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    one, zero = RatFunc(1), RatFunc.zero()
     pivots = []
     used = set()
     for col in range(ncols):
         candidates = [r for r in range(len(rows)) if r not in used and rows[r][col]]
         if not candidates:
             continue
-        prow = min(candidates, key=lambda r: _complexity(rows[r][col]))
+        prow = min(candidates, key=lambda r: (_terms(rows[r][col]), sum(map(bool, rows[r]))))
         used.add(prow)
         pivots.append((prow, col))
-        piv = rows[prow][col]
-        for r in range(len(rows)):
-            if r in used or not rows[r][col]:
+        # The pivot row is 0 left of `col`: its earlier columns were cleared
+        # as pivot columns or held no candidate.
+        piv = rows[prow]
+        inv = one / piv[col]
+        nonzero = [(c, piv[c] * inv) for c in range(col + 1, len(piv)) if piv[c]]
+        piv[col] = one
+        for c, x in nonzero:
+            piv[c] = x
+        for r, row in enumerate(rows):
+            if r == prow or not row[col]:
                 continue
-            factor = rows[r][col]
-            rows[r] = _strip_content(
-                [piv * a - factor * b for a, b in zip(rows[r], rows[prow])]
-            )
-    return pivots
-
-
-def echelon_form(matrix, ncols=None):
-    """Echelon rows (Laurent cleared) and pivot positions of a RatFunc matrix."""
-    rows = [_strip_content(_clear_row(row)) for row in matrix]
-    if ncols is None:
-        ncols = len(matrix[0]) if matrix else 0
-    pivots = _echelon(rows, ncols)
+            factor = -row[col]
+            for c, x in nonzero:
+                row[c] = row[c] + factor * x
+            row[col] = zero
     return rows, pivots
 
 
@@ -112,34 +78,18 @@ def rank(matrix):
     return len(echelon_form(matrix)[1])
 
 
-def _back_substitute(rows, pivots, x, rhs):
-    """Fill the pivot entries of x from echelon `rows`, last pivot first:
-    x[col] = (row[rhs] - sum over c > col of row[c] x[c]) / row[col], where
-    `rhs` is the column of the right-hand side in each row (None for 0).
-    `pivots` is in elimination order, so its columns increase; entries of x
-    at free columns are left as given.  Returns x."""
-    n = len(x)
-    for prow, col in reversed(pivots):
-        row = rows[prow]
-        acc = -dot([(RatFunc(row[c]), x[c]) for c in range(col + 1, n) if row[c] and x[c]])
-        if rhs is not None:
-            acc = acc + RatFunc(row[rhs])
-        x[col] = acc / RatFunc(row[col])
-    return x
-
-
 def solve(matrix, rhs_columns):
     """Solve A X = B exactly; A square nonsingular.
 
-    `rhs_columns` is a list of columns; returns the list of solution columns.
+    `rhs_columns` is a list of columns; returns the list of solution columns,
+    read off the reduced augmented columns.
     """
     n = len(matrix)
-    k = len(rhs_columns)
     aug = [list(row) + [col[r] for col in rhs_columns] for r, row in enumerate(matrix)]
     rows, pivots = echelon_form(aug, ncols=n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return [_back_substitute(rows, pivots, [RatFunc.zero()] * n, n + t) for t in range(k)]
+    return [[rows[prow][t] for prow, _ in pivots] for t in range(n, n + len(rhs_columns))]
 
 
 def solve_vector(matrix, rhs):
@@ -198,26 +148,31 @@ def inverse_rows(matrix):
 
 def nullspace(matrix, ncols=None):
     """Basis of the right kernel of A, as RatFunc vectors: one per free
-    column of its echelon form, 1 there and 0 at the other free columns.
+    column of its reduced echelon form, 1 there, 0 at the other free columns,
+    and at each pivot column minus the pivot row's entry in the free column.
     A matrix with no rows has the whole space of `ncols` columns as kernel."""
     if ncols is None:
         ncols = len(matrix[0]) if matrix else 0
     rows, pivots = echelon_form(matrix, ncols)
-    pivot_cols = {col: prow for prow, col in pivots}
+    pivot_cols = {col for _, col in pivots}
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
     for free in free_cols:
         vec = [RatFunc.zero()] * ncols
         vec[free] = RatFunc(1)
-        basis.append(_back_substitute(rows, pivots, vec, None))
+        for prow, col in pivots:
+            vec[col] = -rows[prow][free]
+        basis.append(vec)
     return basis
 
 
 def solve_rect(matrix, rhs):
     """One exact solution of a (possibly rectangular) consistent system.
 
-    Raises SingularMatrixError when inconsistent.  The solution is unique
-    when the matrix has full column rank (free variables are set to 0).
+    Raises SingularMatrixError when inconsistent: a row below the pivots of
+    the reduced augmented matrix has a nonzero right-hand side.  Free
+    variables are set to 0, so the solution is unique when the matrix has
+    full column rank.
     """
     if not matrix:
         if any(x for x in rhs):
@@ -226,12 +181,13 @@ def solve_rect(matrix, rhs):
     ncols = len(matrix[0])
     aug = [list(row) + [rhs[r]] for r, row in enumerate(matrix)]
     rows, pivots = echelon_form(aug, ncols=ncols)
-    # consistency: no row of the form (0 ... 0 | nonzero)
     pivot_rows = {prow for prow, _ in pivots}
-    for r, row in enumerate(rows):
-        if r not in pivot_rows and row[ncols] and not any(row[c] for c in range(ncols)):
-            raise SingularMatrixError("inconsistent system")
-    return _back_substitute(rows, pivots, [RatFunc.zero()] * ncols, ncols)
+    if any(row[ncols] for r, row in enumerate(rows) if r not in pivot_rows):
+        raise SingularMatrixError("inconsistent system")
+    x = [RatFunc.zero()] * ncols
+    for prow, col in pivots:
+        x[col] = rows[prow][ncols]
+    return x
 
 
 def mat_mul(A, B):

@@ -313,6 +313,23 @@ def test_malformed_json_is_named_not_reported_from_python(capsys, argv, message)
     assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
+DEEP = "[" * 5000
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coords", DEEP], f"cannot parse word {DEEP!r} (expect a JSON list of letters)"),
+    (["expand", DEEP], f"cannot parse multisegment {DEEP!r}: JSON nested too deeply"),
+    (["bar-matrix", DEEP], f"cannot parse content map {DEEP!r}: JSON nested too deeply"),
+    (["coords", "[" + "1" * 5000 + "]"], "cannot parse word '[111"),
+], ids=["deep-word", "deep-multisegment", "deep-content-map", "long-integer-word"])
+def test_json_too_deep_or_too_long_for_the_parser_exits_2(capsys, argv, message):
+    """Input that makes `json.loads` give up, by recursion or by the limit on
+    integer digits, is malformed input, not an internal error."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}"), err[:200]
+
+
 def test_multisegment_parser_keeps_its_exception_types():
     """The CLI names a bad record before `Multisegment.from_json_obj` sees it;
     the parser itself raises what it raised before."""

@@ -5,6 +5,7 @@ import pytest
 from symcrys import linalg
 from symcrys.linalg import (
     SingularMatrixError,
+    echelon_form,
     identity,
     inverse,
     inverse_rows,
@@ -17,7 +18,7 @@ from symcrys.linalg import (
     solve_rect,
     solve_vector,
 )
-from symcrys.ratfunc import RatFunc, parse_ratfunc
+from symcrys.ratfunc import LaurentPoly, RatFunc, dot, parse_ratfunc, poly_gcd
 
 
 def R(text):
@@ -270,3 +271,220 @@ def test_identity_helpers():
     bad = identity(2)
     bad[0][1] = R("q")
     assert not is_identity(bad)
+
+
+# -- a reference copy of the fraction-free elimination --------------------------
+#
+# Rows cleared to Laurent polynomials, the content divided out after every
+# step, pivots of fewest Laurent terms, and back substitution: the elimination
+# `linalg` used before its one Gauss-Jordan pass over Q(q), kept here as an
+# independent route.
+
+def _lcm_poly(a, b):
+    return a * b.divmod_poly(poly_gcd(a, b))[0]
+
+
+def _clear_row(row):
+    if all(x.in_A() for x in row):
+        return [x.num for x in row]
+    den = LaurentPoly.one()
+    for x in row:
+        if not x.is_zero():
+            den = _lcm_poly(den, x.den)
+    return [LaurentPoly.zero() if x.is_zero() else x.num * den.divmod_poly(x.den)[0]
+            for x in row]
+
+
+def _strip_content(row):
+    nonzero = [p for p in row if not p.is_zero()]
+    if not nonzero:
+        return row
+    shift = min(p.min_exp() for p in nonzero)
+    g = LaurentPoly.zero()
+    for p in nonzero:
+        g = poly_gcd(g, p.shift(-p.min_exp())) if not g.is_zero() else p.shift(-p.min_exp())
+        if g == LaurentPoly.one():
+            break
+    if g == LaurentPoly.one() and shift == 0:
+        return row
+    return [p.shift(-shift).divmod_poly(g)[0] if not p.is_zero() else p for p in row]
+
+
+def reference_echelon(matrix, ncols):
+    rows = [_strip_content(_clear_row(row)) for row in matrix]
+    pivots = []
+    used = set()
+    for col in range(ncols):
+        candidates = [r for r in range(len(rows)) if r not in used and rows[r][col]]
+        if not candidates:
+            continue
+        prow = min(candidates, key=lambda r: len(rows[r][col].coeffs))
+        used.add(prow)
+        pivots.append((prow, col))
+        piv = rows[prow][col]
+        for r in range(len(rows)):
+            if r in used or not rows[r][col]:
+                continue
+            factor = rows[r][col]
+            rows[r] = _strip_content([piv * a - factor * b for a, b in zip(rows[r], rows[prow])])
+    return rows, pivots
+
+
+def _back_substitute(rows, pivots, x, rhs):
+    n = len(x)
+    for prow, col in reversed(pivots):
+        row = rows[prow]
+        acc = -dot([(RatFunc(row[c]), x[c]) for c in range(col + 1, n) if row[c] and x[c]])
+        if rhs is not None:
+            acc = acc + RatFunc(row[rhs])
+        x[col] = acc / RatFunc(row[col])
+    return x
+
+
+def reference_rank(matrix):
+    return len(reference_echelon(matrix, len(matrix[0]) if matrix else 0)[1])
+
+
+def reference_solve(matrix, rhs_columns):
+    n = len(matrix)
+    aug = [list(row) + [col[r] for col in rhs_columns] for r, row in enumerate(matrix)]
+    rows, pivots = reference_echelon(aug, n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return [_back_substitute(rows, pivots, [RatFunc.zero()] * n, n + t)
+            for t in range(len(rhs_columns))]
+
+
+def reference_nullspace(matrix, ncols=None):
+    if ncols is None:
+        ncols = len(matrix[0]) if matrix else 0
+    rows, pivots = reference_echelon(matrix, ncols)
+    pivot_cols = {col for _, col in pivots}
+    basis = []
+    for free in range(ncols):
+        if free not in pivot_cols:
+            vec = [RatFunc.zero()] * ncols
+            vec[free] = RatFunc(1)
+            basis.append(_back_substitute(rows, pivots, vec, None))
+    return basis
+
+
+def reference_solve_rect(matrix, rhs):
+    if not matrix:
+        if any(rhs):
+            raise SingularMatrixError("inconsistent empty system")
+        return []
+    ncols = len(matrix[0])
+    rows, pivots = reference_echelon([list(row) + [rhs[r]] for r, row in enumerate(matrix)], ncols)
+    pivot_rows = {prow for prow, _ in pivots}
+    for r, row in enumerate(rows):
+        if r not in pivot_rows and row[ncols] and not any(row[:ncols]):
+            raise SingularMatrixError("inconsistent system")
+    return _back_substitute(rows, pivots, [RatFunc.zero()] * ncols, ncols)
+
+
+def structure(value):
+    """A RatFunc, or nested lists of them, as exponent -> (type, coefficient)
+    maps of numerator and denominator: equal only if built alike."""
+    if isinstance(value, RatFunc):
+        return tuple({e: (type(c), c) for e, c in p.coeffs.items()} for p in (value.num, value.den))
+    return [structure(v) for v in value]
+
+
+ENTRIES = ["0", "0", "0", "1", "-2", "q", "3q^-2", "q + q^-1", "1/(1 + q^2)",
+           "(1 - q)/(1 + q^2)", "q^2/(1 - q^4)", "2/(1 + q + q^2)"]
+
+
+def mixed_matrix(rng, n, m, kind):
+    """A seeded n x m matrix of Laurent and fraction entries, of full rank or
+    not: `deficient` makes its last row a combination of two others, `zero`
+    clears one column."""
+    A = [[R(rng.choice(ENTRIES)) for _ in range(m)] for _ in range(n)]
+    if kind == "deficient" and n >= 3:
+        a, b = R(rng.choice(ENTRIES[3:])), R(rng.choice(ENTRIES[3:]))
+        A[-1] = [a * x + b * y for x, y in zip(A[0], A[1])]
+    if kind == "zero":
+        c = rng.randrange(m)
+        for row in A:
+            row[c] = RatFunc.zero()
+    return A
+
+
+SHAPES = [(n, m, kind) for n, m in [(1, 1), (3, 3), (4, 4), (5, 5), (2, 5), (3, 6), (5, 2), (6, 3)]
+          for kind in ("random", "deficient", "zero")]
+
+
+@pytest.mark.parametrize("n,m,kind", SHAPES)
+def test_results_match_the_fraction_free_reference(n, m, kind):
+    """`nullspace`, `solve`, `solve_rect` and `rank` give the values, built
+    alike, of the fraction-free reference, inconsistent systems included."""
+    rng = random.Random(f"{n}x{m}-{kind}")
+    inconsistent = 0
+    for _ in range(4):
+        A = mixed_matrix(rng, n, m, kind)
+        assert rank(A) == reference_rank(A)
+        assert structure(nullspace(A)) == structure(reference_nullspace(A))
+        assert structure(nullspace(A, m)) == structure(reference_nullspace(A, m))
+        x = [R(rng.choice(ENTRIES)) for _ in range(m)]
+        for b in (mat_vec(A, x), [R(rng.choice(ENTRIES[3:])) for _ in range(n)]):
+            try:
+                want = reference_solve_rect(A, b)
+            except SingularMatrixError:
+                inconsistent += 1
+                with pytest.raises(SingularMatrixError, match="inconsistent system"):
+                    solve_rect(A, b)
+                continue
+            assert structure(solve_rect(A, b)) == structure(want)
+        if n == m:
+            cols = [[R(rng.choice(ENTRIES)) for _ in range(n)] for _ in range(2)]
+            if reference_rank(A) < n:
+                with pytest.raises(SingularMatrixError, match="singular"):
+                    solve(A, cols)
+            else:
+                assert structure(solve(A, cols)) == structure(reference_solve(A, cols))
+    if n > m or (kind == "deficient" and n >= 3):
+        assert inconsistent
+
+
+def test_the_empty_matrix_matches_the_reference():
+    for ncols in (None, 0, 3):
+        assert nullspace([], ncols) == reference_nullspace([], ncols)
+    assert rank([]) == reference_rank([]) == 0
+    assert solve([], [[], []]) == reference_solve([], [[], []]) == [[], []]
+    assert solve_rect([], []) == reference_solve_rect([], []) == []
+    with pytest.raises(SingularMatrixError, match="inconsistent empty system"):
+        solve_rect([], [R("q")])
+
+
+@pytest.mark.parametrize("n,m,kind", SHAPES)
+def test_echelon_rows_are_reduced(n, m, kind):
+    """Each pivot is 1 and alone in its column, pivot columns increase, the
+    rows past the pivots are 0 in the first `ncols` columns, and the input
+    is left as it was; a carried right-hand side column is never a pivot."""
+    rng = random.Random(f"reduced-{n}x{m}-{kind}")
+    for width in (m, m - 1):
+        A = mixed_matrix(rng, n, m, kind)
+        before = structure(A)
+        rows, pivots = echelon_form(A, ncols=width)
+        assert structure(A) == before
+        assert len(rows) == n and all(len(row) == m for row in rows)
+        cols = [col for _, col in pivots]
+        assert cols == sorted(set(cols)) and all(col < width for col in cols)
+        assert len({prow for prow, _ in pivots}) == len(pivots)
+        for prow, col in pivots:
+            assert rows[prow][col] == 1
+            assert not any(row[col] for r, row in enumerate(rows) if r != prow)
+        assert cols == [col for _, col in reference_echelon(A, width)[1]]
+        pivot_rows = {prow for prow, _ in pivots}
+        for r, row in enumerate(rows):
+            if r not in pivot_rows:
+                assert not any(row[:width])
+
+
+def test_pivot_has_fewest_terms_then_fewest_nonzero_entries():
+    """Column 0: q and q^2 have the fewest terms, and the row of q^2 has the
+    fewer nonzero entries; column 1: equal entries, the first row wins."""
+    A = [[R("1 + q"), R("1")], [R("q"), R("2")], [R("q^2"), R("0")]]
+    rows, pivots = echelon_form(A)
+    assert pivots == [(2, 0), (0, 1)]
+    assert rows == [[R("0"), R("1")], [R("0"), R("0")], [R("1"), R("0")]]

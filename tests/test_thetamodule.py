@@ -10,6 +10,7 @@ from symcrys.theta import crystal_E, crystal_F, enumerate_theta
 from symcrys.thetamodule import ThetaClassVector, ThetaModule, theta_scale
 from symcrys.verify import suite_theta_dims
 from symcrys.wordalg import content_key, shift_key
+from test_linalg import reference_nullspace, structure
 
 WIN = (-3, -1, 1, 3)
 
@@ -267,12 +268,12 @@ def test_A_integrality_of_word_coordinates(mod):
 
 def word_ideal_basis(mod, key):
     """A basis of the block's ideal from the word generators w (f_k - f_{-k}):
-    the echelon rows of their fibre vectors, read through the type-A
+    the reduced echelon rows of their fibre vectors, read through the type-A
     word-coordinate tables."""
     block = mod.block(key)
     words = [mod._fiber_vector(g, block) for g in mod.ideal_generators(key)]
     rows, pivots = echelon_form(words, ncols=block["dim"])
-    return [[RatFunc(p) for p in rows[prow]] for prow, _ in pivots]
+    return [rows[prow] for prow, _ in pivots]
 
 
 def reference_matrix(mod, key):
@@ -397,6 +398,23 @@ def test_ideal_rows_are_the_right_multiplication_columns(monkeypatch, window, de
     old = ThetaModule(window)
     for key in keys:
         assert new.block(key)["coord_rows"] == old.block(key)["coord_rows"], key
+
+
+@pytest.mark.parametrize("window,degree,blocks", [
+    (WIN, 4, 15), ((-1, 1), 6, 7), (tuple(range(-5, 6, 2)), 3, 20),
+])
+def test_coord_rows_match_the_fraction_free_reference(monkeypatch, window, degree, blocks):
+    """The coordinate rows read off the reduced echelon form are the rows,
+    built alike, that the fraction-free reference elimination gives every
+    block."""
+    new = ThetaModule(window)
+    keys = [()] + new.block_keys(degree)
+    rows = {key: new.block(key)["coord_rows"] for key in keys}
+    monkeypatch.setattr(thetamodule, "nullspace", reference_nullspace)
+    old = ThetaModule(window)
+    for key in keys:
+        assert structure(rows[key]) == structure(old.block(key)["coord_rows"]), key
+    assert len(keys) == blocks
 
 
 def test_theta_blocks_store_no_operator_matrix():
