@@ -26,6 +26,12 @@ inverts both by forward substitution.  It refuses a matrix that is not
 lower triangular, so a Gram matrix that is not diagonal fails the duality
 check of `global_upper`.  `multiplicity_polys` is not memoized, so its
 direct/adjoint cross-check runs on every call.
+A type-A block that is a translate of its representative
+(`WordAlgebra.representative`) computes none of these: it takes the
+representative's bar, lower and upper entries, under its own label and
+basis, and its `upper_inv` and `lower_inverse`, after the basis guard of
+`wordalg.from_representative`; if the representative raises, the translate
+computes its own, so an error names the block asked for.
 Returned matrices are shared and must not be mutated.
 """
 
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 from .linalg import inverse_rows, mat_mul, mat_vec
 from .ratfunc import RatFunc, dot
-from .wordalg import content_key
+from .wordalg import content_key, from_representative
 
 
 class TransitionMatrix:
@@ -137,10 +143,39 @@ class TriangularityError(ArithmeticError):
     """The bar matrix of a block failed unitriangularity (transcription bug)."""
 
 
+def _shared(ctx, compute):
+    """For a translate ctx: once compute(rep) has stored its record on the
+    context of ctx's representative, take every record stored there that ctx
+    lacks (matrices under ctx's own label and basis) and return True.  False
+    when ctx is its own representative or compute(rep) raised, and ctx
+    computes its own (`wordalg.from_representative`, which also runs the
+    basis guard)."""
+    def run(key, shift):
+        rep = block_context(ctx.space, key)
+        compute(rep)
+        return rep
+
+    rep = from_representative(ctx.space, ctx.key, run)
+    if rep is None:
+        return False
+    for name in ("bar", "lower", "upper"):
+        matrix = getattr(rep, name)
+        if matrix is not None and getattr(ctx, name) is None:
+            setattr(ctx, name, TransitionMatrix(ctx.label, ctx.basis(), matrix.entries))
+    for name in ("lower_inv", "upper_inv"):
+        if getattr(ctx, name) is None:
+            setattr(ctx, name, getattr(rep, name))
+    return True
+
+
 def bar_matrix(ctx):
     """B with bar(P(n)) = sum_m B_{mn} P(m); unitriangular with Laurent entries."""
-    if ctx.bar is not None:
-        return ctx.bar
+    if ctx.bar is None and not _shared(ctx, bar_matrix):
+        ctx.bar = _bar_matrix(ctx)
+    return ctx.bar
+
+
+def _bar_matrix(ctx):
     basis = ctx.basis()
     n = len(basis)
     cols = [ctx.bar_column(c) for c in range(n)]
@@ -163,8 +198,7 @@ def bar_matrix(ctx):
                     f"{ctx.label}: bar entry {B[r][c]} at ({basis[r]}, {basis[c]}) "
                     "is not a Laurent polynomial"
                 )
-    ctx.bar = TransitionMatrix(ctx.label, basis, B)
-    return ctx.bar
+    return TransitionMatrix(ctx.label, basis, B)
 
 
 def _split_antisymmetric(r):
@@ -185,8 +219,12 @@ def _own_matrix(ctx, given, stored, name):
 def global_lower(ctx, bar=None):
     """C with G(n) = sum_m C_{mn} P(m): bar-invariant, off-diagonal in q.Q[q]."""
     _own_matrix(ctx, bar, ctx.bar, "bar")
-    if ctx.lower is not None:
-        return ctx.lower
+    if ctx.lower is None and not _shared(ctx, global_lower):
+        ctx.lower = _global_lower(ctx)
+    return ctx.lower
+
+
+def _global_lower(ctx):
     B = bar_matrix(ctx)
     n = B.size()
     M = B.entries
@@ -205,15 +243,19 @@ def global_lower(ctx, bar=None):
     barC = [[x.bar() for x in row] for row in C]
     if mat_mul(M, barC) != C:
         raise ArithmeticError(f"{ctx.label}: lower global basis is not bar-invariant")
-    ctx.lower = TransitionMatrix(ctx.label, B.basis, C)
-    return ctx.lower
+    return TransitionMatrix(ctx.label, B.basis, C)
 
 
 def global_upper(ctx, lower=None):
     """Coordinates of the form-dual basis: U = (Gram . C)^{-T}."""
     _own_matrix(ctx, lower, ctx.lower, "lower")
-    if ctx.upper is not None:
-        return ctx.upper
+    if ctx.upper is None and not _shared(ctx, global_upper):
+        ctx.upper, ctx.upper_inv = _global_upper(ctx)
+    return ctx.upper
+
+
+def _global_upper(ctx):
+    """(U, U^{-1}) of the block."""
     C = global_lower(ctx)
     G = ctx.gram()
     GC = mat_mul(G, C.entries)
@@ -223,17 +265,15 @@ def global_upper(ctx, lower=None):
     except ArithmeticError as e:
         raise ArithmeticError(f"{ctx.label}: upper/lower duality failed") from e
     U = [list(row) for row in zip(*UT)]
-    ctx.upper = TransitionMatrix(ctx.label, C.basis, U)
-    ctx.upper_inv = [list(row) for row in zip(*GC)]  # U^{-1} = (G C)^T
-    return ctx.upper
+    U_inv = [list(row) for row in zip(*GC)]  # U^{-1} = (G C)^T
+    return TransitionMatrix(ctx.label, C.basis, U), U_inv
 
 
 def lower_inverse(ctx):
     """C^{-1} for the block's lower basis C, stored after the exact check
     C^{-1} C = I."""
-    if ctx.lower_inv is None:
-        C = global_lower(ctx).entries
-        ctx.lower_inv = inverse_rows(C)
+    if ctx.lower_inv is None and not _shared(ctx, lower_inverse):
+        ctx.lower_inv = inverse_rows(global_lower(ctx).entries)
     return ctx.lower_inv
 
 

@@ -207,6 +207,13 @@ class Multisegment:
     def degree(self):
         return sum(seg.length() * mult for seg, mult in self.entries.items())
 
+    def shifted(self, step):
+        """The translate of m: each segment <i,j> becomes <i+step,j+step>
+        (step even)."""
+        return Multisegment._trusted(
+            {Segment(seg.i + step, seg.j + step): n for seg, n in self.entries.items()}
+        )
+
     def segments_desc_pbw(self):
         return sorted(self.entries, key=Segment.pbw_key, reverse=True)
 
@@ -247,9 +254,12 @@ class Multisegment:
                 if type(end) is not int:  # a JSON integer; no float or boolean
                     raise TypeError(f"segment endpoint {json.dumps(end)} is not an integer")
             seg = Segment(*ends)
-            if type(rec["mult"]) is not int:
-                raise TypeError(f"multiplicity {json.dumps(rec['mult'])} of {seg} is not an integer")
-            entries[seg] = entries.get(seg, 0) + rec["mult"]
+            mult = rec["mult"]
+            if type(mult) is not int:
+                raise TypeError(f"multiplicity {json.dumps(mult)} of {seg} is not an integer")
+            if mult < 0:  # refused per record, before the records of a segment are summed
+                raise ValueError(f"negative multiplicity {mult} for {seg}")
+            entries[seg] = entries.get(seg, 0) + mult
         return Multisegment(entries)
 
     @staticmethod

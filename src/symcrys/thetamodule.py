@@ -258,7 +258,8 @@ class ThetaModule:
 
     def block(self, sym_key):
         """The fibre `offsets`, `dim`, `theta_basis` and checked `coord_rows`
-        of a symmetrized content; ArithmeticError if P_theta is no basis."""
+        of a symmetrized content, and its `gram` once `gram_matrix` asked for
+        it; ArithmeticError if P_theta is no basis."""
         hit = self._blocks.get(sym_key)
         if hit is not None:
             return hit
@@ -397,6 +398,11 @@ class ThetaModule:
     def block_label(self, key):
         return f"symmetrized content {dict(key)}"
 
+    def representative(self, key):
+        """Every block is its own representative: (key, 0).  Theta blocks
+        share work only through the type-A fibre tables."""
+        return key, 0
+
     def shifted_key(self, key, i, step):
         return shift_key(key, abs(i), step)
 
@@ -416,9 +422,14 @@ class ThetaModule:
         return self.coord_vector(self.bar_theta(self.ptheta_vector(m)), key)
 
     def gram_matrix(self, key):
-        """The theta_form Gram matrix of the block's P_theta basis."""
-        vecs = [self.ptheta_vector(m) for m in self.basis_of_content(key)]
-        return [[self.theta_form(u, v) for v in vecs] for u in vecs]
+        """The theta_form Gram matrix of the block's P_theta basis, computed
+        once and kept with the block."""
+        block = self.block(key)
+        gram = block.get("gram")
+        if gram is None:
+            vecs = [self.ptheta_vector(m) for m in block["theta_basis"]]
+            gram = block["gram"] = [[self.theta_form(u, v) for v in vecs] for u in vecs]
+        return gram
 
     def relation_scalar(self, i, j, key):
         """The scalar term of E_i F_j = q^{-(alpha_i, alpha_j)} F_j E_i + scalar:

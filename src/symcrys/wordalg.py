@@ -49,6 +49,18 @@ cache of `operator_matrix`) and (through `_contexts`, filled by
 `symcrys.canonical`) the block's bar matrix and global bases.  A fresh
 algebra starts cold.  Cached word vectors and matrices are shared between
 callers, who must not mutate them.
+
+Blocks that differ by a shift of the window are computed once: the shift
+f_i -> f_{i+2} keeps the pairing, the form, bar and the PBW and crystal
+orders.  `representative(key)` (a protocol method; on `ThetaModule` every
+block is its own) names the translate whose lowest letter is window[0] and
+the shift from it.  A translate takes its representative's record (G, D_c),
+every word shifted and G and the entry lists shared, and its e'_i / f_i
+block matrices of index i - shift when that is a window letter, through
+`from_representative`: the translate's own basis must be the shifted basis
+of the representative, in order (`check_translate_basis`, ArithmeticError naming
+the block otherwise), and a translate whose representative raises computes
+its own record, so every error names the block asked for.
 """
 
 from __future__ import annotations
@@ -468,6 +480,22 @@ class WordAlgebra:
         """The record (G, D_c) of the content block, built once: the Gram
         matrix G and the word-coordinate table D_c, each word v -> the
         nonzero entries (m, c) of its PBW coordinate column R Phi[:, v].
+        A translate by `shift` takes its representative's record, every word
+        shifted, with G and the entry lists shared (`from_representative`)."""
+        hit = self._tables.get(key)
+        if hit is None:
+            found = from_representative(self, key, lambda rep, shift: (self._table(rep), shift))
+            if found is None:
+                hit = self._word_table(key)
+            else:
+                (gram, table), shift = found
+                hit = (gram, {tuple(i + shift for i in v): e for v, e in table.items()})
+            self._tables[key] = hit
+        return hit
+
+    def _word_table(self, key):
+        """The record (G, D_c) of the content block, computed from its PBW
+        elements.
 
         Phi[m][v] = (P(m), v) = (1/d(m)) sum_w P~(m)_w (w, v) is summed in
         Laurent arithmetic and divided by d(m) once, and
@@ -476,36 +504,33 @@ class WordAlgebra:
         entries of its rows, so each entry of D_c costs one product per
         nonzero entry of its row of R (one, for the diagonal G of every
         block).  Phi is not kept."""
-        hit = self._tables.get(key)
-        if hit is None:
-            basis = self.basis_of_content(key)
-            if not basis:
-                raise ValueError(f"no PBW basis vectors for content {dict(key)}")
-            words = self.words_of_content(key)
-            parts = [self._pbw_parts(m) for m in basis]
-            form = self._form_words
-            phi = {v: [] for v in words}
-            for inv_d, tilde in parts:
-                terms = tilde.terms.items()
-                for v in words:
-                    phi[v].append(dot([(c, form(w, v)) for w, c in terms]) * inv_d)
-            cols = []
-            for inv_d, tilde in parts:
-                terms = [(c, phi[v]) for v, c in tilde.terms.items()]
-                cols.append([
-                    dot([(c, p[m]) for c, p in terms]) * inv_d for m in range(len(basis))
-                ])
-            gram = [list(row) for row in zip(*cols)]
-            rows = [[(c, x) for c, x in enumerate(row) if x] for row in inverse_rows(gram)]
-            table = {}
-            for v, col in phi.items():
-                entries = table[v] = []
-                for m, row in enumerate(rows):
-                    d = dot([(x, col[c]) for c, x in row])
-                    if d:
-                        entries.append((m, d))
-            hit = self._tables[key] = (gram, table)
-        return hit
+        basis = self.basis_of_content(key)
+        if not basis:
+            raise ValueError(f"no PBW basis vectors for content {dict(key)}")
+        words = self.words_of_content(key)
+        parts = [self._pbw_parts(m) for m in basis]
+        form = self._form_words
+        phi = {v: [] for v in words}
+        for inv_d, tilde in parts:
+            terms = tilde.terms.items()
+            for v in words:
+                phi[v].append(dot([(c, form(w, v)) for w, c in terms]) * inv_d)
+        cols = []
+        for inv_d, tilde in parts:
+            terms = [(c, phi[v]) for v, c in tilde.terms.items()]
+            cols.append([
+                dot([(c, p[m]) for c, p in terms]) * inv_d for m in range(len(basis))
+            ])
+        gram = [list(row) for row in zip(*cols)]
+        rows = [[(c, x) for c, x in enumerate(row) if x] for row in inverse_rows(gram)]
+        table = {}
+        for v, col in phi.items():
+            entries = table[v] = []
+            for m, row in enumerate(rows):
+                d = dot([(x, col[c]) for c, x in row])
+                if d:
+                    entries.append((m, d))
+        return gram, table
 
     def gram_matrix(self, content):
         """(P(m), P(n)) over the content block, in the crystal-ordered basis,
@@ -546,17 +571,40 @@ class WordAlgebra:
 
     def eprime_matrix(self, i, content):
         """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
-        return operator_matrix(
-            self, "eprime", i, content_key(content), -1,
-            lambda m: self.eprime(i, self.pbw_element(m)),
-        )
+        return self._block_matrix(i, content_key(content), -1)
 
     def fmul_matrix(self, i, content):
         """Matrix of left multiplication by f_i, content block -> content + alpha_i."""
-        return operator_matrix(
-            self, "fmul", i, content_key(content), +1,
-            lambda m: self.mul(self.f(i), self.pbw_element(m)),
-        )
+        return self._block_matrix(i, content_key(content), +1)
+
+    def _block_matrix(self, i, key, step):
+        """The cached block matrix of e'_i (step -1) or f_i (step +1) on the
+        block `key`.  A translate by `shift` takes its representative's matrix
+        of index i - shift when that index is a window letter (always, for
+        e'_i), after the basis guard on both blocks; else it is computed by
+        `operator_matrix`."""
+        name = "eprime" if step < 0 else "fmul"
+        hit = self._operator_mats.get((name, i, key))
+        if hit is not None:
+            return hit
+
+        def shared(rep, shift):
+            j = i - shift
+            if j < self.window[0]:
+                return None
+            return self._block_matrix(j, rep, step), shift_key(rep, j, step), shift
+
+        found = from_representative(self, key, shared)
+        if found is None:
+            image = (
+                (lambda m: self.eprime(i, self.pbw_element(m))) if step < 0
+                else (lambda m: self.mul(self.f(i), self.pbw_element(m)))
+            )
+            return operator_matrix(self, name, i, key, step, image)
+        hit, rep_tgt, shift = found
+        check_translate_basis(self, shift_key(key, i, step), rep_tgt, shift)
+        self._operator_mats[name, i, key] = hit
+        return hit
 
     # -- modified root operators -------------------------------------------------
 
@@ -582,6 +630,19 @@ class WordAlgebra:
 
     def block_label(self, key):
         return f"content {dict(key)}"
+
+    def representative(self, key):
+        """(rep_key, shift) with key the translate of rep_key by `shift`: the
+        translate whose lowest letter is window[0].  The index shift
+        f_i -> f_{i+2} keeps the pairing, the form, bar and the PBW and
+        crystal orders, so a block and its translates have the same block
+        matrices.  () and a key with a letter outside the window are their
+        own representatives (shift 0)."""
+        low = self.window[0]
+        if not key or key[0][0] == low or any(i not in self.window for i, _ in key):
+            return key, 0
+        shift = key[0][0] - low
+        return tuple((i - shift, n) for i, n in key), shift
 
     def shifted_key(self, key, i, step):
         return shift_key(key, i, step)
@@ -622,6 +683,35 @@ class WordAlgebra:
 # ---------------------------------------------------------------------------
 # written once over the graded-block protocol
 # ---------------------------------------------------------------------------
+
+def check_translate_basis(space, key, rep, shift):
+    """The basis guard: the basis of block `key` must be the basis of block
+    `rep` with every multisegment shifted by `shift`, in order;
+    ArithmeticError naming the block if not."""
+    if space.basis_of_content(key) != [m.shifted(shift) for m in space.basis_of_content(rep)]:
+        raise ArithmeticError(
+            f"{space.block_label(key)}: basis is not the basis of "
+            f"{space.block_label(rep)} shifted by {shift}"
+        )
+
+
+def from_representative(space, key, shared):
+    """The record `shared(rep_key, shift)` of the representative of block
+    `key` (`space.representative`), for a translate, after the basis guard
+    (`check_translate_basis`); None when key is its own representative, when
+    `shared` gives None, or when it raises: the translate then computes its
+    own record, so any error names the block asked for."""
+    rep, shift = space.representative(key)
+    if not shift:
+        return None
+    try:
+        record = shared(rep, shift)
+    except Exception:  # recomputed on the translate, which raises its own error
+        return None
+    if record is not None:
+        check_translate_basis(space, key, rep, shift)
+    return record
+
 
 def operator_matrix(space, name, i, key, step, image):
     """The matrix, in block coordinates, of the operator `name` along index i

@@ -253,7 +253,9 @@ def _count_bar_columns(ctx, calls):
 
 @pytest.mark.parametrize("factory,make,idx", SETTINGS)
 def test_multiplicity_reuses_the_memoized_bases(factory, make, idx):
-    ctx = factory(make(), {1: 1, 3: 1})
+    # a type-A block that is its own representative, so it computes its bases
+    content = {-3: 1, -1: 1} if factory is typeA_block else {1: 1, 3: 1}
+    ctx = factory(make(), content)
     tgt = ctx.shifted(idx, +1)
     calls = []
     _count_bar_columns(ctx, calls)
@@ -265,7 +267,7 @@ def test_multiplicity_reuses_the_memoized_bases(factory, make, idx):
         + [(tgt.label, k) for k in range(len(tgt.basis()))]
     )
 
-    ctx = factory(make(), {1: 1, 3: 1})
+    ctx = factory(make(), content)
     tgt = ctx.shifted(idx, +1)
     global_upper(ctx)
     global_upper(tgt)

@@ -330,6 +330,16 @@ def test_json_too_deep_or_too_long_for_the_parser_exits_2(capsys, argv, message)
     assert err.startswith(f"usage error: {message}"), err[:200]
 
 
+@pytest.mark.parametrize("records", [
+    '[{"i":1,"j":3,"mult":-1}]',
+    '[{"i":1,"j":3,"mult":2},{"i":1,"j":3,"mult":-1}]',  # the sum of the records is 1
+])
+def test_a_negative_multisegment_record_exits_2(capsys, records):
+    assert run(capsys, "expand", "--window=1,3", records) == (
+        2, "", f"usage error: cannot parse multisegment {records!r}: "
+               "negative multiplicity -1 for <1,3>\n")
+
+
 def test_multisegment_parser_keeps_its_exception_types():
     """The CLI names a bad record before `Multisegment.from_json_obj` sees it;
     the parser itself raises what it raised before."""

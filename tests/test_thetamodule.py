@@ -482,3 +482,19 @@ def test_stored_rows_make_no_further_solves(monkeypatch):
     for v in ideal_elements(fresh, key):
         assert fresh.is_zero_class(v)
     assert calls == []
+
+
+def test_a_theta_gram_matrix_is_computed_once_per_block(monkeypatch):
+    """The Gram matrix is kept with its block: a second request makes no
+    theta_form call and returns the same matrix."""
+    module = ThetaModule(WIN)
+    calls = []
+    real = ThetaModule.theta_form
+    monkeypatch.setattr(ThetaModule, "theta_form",
+                        lambda self, u, v: calls.append(1) or real(self, u, v))
+    key = content_key({1: 2, 3: 1})
+    gram = module.gram_matrix(key)
+    n = len(module.basis_of_content(key))
+    assert len(calls) == n * n
+    assert module.gram_matrix(key) is gram
+    assert len(calls) == n * n

@@ -33,7 +33,7 @@ COUNTS = {
 PROTOCOL = [
     "basis_of_content", "coord_vector", "gram_matrix", "bar_column", "lower_matrix",
     "raise_matrix", "from_coords", "letter", "shifted_key", "block_keys",
-    "block_label", "relation_scalar",
+    "block_label", "relation_scalar", "representative",
 ]
 
 
@@ -124,40 +124,48 @@ def test_theta_gram_suite_checks_the_closed_form_diagonal(monkeypatch):
 def test_a_singular_block_is_a_failed_check():
     """linalg.SingularMatrixError is an ArithmeticError, so a suite reports a
     singular block matrix as a failure instead of stopping: a Gram matrix
-    with a zero on its diagonal makes G C singular in `global_upper`."""
+    with a zero on its diagonal makes G C singular in `global_upper`.  The
+    translates of the block share its Gram matrix, and each fails under its
+    own label."""
     spaces = {}
     alg = _space("typeA", WIN, spaces)
-    key = content_key({1: 1, 3: 1})
+    key = content_key({-3: 1, -1: 1})
     gram = [list(row) for row in alg.gram_matrix(dict(key))]
     gram[0][0] = RatFunc.zero()
     alg._tables[key] = (gram, alg._tables[key][1])
     checked, fails = SUITES["global-basis"]("typeA", WIN, 2, spaces)
-    assert checked == 13
-    assert fails == ["content {1: 1, 3: 1}: upper/lower duality failed"]
+    assert checked == 11
+    assert fails == [
+        f"content {c}: upper/lower duality failed"
+        for c in ({-3: 1, -1: 1}, {-1: 1, 1: 1}, {1: 1, 3: 1})
+    ]
 
 
 def test_a_gram_matrix_that_is_not_diagonal_is_a_failed_check(monkeypatch):
     """The word-coordinate table inverts only a lower triangular Gram matrix,
     so a form that pairs two PBW elements of a block makes the table build
-    fail, and the gram suite reports it on that block."""
+    fail, and the gram suite reports it on that block.  Its translates, whose
+    words the fault misses, are then computed directly and pass."""
     real = WordAlgebra._form_words
 
     def form(self, w, v):
         f = real(self, w, v)
-        return f + RatFunc.q_power(1) if {w, v} == {(1, 3), (3, 1)} else f
+        return f + RatFunc.q_power(1) if {w, v} == {(-3, -1), (-1, -3)} else f
 
     monkeypatch.setattr(WordAlgebra, "_form_words", form)
     checked, fails = suite_gram("typeA", WIN, 2)
     assert checked == 13
-    assert fails == ["content {1: 1, 3: 1}: matrix is not lower triangular"]
+    assert fails == ["content {-3: 1, -1: 1}: matrix is not lower triangular"]
 
 
 @pytest.mark.parametrize("suite", ["bar-triangular", "global-basis"])
 def test_a_failure_in_canonical_names_its_block_once(monkeypatch, suite):
     """`canonical` names the block in its own errors, and the suites add no
-    second label; an error from below it is labelled by the suite."""
+    second label; an error from below it is labelled by the suite.  The
+    fault is in a representative, so its translates are computed directly
+    and pass."""
     real = WordAlgebra.bar_column
-    key = content_key({1: 1, 3: 1})
+    key = content_key({-3: 1, -1: 1})
 
     def bar_column(self, m, k):
         col = real(self, m, k)
@@ -168,11 +176,32 @@ def test_a_failure_in_canonical_names_its_block_once(monkeypatch, suite):
     monkeypatch.setattr(WordAlgebra, "bar_column", bar_column)
     checked, fails = SUITES[suite]("typeA", WIN, 2)
     assert checked == 13
-    assert fails == ["content {1: 1, 3: 1}: diagonal bar entry at <1,3> is 2"]
+    assert fails == ["content {-3: 1, -1: 1}: diagonal bar entry at <-3,-1> is 2"]
 
     monkeypatch.setattr(WordAlgebra, "bar_column", lambda self, m, k: 1 / RatFunc.zero())
     checked, fails = SUITES[suite]("typeA", (1,), 1)
     assert (checked, fails) == (0, ["content {1: 1}: division by zero in Q(q)"])
+
+
+@pytest.mark.parametrize("suite", ["bar-triangular", "global-basis"])
+def test_a_fault_in_a_representative_is_reported_for_each_translate(suite):
+    """The translates of a block share its word table, so a fault planted in
+    the representative's table fails the representative and each translate,
+    every one under its own label."""
+    spaces = {}
+    alg = _space("typeA", WIN, spaces)
+    key = content_key({-3: 1, -1: 1})
+    gram, table = alg._table(key)
+    table = dict(table)
+    table[-1, -3] = [(m, c * RatFunc(2)) for m, c in table[-1, -3]]
+    alg._tables[key] = (gram, table)
+    checked, fails = SUITES[suite]("typeA", WIN, 2, spaces)
+    assert checked == 11
+    assert fails == [
+        "content {-3: 1, -1: 1}: diagonal bar entry at <-1> + <-3> is 2",
+        "content {-1: 1, 1: 1}: diagonal bar entry at <1> + <-1> is 2",
+        "content {1: 1, 3: 1}: diagonal bar entry at <3> + <1> is 2",
+    ]
 
 
 def test_a_run_builds_one_algebra_in_either_order():
