@@ -24,14 +24,22 @@ inverts each matrix at most once.  The PBW Gram matrix G is diagonal, so C
 is unitriangular and G C lower triangular, and `linalg.inverse_rows`
 inverts both by forward substitution.  It refuses a matrix that is not
 lower triangular, so a Gram matrix that is not diagonal fails the duality
-check of `global_upper`.  `multiplicity_polys` is not memoized, so its
-direct/adjoint cross-check runs on every call.
+check of `global_upper`.  `multiplicity_polys` keeps each table on the
+context, by (index, side), once its direct/adjoint cross-check passed.
 A type-A block that is a translate of its representative
 (`WordAlgebra.representative`) computes none of these: it takes the
 representative's bar, lower and upper entries, under its own label and
 basis, and its `upper_inv` and `lower_inverse`, after the basis guard of
 `wordalg.from_representative`; if the representative raises, the translate
-computes its own, so an error names the block asked for.
+computes its own, so an error names the block asked for.  In the same way a
+translate pair (i, key) takes the multiplicity table of its representative
+pair (`representative(key, i)`) with every multisegment shifted, after the
+basis guard on the source and the target block.  No cross-check is lost:
+the translate's operator and partner matrices are the very matrix objects
+of the representative pair (`wordalg` shares them by the same rule), and its
+C, U and inverses are the representative block's, so its check would
+multiply the same matrices as the representative's, which runs once per
+pair class.
 Returned matrices are shared and must not be mutated.
 """
 
@@ -90,9 +98,10 @@ class BlockContext:
     the two classes share (`basis_of_content`, `bar_column`, `gram_matrix`,
     `lower_matrix`, `raise_matrix`, `shifted_key`, ...).
 
-    `bar`, `lower` and `upper` hold the checked matrices once computed, and
+    `bar`, `lower` and `upper` hold the checked matrices once computed,
     `lower_inv` and `upper_inv` the inverses of the entries of `lower` and
-    `upper`.
+    `upper`, and `mults` the cross-checked multiplicity tables by
+    (index, side).
     """
 
     def __init__(self, space, key):
@@ -104,6 +113,7 @@ class BlockContext:
         self.upper = None
         self.lower_inv = None
         self.upper_inv = None
+        self.mults = {}
 
     def basis(self):
         return self.space.basis_of_content(self.key)
@@ -308,8 +318,29 @@ def multiplicity_polys(i, ctx, side):
     block.  side "F": the raising operator, b' over the larger block.  Both
     the direct route (apply the operator to G^up) and the adjoint route
     (expand the partner operator on G^low, transpose) are computed; any
-    disagreement raises.
+    disagreement raises.  The table is kept on the context once its
+    cross-check passed.  A translate pair (i, ctx.key) by `shift` takes the
+    table of its representative pair (i - shift, key - shift) with every
+    multisegment shifted, after the basis guard on both blocks
+    (`wordalg.from_representative`).
     """
+    if side not in ("E", "F"):
+        raise ValueError(f"side must be 'E' or 'F', got {side!r}")
+    hit = ctx.mults.get((i, side))
+    if hit is None:
+        def shared(rep, shift):
+            table = multiplicity_polys(i - shift, block_context(ctx.space, rep), side)
+            return {(b.shifted(shift), bp.shifted(shift)): c for (b, bp), c in table.items()}
+
+        hit = from_representative(ctx.space, ctx.key, shared, i, -1 if side == "E" else +1)
+        if hit is None:
+            hit = _multiplicity_polys(i, ctx, side)
+        ctx.mults[i, side] = hit
+    return hit
+
+
+def _multiplicity_polys(i, ctx, side):
+    """The multiplicity table of (i, ctx, side), by both routes."""
     space = ctx.space
     if side == "E":
         tgt = ctx.shifted(i, -1)
@@ -319,8 +350,6 @@ def multiplicity_polys(i, ctx, side):
         tgt = ctx.shifted(i, +1)
         op_src = space.raise_matrix(i, ctx.key)
         partner = space.lower_matrix(i, tgt.key)
-    else:
-        raise ValueError(f"side must be 'E' or 'F', got {side!r}")
 
     C_src = global_lower(ctx)
     C_tgt = global_lower(tgt)

@@ -398,9 +398,10 @@ class ThetaModule:
     def block_label(self, key):
         return f"symmetrized content {dict(key)}"
 
-    def representative(self, key):
-        """Every block is its own representative: (key, 0).  Theta blocks
-        share work only through the type-A fibre tables."""
+    def representative(self, key, i=None):
+        """Every block and every (index, block) pair is its own
+        representative: (key, 0).  Theta blocks share work only through the
+        type-A fibre tables."""
         return key, 0
 
     def shifted_key(self, key, i, step):

@@ -46,21 +46,26 @@ P(m) by multisegment, the window's segments with their letter weights (from
 the first basis request), and per content block the basis, the record
 (G, D_c), the e'_i and f_i-left multiplication block matrices (in the one
 cache of `operator_matrix`) and (through `_contexts`, filled by
-`symcrys.canonical`) the block's bar matrix and global bases.  A fresh
+`symcrys.canonical`) the block's bar matrix, global bases and multiplicity
+tables.  A fresh
 algebra starts cold.  Cached word vectors and matrices are shared between
 callers, who must not mutate them.
 
-Blocks that differ by a shift of the window are computed once: the shift
-f_i -> f_{i+2} keeps the pairing, the form, bar and the PBW and crystal
-orders.  `representative(key)` (a protocol method; on `ThetaModule` every
-block is its own) names the translate whose lowest letter is window[0] and
-the shift from it.  A translate takes its representative's record (G, D_c),
-every word shifted and G and the entry lists shared, and its e'_i / f_i
-block matrices of index i - shift when that is a window letter, through
-`from_representative`: the translate's own basis must be the shifted basis
-of the representative, in order (`check_translate_basis`, ArithmeticError naming
-the block otherwise), and a translate whose representative raises computes
-its own record, so every error names the block asked for.
+Blocks, and (index, block) pairs, that differ by a shift of the window are
+computed once: the shift f_i -> f_{i+2} keeps the pairing, the form, bar and
+the PBW and crystal orders.  `representative(key, i=None)` (a protocol
+method; on `ThetaModule` every block and pair is its own) names the
+translate whose lowest letter, among the key's letters and i, is window[0],
+and the shift from it.  A translate block takes its representative's record
+(G, D_c), every word shifted and G and the entry lists shared; a translate
+pair (i, key) takes the e'_i / f_i block matrix of its representative pair
+(i - shift, key - shift); both through `from_representative`: the
+translate's own basis, and for a pair that of its target block, must be the
+shifted basis of the representative's, in order (`check_translate_basis`,
+ArithmeticError naming the block otherwise), and a translate whose
+representative raises computes its own record, so every error names the
+block asked for.  The PBW element of a translate multisegment is its
+representative's, every word shifted.
 """
 
 from __future__ import annotations
@@ -433,11 +438,19 @@ class WordAlgebra:
         one product; P~(<s>) is the segment vector itself and P~(0) = 1.
         d(m-) [a] = [a] / (1/d(m-)) is Laurent, so 1/d(m) is read as the
         inverse of a Laurent value, with no gcd.  The chain down from m is
-        cached with it."""
+        cached with it.  A translate by `shift` (`representative` of m's
+        content) takes the parts of m shifted by -shift, every word shifted:
+        the construction is products and q-scalars only, so this is exact."""
         hit = self._pbw_tilde.get(m)
         if hit is None:
+            shift = self.representative(content_key(m.content()))[1]
             if not m:
                 hit = (RatFunc(1), self.one())
+            elif shift:
+                inv_d, tilde = self._pbw_parts(m.shifted(-shift))
+                hit = (inv_d, WordVector(
+                    {tuple(k + shift for k in w): c for w, c in tilde.terms.items()},
+                    self.window))
             else:
                 seg = min(m.entries, key=Segment.pbw_key)
                 a = m.entries[seg]
@@ -579,30 +592,22 @@ class WordAlgebra:
 
     def _block_matrix(self, i, key, step):
         """The cached block matrix of e'_i (step -1) or f_i (step +1) on the
-        block `key`.  A translate by `shift` takes its representative's matrix
-        of index i - shift when that index is a window letter (always, for
-        e'_i), after the basis guard on both blocks; else it is computed by
+        block `key`.  A translate pair (i, key) by `shift` takes the matrix of
+        its representative pair (i - shift, key - shift), after the basis
+        guard on both blocks (`from_representative`); else it is computed by
         `operator_matrix`."""
         name = "eprime" if step < 0 else "fmul"
         hit = self._operator_mats.get((name, i, key))
         if hit is not None:
             return hit
-
-        def shared(rep, shift):
-            j = i - shift
-            if j < self.window[0]:
-                return None
-            return self._block_matrix(j, rep, step), shift_key(rep, j, step), shift
-
-        found = from_representative(self, key, shared)
-        if found is None:
+        hit = from_representative(
+            self, key, lambda rep, shift: self._block_matrix(i - shift, rep, step), i, step)
+        if hit is None:
             image = (
                 (lambda m: self.eprime(i, self.pbw_element(m))) if step < 0
                 else (lambda m: self.mul(self.f(i), self.pbw_element(m)))
             )
             return operator_matrix(self, name, i, key, step, image)
-        hit, rep_tgt, shift = found
-        check_translate_basis(self, shift_key(key, i, step), rep_tgt, shift)
         self._operator_mats[name, i, key] = hit
         return hit
 
@@ -631,18 +636,24 @@ class WordAlgebra:
     def block_label(self, key):
         return f"content {dict(key)}"
 
-    def representative(self, key):
-        """(rep_key, shift) with key the translate of rep_key by `shift`: the
-        translate whose lowest letter is window[0].  The index shift
-        f_i -> f_{i+2} keeps the pairing, the form, bar and the PBW and
-        crystal orders, so a block and its translates have the same block
-        matrices.  () and a key with a letter outside the window are their
-        own representatives (shift 0)."""
-        low = self.window[0]
-        if not key or key[0][0] == low or any(i not in self.window for i, _ in key):
+    def representative(self, key, i=None):
+        """(rep_key, shift) with key the translate of rep_key by `shift`, and
+        for a pair (i, key) the pair (i - shift, rep_key): the translate whose
+        lowest letter, among the key's letters and i, is window[0].  The
+        index shift f_i -> f_{i+2} keeps the pairing, the form, bar and the
+        PBW and crystal orders, so a block and its translates have the same
+        block matrices, and a pair and its translates the same e'_i and f_i
+        matrices.  () without i and a key or i with a letter outside the
+        window are their own representatives (shift 0)."""
+        win = self.window
+        low = key[0][0] if key else i
+        if i is not None and i < low:
+            low = i
+        if (low is None or low == win[0] or (i is not None and i not in win)
+                or any(k not in win for k, _ in key)):
             return key, 0
-        shift = key[0][0] - low
-        return tuple((i - shift, n) for i, n in key), shift
+        shift = low - win[0]
+        return tuple((k - shift, n) for k, n in key), shift
 
     def shifted_key(self, key, i, step):
         return shift_key(key, i, step)
@@ -695,21 +706,25 @@ def check_translate_basis(space, key, rep, shift):
         )
 
 
-def from_representative(space, key, shared):
+def from_representative(space, key, shared, i=None, step=0):
     """The record `shared(rep_key, shift)` of the representative of block
-    `key` (`space.representative`), for a translate, after the basis guard
-    (`check_translate_basis`); None when key is its own representative, when
-    `shared` gives None, or when it raises: the translate then computes its
-    own record, so any error names the block asked for."""
-    rep, shift = space.representative(key)
+    `key`, or of the pair (i, key) when i is given (`space.representative`),
+    for a translate, after the basis guard (`check_translate_basis`) on the
+    block and, for a step of `step` letters i, on its target block; None
+    when key is its own representative or when `shared` raises: the
+    translate then computes its own record, so any error names the block
+    asked for."""
+    rep, shift = space.representative(key, i)
     if not shift:
         return None
     try:
         record = shared(rep, shift)
     except Exception:  # recomputed on the translate, which raises its own error
         return None
-    if record is not None:
-        check_translate_basis(space, key, rep, shift)
+    check_translate_basis(space, key, rep, shift)
+    if step:
+        check_translate_basis(space, space.shifted_key(key, i, step),
+                              space.shifted_key(rep, i - shift, step), shift)
     return record
 
 

@@ -1,13 +1,17 @@
-"""Blocks that differ by a shift of the window share their records.
+"""Blocks, and (index, block) pairs, that differ by a shift of the window
+share their records.
 
 A translate of a content block reuses its representative's word table,
-e'_i / f_i block matrices and canonical data.  Each shared record must equal
-the one computed directly, in a fresh algebra whose window starts at the
-block's lowest letter, where the block is its own representative.
+canonical data and PBW elements; a translate of a pair (i, key) reuses the
+e'_i / f_i block matrices and the multiplicity tables of its representative
+pair.  Each shared record must equal the one computed directly, in a fresh
+algebra whose window starts at the lowest letter of the block (for a pair:
+of the key and i), where it is its own representative.
 """
 
 import pytest
 
+from symcrys import canonical, wordalg
 from symcrys.canonical import (
     bar_matrix,
     global_lower,
@@ -22,11 +26,12 @@ from symcrys.wordalg import WordAlgebra, content_key, contents_up_to
 WIN = (-3, -1, 1, 3)
 
 
-def _records(alg, key, indices):
+def _block_records(alg, key):
     """Everything a block shares with its translates, as computed on `alg`."""
     ctx = typeA_block(alg, key)
-    out = {
-        "basis": alg.basis_of_content(key),
+    basis = alg.basis_of_content(key)
+    return {
+        "basis": basis,
         "gram": alg.gram_matrix(key),
         "table": alg._table(key)[1],
         "bar": bar_matrix(ctx),
@@ -34,13 +39,21 @@ def _records(alg, key, indices):
         "upper": global_upper(ctx),
         "upper_inv": ctx.upper_inv,
         "lower_inv": lower_inverse(ctx),
+        "pbw": [(inv_d, tilde.terms) for inv_d, tilde in map(alg._pbw_parts, basis)],
     }
-    for i in indices:
-        out["fmul", i] = alg.fmul_matrix(i, key)
-        out["mult F", i] = multiplicity_polys(i, ctx, "F")
-        if dict(key).get(i):
-            out["eprime", i] = alg.eprime_matrix(i, key)
-            out["mult E", i] = multiplicity_polys(i, ctx, "E")
+
+
+def _pair_records(alg, i, key):
+    """Everything a pair (i, key) shares with its translates, as computed on
+    `alg`; the tables as item lists, so their order is compared too."""
+    ctx = typeA_block(alg, key)
+    out = {
+        "fmul": alg.fmul_matrix(i, key),
+        "mult F": list(multiplicity_polys(i, ctx, "F").items()),
+    }
+    if dict(key).get(i):
+        out["eprime"] = alg.eprime_matrix(i, key)
+        out["mult E"] = list(multiplicity_polys(i, ctx, "E").items())
     return out
 
 
@@ -48,19 +61,31 @@ def _records(alg, key, indices):
 def test_shared_records_equal_direct_ones(window, degree):
     shared = WordAlgebra(window)
     fresh = {}
-    translates = 0
-    for key in contents_up_to(window, degree):
-        low = key[0][0]
+
+    def direct(low):
         if low not in fresh:
             fresh[low] = WordAlgebra(range(low, window[-1] + 1, 2))
-        direct = fresh[low]
-        assert direct.representative(key) == (key, 0)
+        return fresh[low]
+
+    translates = below = 0
+    for key in contents_up_to(window, degree):
+        low = key[0][0]
+        assert direct(low).representative(key) == (key, 0)
         rep, shift = shared.representative(key)
         assert shift == low - window[0] and rep[0][0] == window[0]
-        translates += shift != 0
-        indices = direct.window  # every index the fresh window can apply
-        assert _records(shared, key, indices) == _records(direct, key, indices), key
-    assert translates > 0
+        assert _block_records(shared, key) == _block_records(direct(low), key), key
+        for i in window:
+            # F-side pairs with i below the key shift by less than the block
+            pair_low = min(i, low)
+            assert direct(pair_low).representative(key, i) == (key, 0)
+            rep, shift = shared.representative(key, i)
+            assert shift == pair_low - window[0]
+            assert rep == tuple((k - shift, n) for k, n in key)
+            translates += shift != 0
+            below += shift != 0 and i < low
+            assert _pair_records(shared, i, key) == _pair_records(direct(pair_low), i, key), (
+                i, key)
+    assert translates > 0 and below > 0
 
 
 def test_representatives():
@@ -69,8 +94,16 @@ def test_representatives():
     assert alg.representative(content_key({-1: 1})) == (content_key({-3: 1}), 2)
     for key in [(), content_key({-3: 1, 3: 1}), content_key({5: 1}), content_key({1: 1, 5: 1})]:
         assert alg.representative(key) == (key, 0)
+    # a pair shifts by its lowest letter among the key's and i
+    key = content_key({1: 2, 3: 1})
+    assert alg.representative(key, 3) == alg.representative(key, 1) == alg.representative(key)
+    assert alg.representative(key, -1) == (content_key({-1: 2, 1: 1}), 2)
+    assert alg.representative(key, -3) == (key, 0)
+    assert alg.representative((), 1) == ((), 4)
+    assert alg.representative((), 5) == ((), 0)
     mod = ThetaModule(WIN)
     assert mod.representative(content_key({3: 1})) == (content_key({3: 1}), 0)
+    assert mod.representative(content_key({3: 1}), 1) == (content_key({3: 1}), 0)
 
 
 def test_a_translate_reuses_the_records_of_its_representative():
@@ -79,15 +112,47 @@ def test_a_translate_reuses_the_records_of_its_representative():
     assert alg.gram_matrix(key) is alg.gram_matrix(rep)
     assert alg.eprime_matrix(3, key) is alg.eprime_matrix(-1, rep)
     assert alg.fmul_matrix(3, key) is alg.fmul_matrix(-1, rep)
-    # f_{-3} on the translate has no representative index (-3 - 4 is no
-    # letter), so the translate computes it
+    # the pair (-1, key) shifts by 2, less than the block: it shares the
+    # matrix of (-3, {-1: 1, 1: 1}); the pair (-3, key) is its own
+    assert alg.fmul_matrix(-1, key) is alg.fmul_matrix(-3, content_key({-1: 1, 1: 1}))
     assert ("fmul", -7, rep) not in alg._operator_mats
     assert len(alg.fmul_matrix(-3, key)) == len(alg.basis_of_content({-3: 1, 1: 1, 3: 1}))
     C = global_lower(typeA_block(alg, key))
     assert C.entries is global_lower(typeA_block(alg, rep)).entries
     assert C.label == "content {1: 1, 3: 1}" and C.basis is alg.basis_of_content(key)
+    table = multiplicity_polys(3, typeA_block(alg, key), "E")
+    assert table == {(b.shifted(4), bp.shifted(4)): c
+                     for (b, bp), c in multiplicity_polys(-1, typeA_block(alg, rep), "E").items()}
+    assert multiplicity_polys(3, typeA_block(alg, key), "E") is table
 
 
+def test_a_sweep_computes_and_checks_each_pair_class_once(monkeypatch):
+    """Every block of degree <= 3 on -3..3, every index and side whose target
+    has degree <= 3: 120 multiplicity requests fall into 60 pair classes, so
+    60 tables are computed, each direct/adjoint check runs once, on the
+    class's representative, and 30 f_i matrices are built for 40 pairs."""
+    computed, built = [], []
+    real_mult = canonical._multiplicity_polys
+    real_build = wordalg.operator_matrix
+    monkeypatch.setattr(canonical, "_multiplicity_polys", lambda i, ctx, side: (
+        computed.append((i, ctx.key, side)) or real_mult(i, ctx, side)))
+    monkeypatch.setattr(wordalg, "operator_matrix", lambda space, name, i, key, *rest: (
+        built.append((name, i, key)) or real_build(space, name, i, key, *rest)))
+    alg = WordAlgebra(WIN)
+    requests = 0
+    for key in [()] + contents_up_to(WIN, 3):
+        ctx = typeA_block(alg, key)
+        for i in WIN:
+            for side in ("E", "F") if dict(key).get(i) else ("F",):
+                if side == "F" and sum(n for _, n in key) == 3:
+                    continue
+                assert multiplicity_polys(i, ctx, side) is multiplicity_polys(i, ctx, side)
+                requests += 1
+    assert requests == 120
+    assert len(computed) == len(set(computed)) == 60
+    assert all(alg.representative(key, i) == (key, 0) for i, key, _ in computed)
+    assert len(built) == len(set(built)) == 60
+    assert len([b for b in built if b[0] == "fmul"]) == 30
 @pytest.mark.parametrize("corrupt, call, label", [
     ({-3: 1, -1: 1}, lambda alg: alg.gram_matrix({1: 1, 3: 1}), "content {1: 1, 3: 1}"),
     ({-3: 1, -1: 1}, lambda alg: alg.eprime_matrix(3, {1: 1, 3: 1}), "content {1: 1, 3: 1}"),
@@ -95,7 +160,19 @@ def test_a_translate_reuses_the_records_of_its_representative():
      "content {1: 1, 3: 1}"),
     # the guard on the target block of a shared matrix
     ({-3: 1, -1: 2}, lambda alg: alg.fmul_matrix(3, {1: 1, 3: 1}), "content {1: 1, 3: 2}"),
-], ids=["word-table", "block-matrix", "canonical", "matrix-target"])
+    # a multiplicity table: its source block, then its target block
+    ({-3: 1, -1: 1}, lambda alg: multiplicity_polys(3, typeA_block(alg, {1: 1, 3: 1}), "E"),
+     "content {1: 1, 3: 1}"),
+    ({-3: 1, -1: 1}, lambda alg: multiplicity_polys(1, typeA_block(alg, {-1: 1}), "F"),
+     "content {-1: 1, 1: 1}"),
+    # pairs with i below the key, which shift by less than their block
+    ({-3: 1, -1: 1, 1: 1}, lambda alg: alg.fmul_matrix(-1, {1: 1, 3: 1}),
+     "content {-1: 1, 1: 1, 3: 1}"),
+    ({-3: 1, -1: 1, 1: 1},
+     lambda alg: multiplicity_polys(-1, typeA_block(alg, {1: 1, 3: 1}), "F"),
+     "content {-1: 1, 1: 1, 3: 1}"),
+], ids=["word-table", "block-matrix", "canonical", "matrix-target", "multiplicity",
+        "multiplicity-target", "pair-matrix-target", "pair-multiplicity-target"])
 def test_the_basis_guard_refuses_a_corrupted_representative_basis(corrupt, call, label):
     alg = WordAlgebra(WIN)
     key = content_key(corrupt)
@@ -129,3 +206,42 @@ def test_a_translate_of_a_failing_representative_is_computed_directly(monkeypatc
     monkeypatch.setattr(WordAlgebra, "_word_table", word_table)
     with pytest.raises(ArithmeticError, match=r"^content \{1: 1, 3: 1\}: no table$"):
         WordAlgebra(WIN).gram_matrix(key)
+
+
+def test_a_translate_of_a_failing_representative_pair_is_computed_directly(monkeypatch):
+    """A representative pair that raises is not reported for its translate
+    pairs: each computes its own block matrix and multiplicity table, which
+    here succeed, and an error from its own computation names it."""
+    rep = content_key({-1: 1})  # the pair (-3, rep) represents (-1, {1: 1}) and (1, {3: 1})
+    real_build = wordalg.operator_matrix
+    real_mult = canonical._multiplicity_polys
+
+    def build(space, name, i, key, *rest):
+        if (i, key) == (-3, rep):
+            raise ArithmeticError("broken representative pair")
+        return real_build(space, name, i, key, *rest)
+
+    def mult(i, ctx, side):
+        if (i, ctx.key) == (-3, rep):
+            raise ArithmeticError("broken representative pair")
+        return real_mult(i, ctx, side)
+
+    monkeypatch.setattr(wordalg, "operator_matrix", build)
+    monkeypatch.setattr(canonical, "_multiplicity_polys", mult)
+    alg = WordAlgebra(WIN)
+    for i, key in [(-1, {1: 1}), (1, {3: 1})]:
+        direct = WordAlgebra(range(i, 5, 2))
+        assert alg.fmul_matrix(i, key) == direct.fmul_matrix(i, key)
+        assert multiplicity_polys(i, typeA_block(alg, key), "F") == multiplicity_polys(
+            i, typeA_block(direct, key), "F")
+    with pytest.raises(ArithmeticError, match="broken representative pair"):
+        alg.fmul_matrix(-3, rep)
+    with pytest.raises(ArithmeticError, match="broken representative pair"):
+        multiplicity_polys(-3, typeA_block(alg, rep), "F")
+
+    def no_table(i, ctx, side):
+        raise ArithmeticError(f"{ctx.label}: no table")
+
+    monkeypatch.setattr(canonical, "_multiplicity_polys", no_table)
+    with pytest.raises(ArithmeticError, match=r"^content \{1: 1\}: no table$"):
+        multiplicity_polys(-1, typeA_block(WordAlgebra(WIN), {1: 1}), "F")

@@ -204,6 +204,28 @@ def test_a_fault_in_a_representative_is_reported_for_each_translate(suite):
     ]
 
 
+def test_a_fault_in_a_representative_pair_is_reported_for_each_translate_pair():
+    """The translates of the pair (-1, {-3: 1}) share its f_{-1} matrix, so a
+    fault planted there fails the multiplicity tables that read it, as the
+    operator (side F) or as the partner (side E), on the representative pair
+    and on each translate pair, every one under its own label."""
+    spaces = {}
+    alg = _space("typeA", WIN, spaces)
+    key = content_key({-3: 1})
+    matrix = alg.fmul_matrix(-1, key)
+    alg._operator_mats["fmul", -1, key] = [[c * RatFunc(2) for c in row] for row in matrix]
+    checked, fails = SUITES["multiplicity-consistency"]("typeA", WIN, 2, spaces)
+    assert checked == 76 - 6  # the suite checks 76 tables on WIN at degree <= 2
+    assert fails == [
+        f"{label}, side {side}, index {i}: direct and adjoint multiplicity computations disagree"
+        for label, side, i in [
+            ("content {-3: 1}", "F", -1), ("content {-3: 1, -1: 1}", "E", -1),
+            ("content {-1: 1}", "F", 1), ("content {-1: 1, 1: 1}", "E", 1),
+            ("content {1: 1}", "F", 3), ("content {1: 1, 3: 1}", "E", 3),
+        ]
+    ]
+
+
 def test_a_run_builds_one_algebra_in_either_order():
     """The module of a run is built on the run's algebra, whichever of the
     two a suite asks for first."""
