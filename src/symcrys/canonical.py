@@ -14,11 +14,11 @@ BlockContext for the same block key (cached on the WordAlgebra or
 ThetaModule instance), and the context keeps the bar matrix and the lower
 and upper global bases it produced.  A matrix is stored only after its
 unitriangularity, bar-invariance or duality check passed, and every result
-is the stored one.  The `bar=` and `lower=` arguments accept only the
-block's own stored matrix, which is the same as passing none; any other
-matrix raises ValueError.  With the upper basis U the
-context keeps its inverse (G C)^T, which the duality check U^T G C = I
-proves, and `lower_inverse` keeps the checked inverse of C, so
+is the stored one.  The `bar=` argument of `global_lower` and the `lower=`
+argument of `global_upper` accept only the block's own stored matrix, which
+is the same as passing none; any other matrix raises ValueError.  With the
+upper basis U the context keeps its inverse (G C)^T, which the duality check
+U^T G C = I proves, and `lower_inverse` keeps the checked inverse of C, so
 `multiplicity_polys` reads both of its routes through stored inverses and
 inverts each matrix at most once.  The PBW Gram matrix G is diagonal, so C
 is unitriangular and G C lower triangular, and `linalg.inverse_rows`
@@ -29,12 +29,14 @@ context, by (index, side), once its direct/adjoint cross-check passed.
 A type-A block that is a translate of its representative
 (`WordAlgebra.representative`) computes none of these: it takes the
 representative's bar, lower and upper entries, under its own label and
-basis, and its `upper_inv` and `lower_inverse`, after the basis guard of
-`wordalg.from_representative`; if the representative raises, the translate
-computes its own, so an error names the block asked for.  In the same way a
-translate pair (i, key) takes the multiplicity table of its representative
-pair (`representative(key, i)`) with every multisegment shifted, after the
-basis guard on the source and the target block.  No cross-check is lost:
+basis, and its `upper_inv` and `lower_inverse`, through
+`wordalg.from_representative`; if the representative fails a check
+(ArithmeticError), the translate computes its own, so the failure names the
+block asked for.  In the same way a translate pair (i, key) takes the
+multiplicity table of its representative pair (`representative(key, i)`)
+with every multisegment shifted.  The translate's basis, and that of a
+pair's target block, is enumerated first, which runs the basis guard once
+per translate block (`WordAlgebra.basis_of_content`).  No cross-check is lost:
 the translate's operator and partner matrices are the very matrix objects
 of the representative pair (`wordalg` shares them by the same rule), and its
 C, U and inverses are the representative block's, so its check would
@@ -157,9 +159,8 @@ def _shared(ctx, compute):
     """For a translate ctx: once compute(rep) has stored its record on the
     context of ctx's representative, take every record stored there that ctx
     lacks (matrices under ctx's own label and basis) and return True.  False
-    when ctx is its own representative or compute(rep) raised, and ctx
-    computes its own (`wordalg.from_representative`, which also runs the
-    basis guard)."""
+    when ctx is its own representative or compute(rep) failed a check, and
+    ctx computes its own (`wordalg.from_representative`)."""
     def run(key, shift):
         rep = block_context(ctx.space, key)
         compute(rep)
@@ -287,14 +288,13 @@ def lower_inverse(ctx):
     return ctx.lower_inv
 
 
-def balanced_split(ctx, coords, lower=None):
+def balanced_split(ctx, coords):
     """Split an A-coordinate vector along Q[q]-span and q^{-1}Q[q^{-1}]-span of G.
 
     Returns (positive part coords, negative part coords) in the G basis;
     raises when the expansion leaves the Laurent ring.  The G coordinates are
     read through the block's stored C^{-1} (`lower_inverse`).
     """
-    _own_matrix(ctx, lower, ctx.lower, "lower")
     g = mat_vec(lower_inverse(ctx), coords)
     pos, neg = [], []
     for a in g:
@@ -321,8 +321,8 @@ def multiplicity_polys(i, ctx, side):
     disagreement raises.  The table is kept on the context once its
     cross-check passed.  A translate pair (i, ctx.key) by `shift` takes the
     table of its representative pair (i - shift, key - shift) with every
-    multisegment shifted, after the basis guard on both blocks
-    (`wordalg.from_representative`).
+    multisegment shifted, once the bases of both blocks passed the basis
+    guard (`wordalg.from_representative`).
     """
     if side not in ("E", "F"):
         raise ValueError(f"side must be 'E' or 'F', got {side!r}")

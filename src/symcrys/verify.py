@@ -263,7 +263,7 @@ def suite_global_basis(mode, window, max_degree, spaces=None):
                         ok = x.is_zero() or x.in_qZq()
                     if not ok:
                         fails.append(f"{ctx.label}: C entry {x} at ({r},{c})")
-            global_upper(ctx, C)
+            global_upper(ctx)
             checked += 1
         except ArithmeticError as e:
             fails.append(_block_failure(ctx, e))

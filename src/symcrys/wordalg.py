@@ -20,12 +20,13 @@ graded-block protocol as their own methods (`basis_of_content`,
 `coord_vector`, `gram_matrix`, `lower_matrix` / `raise_matrix`, ...) on one
 block key type, the sorted (letter, count) pairs of `content_key`; the
 block methods of `WordAlgebra` also take a count map.  This module also
-holds the code written once over the protocol: the construction and cache
-of block matrices (`operator_matrix`), the q-boson split (`qboson_split`),
-read off from the top through the cached lowering and raising block
-matrices, and the modified root operators (`modified_root_op`), which raise
-each part in block coordinates (`raise_divided`) and build the result once
-from the space's own basis vectors.
+holds the code written once over the protocol: the one construction and
+cache of the block matrices of both spaces (`operator_matrix`), the q-boson
+split (`qboson_split`), read off from the top through the cached lowering
+and raising block matrices, and the modified root operators
+(`modified_root_op`), which raise each part in block coordinates
+(`raise_divided`) and build the result once from the space's own basis
+vectors.
 
 Each PBW element is kept as (1/d(m), P~(m)): P~(m) is the product of the
 segment powers, whose coefficients are Laurent, d(m) = prod [a]! over the
@@ -59,13 +60,14 @@ translate whose lowest letter, among the key's letters and i, is window[0],
 and the shift from it.  A translate block takes its representative's record
 (G, D_c), every word shifted and G and the entry lists shared; a translate
 pair (i, key) takes the e'_i / f_i block matrix of its representative pair
-(i - shift, key - shift); both through `from_representative`: the
-translate's own basis, and for a pair that of its target block, must be the
-shifted basis of the representative's, in order (`check_translate_basis`,
-ArithmeticError naming the block otherwise), and a translate whose
-representative raises computes its own record, so every error names the
-block asked for.  The PBW element of a translate multisegment is its
-representative's, every word shifted.
+(i - shift, key - shift) in `operator_matrix`; both through
+`from_representative`, and a translate whose representative fails a check
+(ArithmeticError) computes its own record, so every failure names the block
+asked for.  The basis guard runs once per translate block, where its basis
+is first enumerated (`basis_of_content`): it must be the shifted basis of
+the representative's, in order, or ArithmeticError names the block; every
+record shared later is read under that checked basis.  The PBW element of a
+translate multisegment is its representative's, every word shifted.
 """
 
 from __future__ import annotations
@@ -477,7 +479,12 @@ class WordAlgebra:
         return hit
 
     def basis_of_content(self, content):
-        """Multisegments of the content, ordered descending in the crystal order."""
+        """Multisegments of the content, ordered descending in the crystal
+        order.  The basis guard runs here, once per translate block by
+        `shift` (`representative`): its basis must be its representative's
+        with every multisegment shifted by `shift`, in order, or
+        ArithmeticError names the block; a basis is cached only once it
+        passed."""
         key = content_key(content)
         hit = self._basis.get(key)
         if hit is None:
@@ -486,6 +493,12 @@ class WordAlgebra:
                 self._segments = (segs, [dict.fromkeys(seg.indices(), 1) for seg in segs])
             ms = of_weighted_content(*self._segments, dict(key))
             hit = sorted(ms, key=cry_sort_key, reverse=True)
+            rep, shift = self.representative(key)
+            if shift and hit != [m.shifted(shift) for m in self.basis_of_content(rep)]:
+                raise ArithmeticError(
+                    f"{self.block_label(key)}: basis is not the basis of "
+                    f"{self.block_label(rep)} shifted by {shift}"
+                )
             self._basis[key] = hit
         return hit
 
@@ -584,32 +597,17 @@ class WordAlgebra:
 
     def eprime_matrix(self, i, content):
         """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
-        return self._block_matrix(i, content_key(content), -1)
+        return operator_matrix(
+            self, "eprime", i, content_key(content), -1,
+            lambda m: self.eprime(i, self.pbw_element(m)),
+        )
 
     def fmul_matrix(self, i, content):
         """Matrix of left multiplication by f_i, content block -> content + alpha_i."""
-        return self._block_matrix(i, content_key(content), +1)
-
-    def _block_matrix(self, i, key, step):
-        """The cached block matrix of e'_i (step -1) or f_i (step +1) on the
-        block `key`.  A translate pair (i, key) by `shift` takes the matrix of
-        its representative pair (i - shift, key - shift), after the basis
-        guard on both blocks (`from_representative`); else it is computed by
-        `operator_matrix`."""
-        name = "eprime" if step < 0 else "fmul"
-        hit = self._operator_mats.get((name, i, key))
-        if hit is not None:
-            return hit
-        hit = from_representative(
-            self, key, lambda rep, shift: self._block_matrix(i - shift, rep, step), i, step)
-        if hit is None:
-            image = (
-                (lambda m: self.eprime(i, self.pbw_element(m))) if step < 0
-                else (lambda m: self.mul(self.f(i), self.pbw_element(m)))
-            )
-            return operator_matrix(self, name, i, key, step, image)
-        self._operator_mats[name, i, key] = hit
-        return hit
+        return operator_matrix(
+            self, "fmul", i, content_key(content), +1,
+            lambda m: self.mul(self.f(i), self.pbw_element(m)),
+        )
 
     # -- modified root operators -------------------------------------------------
 
@@ -695,52 +693,52 @@ class WordAlgebra:
 # written once over the graded-block protocol
 # ---------------------------------------------------------------------------
 
-def check_translate_basis(space, key, rep, shift):
-    """The basis guard: the basis of block `key` must be the basis of block
-    `rep` with every multisegment shifted by `shift`, in order;
-    ArithmeticError naming the block if not."""
-    if space.basis_of_content(key) != [m.shifted(shift) for m in space.basis_of_content(rep)]:
-        raise ArithmeticError(
-            f"{space.block_label(key)}: basis is not the basis of "
-            f"{space.block_label(rep)} shifted by {shift}"
-        )
-
-
 def from_representative(space, key, shared, i=None, step=0):
     """The record `shared(rep_key, shift)` of the representative of block
     `key`, or of the pair (i, key) when i is given (`space.representative`),
-    for a translate, after the basis guard (`check_translate_basis`) on the
-    block and, for a step of `step` letters i, on its target block; None
-    when key is its own representative or when `shared` raises: the
-    translate then computes its own record, so any error names the block
-    asked for."""
+    for a translate; None when key is its own representative or when
+    `shared` raises an ArithmeticError (a failed check): the translate then
+    computes its own record, so the failure names the block asked for.  The
+    translate's basis, and for a step of `step` letters i that of its target
+    block, is enumerated first, which runs the basis guard of
+    `WordAlgebra.basis_of_content` the first time."""
     rep, shift = space.representative(key, i)
     if not shift:
         return None
-    try:
-        record = shared(rep, shift)
-    except Exception:  # recomputed on the translate, which raises its own error
-        return None
-    check_translate_basis(space, key, rep, shift)
+    space.basis_of_content(key)
     if step:
-        check_translate_basis(space, space.shifted_key(key, i, step),
-                              space.shifted_key(rep, i - shift, step), shift)
-    return record
+        space.basis_of_content(space.shifted_key(key, i, step))
+    try:
+        return shared(rep, shift)
+    except ArithmeticError:  # recomputed on the translate, which raises its own error
+        return None
 
 
 def operator_matrix(space, name, i, key, step, image):
     """The matrix, in block coordinates, of the operator `name` along index i
     from block `key` to the block `step` letters i away; `image(m)` is the
-    image of the basis vector of m.  Cached on the space by (name, i, key)."""
+    image of the basis vector of m.  The one block-matrix cache of both
+    spaces, by (name, i, key): a translate pair (i, key) by `shift` takes
+    the matrix of its representative pair (i - shift, key - shift) from the
+    space's `lower_matrix` (step -1) or `raise_matrix` (step +1), through
+    `from_representative`; any other pair's is built from the images."""
     cache_key = (name, i, key)
     hit = space._operator_mats.get(cache_key)
     if hit is None:
-        tgt = space.shifted_key(key, i, step)
-        cols = [space.coord_vector(image(m), tgt) for m in space.basis_of_content(key)]
-        hit = space._operator_mats[cache_key] = [
-            [col[r] for col in cols] for r in range(len(space.basis_of_content(tgt)))
-        ]
+        op = space.lower_matrix if step < 0 else space.raise_matrix
+        hit = from_representative(space, key, lambda rep, shift: op(i - shift, rep), i, step)
+        if hit is None:
+            hit = _image_matrix(space, i, key, step, image)
+        space._operator_mats[cache_key] = hit
     return hit
+
+
+def _image_matrix(space, i, key, step, image):
+    """The block matrix whose columns are the target-block coordinates of
+    `image(m)` over the basis of block `key`."""
+    tgt = space.shifted_key(key, i, step)
+    cols = [space.coord_vector(image(m), tgt) for m in space.basis_of_content(key)]
+    return [[col[r] for col in cols] for r in range(len(space.basis_of_content(tgt)))]
 
 
 def raise_divided(space, i, key, column, n):

@@ -263,7 +263,7 @@ def test_criterion_8_global_bases(alg, mod):
                 RatFunc.q_power(rng.randint(-3, 3)) * RatFunc(rng.randint(-2, 2))
                 for _ in range(n)
             ]
-            pos, neg = balanced_split(ctx, coords, C)
+            pos, neg = balanced_split(ctx, coords)
             back = [RatFunc.zero()] * n
             for r in range(n):
                 for c in range(n):

@@ -171,7 +171,7 @@ def test_balanced_split_round_trip(alg):
     ctx = typeA_block(alg, {1: 1, 3: 1})
     C = global_lower(ctx)
     coords = [R("q^2 + q^-1"), R("3 - q^-3")]
-    pos, neg = balanced_split(ctx, coords, C)
+    pos, neg = balanced_split(ctx, coords)
     for a in pos:
         assert a.is_zero() or a.in_A0()
     for a in neg:
@@ -341,7 +341,6 @@ def test_foreign_bar_and_lower_are_refused(factory, make, idx):
     n = len(ctx.basis())
     assert n >= 2
     ident = TransitionMatrix(ctx.label, ctx.basis(), identity(n))
-    coords = [RatFunc.q_power(k) - RatFunc(k) for k in range(n)]
     refused = pytest.raises(ValueError, match="^" + re.escape(ctx.label) + ": ")
 
     def refuse_all(bar, lower):
@@ -349,8 +348,6 @@ def test_foreign_bar_and_lower_are_refused(factory, make, idx):
             global_lower(ctx, bar)
         with refused:
             global_upper(ctx, lower)
-        with refused:
-            balanced_split(ctx, coords, lower)
 
     refuse_all(ident, ident)
     assert (ctx.bar, ctx.lower, ctx.upper, ctx.lower_inv) == (None, None, None, None)
@@ -378,7 +375,7 @@ def test_benchmark_call_shapes_return_the_stored_matrices(factory, make, idx):
     assert global_lower(ctx, B) is C and global_lower(ctx) is C
     assert global_upper(ctx, C) is U and global_upper(ctx) is U
     coords = [RatFunc.q_power(k) - RatFunc(k) for k in range(C.size())]
-    split = balanced_split(ctx, coords, global_lower(ctx))
+    split = balanced_split(ctx, coords)
     inv = ctx.lower_inv
     assert inv is not None and lower_inverse(ctx) is inv
     assert balanced_split(ctx, coords) == split and ctx.lower_inv is inv

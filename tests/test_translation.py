@@ -9,6 +9,8 @@ algebra whose window starts at the lowest letter of the block (for a pair:
 of the key and i), where it is its own representative.
 """
 
+from collections import Counter
+
 import pytest
 
 from symcrys import canonical, wordalg
@@ -20,6 +22,7 @@ from symcrys.canonical import (
     multiplicity_polys,
     typeA_block,
 )
+from symcrys.multisegment import Multisegment
 from symcrys.thetamodule import ThetaModule
 from symcrys.wordalg import WordAlgebra, content_key, contents_up_to
 
@@ -133,11 +136,12 @@ def test_a_sweep_computes_and_checks_each_pair_class_once(monkeypatch):
     class's representative, and 30 f_i matrices are built for 40 pairs."""
     computed, built = [], []
     real_mult = canonical._multiplicity_polys
-    real_build = wordalg.operator_matrix
+    real_build = wordalg._image_matrix
     monkeypatch.setattr(canonical, "_multiplicity_polys", lambda i, ctx, side: (
         computed.append((i, ctx.key, side)) or real_mult(i, ctx, side)))
-    monkeypatch.setattr(wordalg, "operator_matrix", lambda space, name, i, key, *rest: (
-        built.append((name, i, key)) or real_build(space, name, i, key, *rest)))
+    # the direct build of a block matrix, below the cache of `operator_matrix`
+    monkeypatch.setattr(wordalg, "_image_matrix", lambda space, i, key, step, image: (
+        built.append((step, i, key)) or real_build(space, i, key, step, image)))
     alg = WordAlgebra(WIN)
     requests = 0
     for key in [()] + contents_up_to(WIN, 3):
@@ -152,7 +156,43 @@ def test_a_sweep_computes_and_checks_each_pair_class_once(monkeypatch):
     assert len(computed) == len(set(computed)) == 60
     assert all(alg.representative(key, i) == (key, 0) for i, key, _ in computed)
     assert len(built) == len(set(built)) == 60
-    assert len([b for b in built if b[0] == "fmul"]) == 30
+    assert len([b for b in built if b[0] == +1]) == 30
+
+
+def test_a_sweep_compares_each_translate_basis_once(monkeypatch):
+    """Every block of degree <= 3 on -3..3, with its Gram matrix, canonical
+    bases and inverses, and every e'_i and f_i matrix whose target has degree
+    <= 3: the basis guard compares each of the 19 translate blocks with its
+    representative's shifted basis once.  A comparison shifts the whole
+    representative basis up into the translate block, and nothing else in
+    this sweep shifts a multisegment up (a translate's PBW element shifts
+    its multisegment down to its representative's)."""
+    up = Counter()
+    real = Multisegment.shifted
+
+    def shifted(m, step):
+        out = real(m, step)
+        if step > 0:
+            up[content_key(out.content())] += 1
+        return out
+
+    monkeypatch.setattr(Multisegment, "shifted", shifted)
+    alg = WordAlgebra(WIN)
+    for key in contents_up_to(WIN, 3):
+        ctx = typeA_block(alg, key)
+        alg.gram_matrix(key)
+        global_upper(ctx)
+        lower_inverse(ctx)
+        for i in WIN:
+            if dict(key).get(i):
+                alg.eprime_matrix(i, key)
+            if sum(n for _, n in key) < 3:
+                alg.fmul_matrix(i, key)
+    translates = [key for key in contents_up_to(WIN, 3) if alg.representative(key)[1]]
+    assert len(translates) == 19
+    assert up == {key: len(alg.basis_of_content(key)) for key in translates}
+
+
 @pytest.mark.parametrize("corrupt, call, label", [
     ({-3: 1, -1: 1}, lambda alg: alg.gram_matrix({1: 1, 3: 1}), "content {1: 1, 3: 1}"),
     ({-3: 1, -1: 1}, lambda alg: alg.eprime_matrix(3, {1: 1, 3: 1}), "content {1: 1, 3: 1}"),
@@ -206,6 +246,23 @@ def test_a_translate_of_a_failing_representative_is_computed_directly(monkeypatc
     monkeypatch.setattr(WordAlgebra, "_word_table", word_table)
     with pytest.raises(ArithmeticError, match=r"^content \{1: 1, 3: 1\}: no table$"):
         WordAlgebra(WIN).gram_matrix(key)
+
+
+def test_a_program_error_in_a_representative_is_not_hidden(monkeypatch):
+    """Only a failed check (ArithmeticError) of the representative lets a
+    translate compute its own record; any other error is a fault of the
+    program and reaches the caller."""
+    rep, key = content_key({-3: 1, -1: 1}), content_key({1: 1, 3: 1})
+    real_column = WordAlgebra.bar_column
+
+    def bar_column(self, m, k):
+        if k == rep:
+            raise TypeError("planted fault")
+        return real_column(self, m, k)
+
+    monkeypatch.setattr(WordAlgebra, "bar_column", bar_column)
+    with pytest.raises(TypeError, match="planted fault"):
+        global_upper(typeA_block(WordAlgebra(WIN), key))
 
 
 def test_a_translate_of_a_failing_representative_pair_is_computed_directly(monkeypatch):
