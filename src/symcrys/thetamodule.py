@@ -20,6 +20,13 @@ on [P_theta columns | ideal rows].  A class's fibre vector is read through
 the type-A word-coordinate tables, so class membership and canonical
 coordinates are one matrix-vector product.  `ideal_generators` keeps the
 word-level generators w (f_k - f_{-k}) for tests.
+
+The theta form pairs a class u with a word w = w_1 ... w_n as the ()
+coefficient of E_{w_n} ... E_{w_1} u.  A block's Gram matrix is built one
+row per basis vector u by one depth-first walk over the prefix tree of the
+words of all the block's P_theta vectors (`_form_row`): one E_op per tree
+edge, zero branches cut, the () coefficient read at each leaf.
+`theta_form` runs the same walk.
 `ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
 with E_i/F_i as lowering/raising operators, whose block matrices
 `wordalg.operator_matrix` builds and caches, and its modified root
@@ -339,15 +346,39 @@ class ThetaModule:
     # -- the bilinear form ---------------------------------------------------------
 
     def theta_form(self, u, v):
-        """(phi,phi) = 1 and (E_i u, v) = (u, F_i v), computed by peeling v."""
+        """(phi,phi) = 1 and (E_i u, v) = (u, F_i v), computed by peeling u
+        along the words of v (`_form_row`)."""
         if u.sym_key() != v.sym_key():
             return RatFunc.zero()
-        return dot([(c, self._form_against_word(u, w)) for w, c in v.rep.terms.items()])
+        return self._form_row(u, [v])[0]
 
-    def _form_against_word(self, u, w):
-        if not w:
-            return u.rep.terms.get((), RatFunc.zero())
-        return self._form_against_word(self.E_op(w[0], u), w[1:])
+    def _form_row(self, u, vecs):
+        """[(u, v) for v in vecs], for classes v of u's degree.  (u, w) for a
+        word w = w_1 ... w_n is the () coefficient of E_{w_n} ... E_{w_1} u,
+        so one depth-first walk over the prefix tree of the words of the
+        vecs gives them all: one E_op per tree edge, a branch cut where its
+        vector is zero, the () coefficient read at each leaf."""
+        pairing = {}
+
+        def walk(x, words, depth):
+            branches = {}
+            for w in words:
+                if len(w) == depth:
+                    c = x.rep.terms.get(())
+                    if c is not None:
+                        pairing[w] = c
+                else:
+                    branches.setdefault(w[depth], []).append(w)
+            for i, sub in branches.items():
+                y = self.E_op(i, x)
+                if not y.rep.is_zero():
+                    walk(y, sub, depth + 1)
+
+        walk(u, list({w for v in vecs for w in v.rep.terms}), 0)
+        return [
+            dot([(c, pairing[w]) for w, c in v.rep.terms.items() if w in pairing])
+            for v in vecs
+        ]
 
     # -- block matrices of E_i and F_i ----------------------------------------------
 
@@ -423,13 +454,13 @@ class ThetaModule:
         return self.coord_vector(self.bar_theta(self.ptheta_vector(m)), key)
 
     def gram_matrix(self, key):
-        """The theta_form Gram matrix of the block's P_theta basis, computed
-        once and kept with the block."""
+        """The theta_form Gram matrix of the block's P_theta basis, one row
+        per `_form_row` walk, computed once and kept with the block."""
         block = self.block(key)
         gram = block.get("gram")
         if gram is None:
             vecs = [self.ptheta_vector(m) for m in block["theta_basis"]]
-            gram = block["gram"] = [[self.theta_form(u, v) for v in vecs] for u in vecs]
+            gram = block["gram"] = [self._form_row(u, vecs) for u in vecs]
         return gram
 
     def relation_scalar(self, i, j, key):

@@ -173,7 +173,9 @@ def suite_serre(mode, window, max_degree, spaces=None):
 def suite_gram(mode, window, max_degree, spaces=None):
     """Each Gram matrix is exactly the diagonal of the closed-form norms of
     its basis: N_A(m) of the PBW basis in type A, N_theta(m) of the P_theta
-    basis in theta mode."""
+    basis in theta mode.  A type-A Gram matrix, read from the block's table
+    (built from pairing rows by shuffles), must also equal
+    form(P(m), P(n)), which pairs the words of P(m) and P(n) one by one."""
     if mode == "theta":
         norm, name = closed_form_norm_theta, "N_theta(m)"
     else:
@@ -193,6 +195,10 @@ def suite_gram(mode, window, max_degree, spaces=None):
         ]
         if g != want:
             fails.append(f"Gram matrix on {ctx.label} is not diag({name})")
+        if mode != "theta":
+            space, pbw = ctx.space, [ctx.space.pbw_element(m) for m in ctx.basis()]
+            if g != [[space.form(x, y) for y in pbw] for x in pbw]:
+                fails.append(f"Gram matrix on {ctx.label} is not form(P(m), P(n))")
     return checked, fails
 
 

@@ -6,14 +6,23 @@ bilinear form, which is nondegenerate on the quotient: a homogeneous word vector
 zero in U_q^- iff it pairs to zero with every word of its content.
 
 PBW coordinates are read through one record per content c, built on first
-use: the Gram matrix G and the word-coordinate table D_c.  The build sums
-the pairings Phi[m][v] = (P(m), v) of the PBW elements with every word v of
-c from the memoized word pairings (w, v) over the words w of P(m), forms
-G[m][n] = sum_v P(n)_v Phi[m][v], takes the rows R of G^{-1} (by
-substitution: G is diagonal) only after the exact check R G = I, and stores
-each word's coordinate column D_c[v] = R Phi[:, v] as its nonzero entries;
-Phi itself is dropped.  The coordinates of a vector x of c are then the
-sparse sum sum_v x_v D_c[v] over x's words.
+use: the Gram matrix G and the word-coordinate table D_c.  The build reads
+the pairings Phi[m][v] = (P(m), v) of the PBW elements off their pairing
+rows Phi~(m) = (P~(m), .), forms G[m][n] = sum_v P(n)_v Phi[m][v], takes
+the rows R of G^{-1} (by substitution: G is diagonal) only after the exact
+check R G = I, and stores each word's coordinate column D_c[v] = R Phi[:, v]
+as its nonzero entries; Phi itself is dropped.  The coordinates of a vector
+x of c are then the sparse sum sum_v x_v D_c[v] over x's words.
+
+The pairing rows are built by quantum shuffles.  The form is a Hopf
+pairing, so (xy, v) is the sum over the position sets S of v with x's
+content of q^(-sum_{a in S, b not in S, a > b} (alpha_{v_a}, alpha_{v_b}))
+(x, v_S)(y, v_{S^c}) (`_shuffle_into`).  Each row is the row of the element
+one segment smaller shuffled with its segment's row, along the chain of the
+PBW elements below, and each segment row comes from
+<i,j> = <i,j-2> f_j - q f_j <i,j-2> by the same identity.  The memoized
+word pairings (w, v) of the recursion (f_i a, b) = (a, e'_i b) serve only
+`form`: `is_zero_in_uq` and the `gram` suite's independent check of G.
 
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
 graded-block protocol as their own methods (`basis_of_content`,
@@ -34,16 +43,18 @@ multiplicities a, and P(m) = P~(m) / d(m).  Each is built from the element
 one segment smaller, m- = m minus one copy of its PBW-smallest segment s of
 multiplicity a: P~(m) = P~(m-) <s> and d(m) = d(m-) [a], one word product
 per new element; 1/d(m) is the inverse of that Laurent product, which takes
-no gcd.  The pairings are summed in
-Laurent arithmetic, Phi = Phi~ / d with Phi~[m][v] = sum_w P~(m)_w (w, v),
-and divided by d(m) once per entry; G[m][n] is summed over the words of
-P~(n) and divided by d(n) once.  Every sum of products in this module
-(products of word vectors, e'_i and e*_i, the memoized word pairings, the
-tables, coordinates and `from_coords`) is one `ratfunc.dot`.  Block keys of
-words are read off a plain letter count.
+no gcd.  The rows Phi~ are Laurent, Phi = Phi~ / d;
+G[m][n] is summed over the words of P~(n) in Laurent arithmetic and divided
+by d(m) and d(n) once, and each nonzero entry of R is multiplied by its
+column's 1/d once, so D_c costs no division per word.  Every sum of
+products in this module (products of word vectors, e'_i and e*_i,
+shuffles, the memoized word pairings, the tables, coordinates and
+`from_coords`) is one `ratfunc.dot`.  Block keys of words are read off a
+plain letter count.
 
-Results are cached on the algebra instance: the pair (1/d(m), P~(m)) and
-P(m) by multisegment, the window's segments with their letter weights (from
+Results are cached on the algebra instance: the pair (1/d(m), P~(m)), the
+row Phi~(m) and P(m) by multisegment, the segment rows by segment, the
+word pairings of `form`, the window's segments with their letter weights (from
 the first basis request), and per content block the basis, the record
 (G, D_c), the e'_i and f_i-left multiplication block matrices (in the one
 cache of `operator_matrix`) and (through `_contexts`, filled by
@@ -66,8 +77,11 @@ pair (i, key) takes the e'_i / f_i block matrix of its representative pair
 asked for.  The basis guard runs once per translate block, where its basis
 is first enumerated (`basis_of_content`): it must be the shifted basis of
 the representative's, in order, or ArithmeticError names the block; every
-record shared later is read under that checked basis.  The PBW element of a
-translate multisegment is its representative's, every word shifted.
+record shared later is read under that checked basis.  The PBW element and
+the pairing row of a translate multisegment are its representative's, every
+word shifted (a lone segment takes its own segment row); the shift is read
+off the segments (`translation_shift`), the value `representative` gives
+for the multisegment's content.
 """
 
 from __future__ import annotations
@@ -166,6 +180,52 @@ def multiset_permutations(items):
 def dot_vector(pairs, window):
     """The WordVector with coefficient dot(pairs[w]) at each word w."""
     return WordVector({w: dot(p) for w, p in pairs.items()}, window)
+
+
+def _insertions(x, u):
+    """(w, e) for every shuffle w of the word u into the word x, u's letters
+    kept in order, with e = -sum (alpha_{x_a}, alpha_{u_b}) over the pairs of
+    a letter x_a placed after a letter u_b.  Letter u_b goes after g_b letters
+    of x, g_0 <= g_1 <= ..., and costs the suffix sum of x from g_b: for a
+    one-letter u this is one suffix-sum loop."""
+    n = len(x)
+    out = [((), 0, 0)]
+    for k in u:
+        suf = [0] * (n + 1)
+        for g in range(n - 1, -1, -1):
+            suf[g] = suf[g + 1] + cartan(k, x[g])
+        out = [(w + x[g0:g] + (k,), e - suf[g], g)
+               for w, e, g0 in out for g in range(g0, n + 1)]
+    return [(w + x[g:], e) for w, e, g in out]
+
+
+def _shuffle_into(pairs, row_x, row_y, scale):
+    """Add scale (xy, .) to `pairs` (word -> list of factor pairs for `dot`),
+    from the pairing rows (x, .) and (y, .) (word -> value).  The form is a
+    Hopf pairing, so
+    (xy, v) = sum_S q^(-sum_{a in S, b not in S, a > b} (alpha_{v_a}, alpha_{v_b}))
+              (x, v_S) (y, v_{S^c}),
+    S running over the positions of v that carry x's word: every word of
+    row_y is shuffled into every word of row_x."""
+    for y, cy in row_y.items():
+        cy = cy * scale
+        twisted = {}
+        for x, cx in row_x.items():
+            for w, e in _insertions(x, y):
+                c = twisted.get(e)
+                if c is None:
+                    c = twisted[e] = cy * RatFunc.q_power(e)
+                pairs.setdefault(w, []).append((cx, c))
+
+
+def _dot_row(pairs):
+    """The pairing row word -> dot(pairs[word]), without its zeros."""
+    row = {}
+    for w, p in pairs.items():
+        c = dot(p)
+        if c:
+            row[w] = c
+    return row
 
 
 class WordVector:
@@ -271,6 +331,8 @@ class WordAlgebra:
         self._eprime_word = {}
         self._pbw_seg = {}
         self._pbw_tilde = {}
+        self._segment_rows = {}
+        self._rows = {}
         self._pbw = {}
         self._tables = {}
         self._basis = {}
@@ -440,12 +502,12 @@ class WordAlgebra:
         one product; P~(<s>) is the segment vector itself and P~(0) = 1.
         d(m-) [a] = [a] / (1/d(m-)) is Laurent, so 1/d(m) is read as the
         inverse of a Laurent value, with no gcd.  The chain down from m is
-        cached with it.  A translate by `shift` (`representative` of m's
-        content) takes the parts of m shifted by -shift, every word shifted:
-        the construction is products and q-scalars only, so this is exact."""
+        cached with it.  A translate by `shift` (`translation_shift`) takes
+        the parts of m shifted by -shift, every word shifted: the
+        construction is products and q-scalars only, so this is exact."""
         hit = self._pbw_tilde.get(m)
         if hit is None:
-            shift = self.representative(content_key(m.content()))[1]
+            shift = self.translation_shift(m)
             if not m:
                 hit = (RatFunc(1), self.one())
             elif shift:
@@ -466,6 +528,64 @@ class WordAlgebra:
                         inv_d = RatFunc(1) / (RatFunc(qint(a)) / inv_d)
                     hit = (inv_d, self.mul(tilde, piece))
             self._pbw_tilde[m] = hit
+        return hit
+
+    def translation_shift(self, m):
+        """The shift of m's content from its representative, read off the
+        segments: min i over the segments <i,j> of m minus window[0], or 0
+        for m = 0 or a letter outside the window.  The value
+        `representative(content_key(m.content()))` gives, with no count map."""
+        if not m:
+            return 0
+        win = self.window
+        low = min(seg.i for seg in m.entries)
+        if low < win[0] or max(seg.j for seg in m.entries) > win[-1]:
+            return 0
+        return low - win[0]
+
+    def _segment_row(self, i, j):
+        """The pairing row (<i,j>, .) of a segment, word -> value: (f_i, .)
+        is 1 on the word (i,), and <i,j> = <i,j-2> f_j - q f_j <i,j-2> gives
+        (<i,j>, .) by two shuffles (`_shuffle_into`).  Cached by (i, j)."""
+        key = (i, j)
+        hit = self._segment_rows.get(key)
+        if hit is None:
+            if i == j:
+                hit = {(i,): RatFunc(1)}
+            else:
+                prev, fj, pairs = self._segment_row(i, j - 2), {(j,): RatFunc(1)}, {}
+                _shuffle_into(pairs, prev, fj, RatFunc(1))
+                _shuffle_into(pairs, fj, prev, -RatFunc.q_power(1))
+                hit = _dot_row(pairs)
+            self._segment_rows[key] = hit
+        return hit
+
+    def _row_tilde(self, m):
+        """Phi~(m) = (P~(m), .) as a row word -> nonzero Laurent value, along
+        the chain of `_pbw_parts`: Phi~(m) = Phi~(m-) shuffled with the row
+        of the PBW-smallest segment s (`_shuffle_into`); a lone segment's row
+        is its segment row and Phi~(0) is 1 on the empty word.  A translate
+        by `shift` (`translation_shift`) takes the row of m shifted by
+        -shift, every word shifted.  Cached by multisegment."""
+        hit = self._rows.get(m)
+        if hit is None:
+            if not m:
+                hit = {(): RatFunc(1)}
+            elif list(m.entries.values()) == [1]:
+                (seg,) = m.entries
+                hit = self._segment_row(seg.i, seg.j)
+            else:
+                shift = self.translation_shift(m)
+                if shift:
+                    hit = {tuple(k + shift for k in w): c
+                           for w, c in self._row_tilde(m.shifted(-shift)).items()}
+                else:
+                    seg = min(m.entries, key=Segment.pbw_key)
+                    pairs = {}
+                    _shuffle_into(pairs, self._row_tilde(m.remove(seg)),
+                                  self._segment_row(seg.i, seg.j), RatFunc(1))
+                    hit = _dot_row(pairs)
+            self._rows[m] = hit
         return hit
 
     def pbw_element(self, m):
@@ -521,38 +641,45 @@ class WordAlgebra:
 
     def _word_table(self, key):
         """The record (G, D_c) of the content block, computed from its PBW
-        elements.
+        elements and their pairing rows Phi~(m) = (P~(m), .) (`_row_tilde`).
 
-        Phi[m][v] = (P(m), v) = (1/d(m)) sum_w P~(m)_w (w, v) is summed in
-        Laurent arithmetic and divided by d(m) once, and
-        G[m][n] = (1/d(n)) sum over the words v of P~(n) of P~(n)_v Phi[m][v].
-        R = G^{-1} is used only after the exact check R G = I, as the nonzero
-        entries of its rows, so each entry of D_c costs one product per
+        G[m][n] = (P(m), P(n)) = (1/d(m))(1/d(n)) sum over the words v of
+        P~(n) of P~(n)_v Phi~(m)[v], the sum in Laurent arithmetic.
+        R = G^{-1} is used only after the exact check R G = I, as the
+        nonzero entries of its rows, each scaled by its column's 1/d: then
+        D_c[v] = R Phi[:, v] with Phi = Phi~ / d costs one product per
         nonzero entry of its row of R (one, for the diagonal G of every
-        block).  Phi is not kept."""
+        block).  D_c is kept on the words where some row is nonzero; the
+        column of any other word is zero.  Phi~ is read, not copied."""
         basis = self.basis_of_content(key)
         if not basis:
             raise ValueError(f"no PBW basis vectors for content {dict(key)}")
-        words = self.words_of_content(key)
         parts = [self._pbw_parts(m) for m in basis]
-        form = self._form_words
-        phi = {v: [] for v in words}
-        for inv_d, tilde in parts:
-            terms = tilde.terms.items()
-            for v in words:
-                phi[v].append(dot([(c, form(w, v)) for w, c in terms]) * inv_d)
-        cols = []
-        for inv_d, tilde in parts:
-            terms = [(c, phi[v]) for v, c in tilde.terms.items()]
-            cols.append([
-                dot([(c, p[m]) for c, p in terms]) * inv_d for m in range(len(basis))
-            ])
-        gram = [list(row) for row in zip(*cols)]
-        rows = [[(c, x) for c, x in enumerate(row) if x] for row in inverse_rows(gram)]
+        rows = [self._row_tilde(m) for m in basis]
+        gram = [
+            [
+                (dot([(c, row[v]) for v, c in tilde.terms.items() if v in row])
+                 * inv_m) * inv_n
+                for inv_n, tilde in parts
+            ]
+            for (inv_m, _), row in zip(parts, rows)
+        ]
+        inverse = [
+            [(c, x * parts[c][0]) for c, x in enumerate(row) if x]
+            for row in inverse_rows(gram)
+        ]
+        zero, n = RatFunc.zero(), len(basis)
+        phi = {}
+        for r, row in enumerate(rows):
+            for v, c in row.items():
+                col = phi.get(v)
+                if col is None:
+                    col = phi[v] = [zero] * n
+                col[r] = c
         table = {}
         for v, col in phi.items():
             entries = table[v] = []
-            for m, row in enumerate(rows):
+            for m, row in enumerate(inverse):
                 d = dot([(x, col[c]) for c, x in row])
                 if d:
                     entries.append((m, d))

@@ -486,15 +486,40 @@ def test_stored_rows_make_no_further_solves(monkeypatch):
 
 def test_a_theta_gram_matrix_is_computed_once_per_block(monkeypatch):
     """The Gram matrix is kept with its block: a second request makes no
-    theta_form call and returns the same matrix."""
+    E_op call and returns the same matrix."""
     module = ThetaModule(WIN)
-    calls = []
-    real = ThetaModule.theta_form
-    monkeypatch.setattr(ThetaModule, "theta_form",
-                        lambda self, u, v: calls.append(1) or real(self, u, v))
     key = content_key({1: 2, 3: 1})
+    module.block(key)
+    calls = []
+    real = ThetaModule.E_op
+    monkeypatch.setattr(ThetaModule, "E_op",
+                        lambda self, i, v: calls.append(1) or real(self, i, v))
     gram = module.gram_matrix(key)
-    n = len(module.basis_of_content(key))
-    assert len(calls) == n * n
+    made = len(calls)
+    assert made
     assert module.gram_matrix(key) is gram
-    assert len(calls) == n * n
+    assert len(calls) == made
+
+
+def _peel(module, u, w):
+    """A private copy of the word-by-word peeling: (u, w) is the ()
+    coefficient of E_{w_n} ... E_{w_1} u."""
+    if not w:
+        return u.rep.terms.get((), RatFunc.zero())
+    return _peel(module, module.E_op(w[0], u), w[1:])
+
+
+@pytest.mark.parametrize("window, degree", [(WIN, 4), ((-1, 1), 6)])
+def test_theta_gram_rows_by_prefix_tree_are_the_peeled_pairings(window, degree):
+    """Each row of a theta Gram matrix comes from one walk over the prefix
+    tree of the block's words; it equals the pairing peeled word by word."""
+    module = ThetaModule(window)
+    for key in module.block_keys(degree):
+        vecs = [module.ptheta_vector(m) for m in module.basis_of_content(key)]
+        want = [
+            [sum((c * _peel(module, u, w) for w, c in v.rep.terms.items()), RatFunc.zero())
+             for v in vecs]
+            for u in vecs
+        ]
+        assert module.gram_matrix(key) == want, key
+        assert module.theta_form(vecs[0], vecs[-1]) == want[0][-1], key

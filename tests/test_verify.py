@@ -91,7 +91,8 @@ def test_suites_of_one_run_share_its_space(monkeypatch):
 
 def test_gram_suite_checks_the_closed_form_diagonal():
     """In type A the suite compares each Gram matrix with diag(N_A(m)), so a
-    Gram matrix of full rank that is not that diagonal fails."""
+    Gram matrix of full rank that is not that diagonal fails; it is not
+    form(P(m), P(n)) either, and the independent route fails it too."""
     spaces = {}
     alg = _space("typeA", WIN, spaces)
     key = content_key({1: 1, 3: 1})
@@ -100,7 +101,27 @@ def test_gram_suite_checks_the_closed_form_diagonal():
     alg._tables[key] = (gram, alg._tables[key][1])
     checked, fails = suite_gram("typeA", WIN, 2, spaces)
     assert checked == 14
-    assert fails == ["Gram matrix on content {1: 1, 3: 1} is not diag(N_A(m))"]
+    assert fails == [
+        "Gram matrix on content {1: 1, 3: 1} is not diag(N_A(m))",
+        "Gram matrix on content {1: 1, 3: 1} is not form(P(m), P(n))",
+    ]
+
+
+def test_gram_suite_checks_the_table_against_the_word_pair_form(monkeypatch):
+    """In type A the suite also compares each Gram matrix, read from the
+    table built by shuffles, with form(P(m), P(n)) through the word-pair
+    recursion: a fault in that route alone fails the one block whose words
+    it hits, and names it."""
+    real = WordAlgebra._form_words
+
+    def form(self, w, v):
+        f = real(self, w, v)
+        return f + RatFunc.q_power(1) if (w, v) == ((1, 3), (1, 3)) else f
+
+    monkeypatch.setattr(WordAlgebra, "_form_words", form)
+    checked, fails = suite_gram("typeA", WIN, 2)
+    assert checked == 14
+    assert fails == ["Gram matrix on content {1: 1, 3: 1} is not form(P(m), P(n))"]
 
 
 def test_theta_gram_suite_checks_the_closed_form_diagonal(monkeypatch):
@@ -143,16 +164,22 @@ def test_a_singular_block_is_a_failed_check():
 
 def test_a_gram_matrix_that_is_not_diagonal_is_a_failed_check(monkeypatch):
     """The word-coordinate table inverts only a lower triangular Gram matrix,
-    so a form that pairs two PBW elements of a block makes the table build
-    fail, and the gram suite reports it on that block.  Its translates, whose
-    words the fault misses, are then computed directly and pass."""
-    real = WordAlgebra._form_words
+    so a pairing row of the segment <-3,-1> that pairs it with the other PBW
+    element of its block makes the table build fail, and the gram suite
+    reports it on that block.  Its translates, whose lone segments take
+    their own segment rows and so miss the fault, are then computed directly
+    and pass."""
+    real = WordAlgebra._segment_row
 
-    def form(self, w, v):
-        f = real(self, w, v)
-        return f + RatFunc.q_power(1) if {w, v} == {(-3, -1), (-1, -3)} else f
+    def segment_row(self, i, j):
+        row = real(self, i, j)
+        if (i, j) != (-3, -1):
+            return row
+        row = dict(row)
+        row[-1, -3] = row.get((-1, -3), RatFunc.zero()) + RatFunc.q_power(1)
+        return row
 
-    monkeypatch.setattr(WordAlgebra, "_form_words", form)
+    monkeypatch.setattr(WordAlgebra, "_segment_row", segment_row)
     checked, fails = suite_gram("typeA", WIN, 2)
     assert checked == 13
     assert fails == ["content {-3: 1, -1: 1}: matrix is not lower triangular"]

@@ -473,3 +473,62 @@ def test_pbw_parts_take_no_gcd(monkeypatch, window, degree):
             fractions += 1
             assert inv_d / RatFunc(qint(a)) == fresh._pbw_parts(m)[0], m
     assert fractions and len(calls) >= fractions
+
+
+# The pairing rows Phi~(m) = (P~(m), .) by shuffles, against a private copy
+# of the word-pair route: Phi~(m)[v] = sum_w P~(m)_w (w, v) over every word v
+# of m's content, (w, v) by the recursion (f_i a, b) = (a, e'_i b).
+
+@pytest.mark.parametrize("window, degree", [(WIN, 6), ((-1, 1), 8)])
+def test_pairing_rows_by_shuffle_are_the_word_pair_sums(window, degree):
+    fresh, memo = WordAlgebra(window), {}
+    for m in enumerate_multisegments(window, degree):
+        tilde = fresh._pbw_parts(m)[1]
+        want = {}
+        for v in fresh.words_of_content(wordalg.content_key(m.content())):
+            c = RatFunc.zero()
+            for w, p in tilde.terms.items():
+                c = c + p * _ref_form_words(fresh, w, v, memo)
+            if c:
+                want[v] = c
+        assert fresh._row_tilde(m) == (want if m else {(): R("1")}), m
+
+
+def test_each_segment_row_is_one_increasing_word():
+    """The shuffles give every segment <i,j> of length L the row
+    (1 - q^2)^(L-1) on the one word (i, i+2, ..., j), and nothing else."""
+    window = (-5, -3, -1, 1, 3, 5)
+    fresh = WordAlgebra(window)
+    for i in window:
+        for j in window:
+            if i <= j:
+                word = tuple(range(i, j + 1, 2))
+                want = (RatFunc(1) - RatFunc.q_power(2)) ** (len(word) - 1)
+                assert fresh._segment_row(i, j) == {word: want}, (i, j)
+
+
+def test_a_table_build_makes_no_word_pair_call(monkeypatch):
+    """The tables read their pairings from the shuffled rows; the word-pair
+    memo serves only `form`."""
+    def form_words(self, w, v):
+        raise AssertionError("word-pair call in a table build")
+
+    monkeypatch.setattr(WordAlgebra, "_form_words", form_words)
+    fresh = WordAlgebra(WIN)
+    for key in fresh.block_keys(4):
+        fresh.gram_matrix(key)
+    assert not fresh._form_cache
+
+
+def test_the_shift_read_off_a_multisegment_is_the_representative_shift():
+    """`translation_shift` gives representative(content_key(m.content()))'s
+    shift on every multisegment of degree <= 4 on -5..5 against the window
+    -3..3, so letters outside the window give 0."""
+    fresh = WordAlgebra(WIN)
+    ms = enumerate_multisegments((-5, -3, -1, 1, 3, 5), 4)
+    shifts = set()
+    for m in ms:
+        want = fresh.representative(wordalg.content_key(m.content()))[1]
+        assert fresh.translation_shift(m) == want, m
+        shifts.add(want)
+    assert shifts == {0, 2, 4, 6}
