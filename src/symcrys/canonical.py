@@ -22,9 +22,10 @@ U^T G C = I proves, and `lower_inverse` keeps the checked inverse of C, so
 `multiplicity_polys` reads both of its routes through stored inverses and
 inverts each matrix at most once.  The PBW Gram matrix G is diagonal, so C
 is unitriangular and G C lower triangular, and `linalg.inverse_rows`
-inverts both by forward substitution.  It refuses a matrix that is not
-lower triangular, so a Gram matrix that is not diagonal fails the duality
-check of `global_upper`.  `multiplicity_polys` keeps each table on the
+inverts both by forward substitution.  The word-table build refuses a
+Gram matrix that is not diagonal, and `global_upper` reports a G C that
+`inverse_rows` refuses (not lower triangular, or a zero on its diagonal)
+as a failed duality check.  `multiplicity_polys` keeps each table on the
 context, by (index, side), once its direct/adjoint cross-check passed.
 A type-A block that is a translate of its representative
 (`WordAlgebra.representative`) computes none of these: it takes the

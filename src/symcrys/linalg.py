@@ -7,8 +7,9 @@ results straight off the reduced rows, with no back substitution.
 `inverse_rows` inverts only lower triangular matrices (a diagonal one
 included), by forward substitution over each column's nonzero entries, so
 it multiplies only nonzero factors; every inverse the global bases take is
-of that shape (a diagonal Gram matrix G, a unitriangular C, a lower
-triangular G C).  It refuses any other matrix, and returns its rows only
+of that shape (a unitriangular C, a lower triangular G C).  The type-A word
+tables invert nothing: their Gram matrix G is checked diagonal and its
+inverse read off the diagonal.  It refuses any other matrix, and returns its rows only
 after the exact check R A = I on and below the diagonal, the only entries
 where a product can be nonzero.  The theta blocks read their coordinate
 rows off one elimination (`nullspace`).

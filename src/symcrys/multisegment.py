@@ -262,10 +262,6 @@ class Multisegment:
             entries[seg] = entries.get(seg, 0) + mult
         return Multisegment(entries)
 
-    @staticmethod
-    def from_json(text):
-        return Multisegment.from_json_obj(json.loads(text))
-
 
 def cmp_cry_multiseg_raw(m1, m2):
     """Lexicographic crystal comparison, scanning segments in decreasing

@@ -8,21 +8,25 @@ zero in U_q^- iff it pairs to zero with every word of its content.
 PBW coordinates are read through one record per content c, built on first
 use: the Gram matrix G and the word-coordinate table D_c.  The build reads
 the pairings Phi[m][v] = (P(m), v) of the PBW elements off their pairing
-rows Phi~(m) = (P~(m), .), forms G[m][n] = sum_v P(n)_v Phi[m][v], takes
-the rows R of G^{-1} (by substitution: G is diagonal) only after the exact
-check R G = I, and stores each word's coordinate column D_c[v] = R Phi[:, v]
-as its nonzero entries; Phi itself is dropped.  The coordinates of a vector
-x of c are then the sparse sum sum_v x_v D_c[v] over x's words.
+rows Phi~(m) = (P~(m), .) and forms G[m][n] = sum_v P(n)_v Phi[m][v] in
+full.  The PBW basis is orthogonal (Lusztig, Introduction to Quantum
+Groups, ch. 38), and the build checks it: G must be diagonal with nonzero
+diagonal entries, or ArithmeticError names the block.  Then
+R = G^{-1} = diag(1/G[m][m]), and each word's coordinate column
+D_c[v] = R Phi[:, v] is read straight off the rows and stored as its
+nonzero entries.  The coordinates of a vector x of c are then the sparse
+sum sum_v x_v D_c[v] over x's words.
 
 The pairing rows are built by quantum shuffles.  The form is a Hopf
 pairing, so (xy, v) is the sum over the position sets S of v with x's
 content of q^(-sum_{a in S, b not in S, a > b} (alpha_{v_a}, alpha_{v_b}))
 (x, v_S)(y, v_{S^c}) (`_shuffle_into`).  Each row is the row of the element
-one segment smaller shuffled with its segment's row, along the chain of the
-PBW elements below, and each segment row comes from
-<i,j> = <i,j-2> f_j - q f_j <i,j-2> by the same identity.  The memoized
-word pairings (w, v) of the recursion (f_i a, b) = (a, e'_i b) serve only
-`form`: `is_zero_in_uq` and the `gram` suite's independent check of G.
+one segment smaller shuffled with the row of its lone segment, along the
+chain of the PBW elements below; a lone segment is on the chain too, its
+row from <i,j> = <i,j-2> f_j - q f_j <i,j-2> by the same identity.  The
+memoized word pairings (w, v) of the recursion (f_i a, b) = (a, e'_i b)
+serve only `form`: `is_zero_in_uq` and the `gram` suite's independent
+check of G.
 
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
 graded-block protocol as their own methods (`basis_of_content`,
@@ -42,19 +46,20 @@ segment powers, whose coefficients are Laurent, d(m) = prod [a]! over the
 multiplicities a, and P(m) = P~(m) / d(m).  Each is built from the element
 one segment smaller, m- = m minus one copy of its PBW-smallest segment s of
 multiplicity a: P~(m) = P~(m-) <s> and d(m) = d(m-) [a], one word product
-per new element; 1/d(m) is the inverse of that Laurent product, which takes
-no gcd.  The rows Phi~ are Laurent, Phi = Phi~ / d;
+per new element (two for a lone segment <i,j> = <i,j-2> f_j - q f_j <i,j-2>);
+1/d(m) is the inverse of that Laurent product, which takes no gcd.  The
+rows Phi~ are Laurent, Phi = Phi~ / d;
 G[m][n] is summed over the words of P~(n) in Laurent arithmetic and divided
-by d(m) and d(n) once, and each nonzero entry of R is multiplied by its
-column's 1/d once, so D_c costs no division per word.  Every sum of
+by d(m) and d(n) once, and each row's 1/d(m) / G[m][m] is taken once, so
+D_c costs no division per word.  Every sum of
 products in this module (products of word vectors, e'_i and e*_i,
 shuffles, the memoized word pairings, the tables, coordinates and
 `from_coords`) is one `ratfunc.dot`.  Block keys of words are read off a
 plain letter count.
 
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)), the
-row Phi~(m) and P(m) by multisegment, the segment rows by segment, the
-word pairings of `form`, the window's segments with their letter weights (from
+row Phi~(m) and P(m) by multisegment (lone segments included), the word
+pairings of `form`, the window's segments with their letter weights (from
 the first basis request), and per content block the basis, the record
 (G, D_c), the e'_i and f_i-left multiplication block matrices (in the one
 cache of `operator_matrix`) and (through `_contexts`, filled by
@@ -78,8 +83,8 @@ asked for.  The basis guard runs once per translate block, where its basis
 is first enumerated (`basis_of_content`): it must be the shifted basis of
 the representative's, in order, or ArithmeticError names the block; every
 record shared later is read under that checked basis.  The PBW element and
-the pairing row of a translate multisegment are its representative's, every
-word shifted (a lone segment takes its own segment row); the shift is read
+the pairing row of a translate multisegment, a lone segment as much as any
+other, are its representative's, every word shifted; the shift is read
 off the segments (`translation_shift`), the value `representative` gives
 for the multisegment's content.
 """
@@ -88,7 +93,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .linalg import inverse_rows, mat_vec
+from .linalg import mat_vec
 from .multisegment import (
     Multisegment,
     Segment,
@@ -228,6 +233,11 @@ def _dot_row(pairs):
     return row
 
 
+def _lone(seg):
+    """The multisegment of one copy of the segment seg."""
+    return Multisegment._trusted({seg: 1})
+
+
 class WordVector:
     """Finite Q(q)-linear combination of words (tuples of odd letters)."""
 
@@ -329,9 +339,7 @@ class WordAlgebra:
         self.window = win
         self._form_cache = {}
         self._eprime_word = {}
-        self._pbw_seg = {}
         self._pbw_tilde = {}
-        self._segment_rows = {}
         self._rows = {}
         self._pbw = {}
         self._tables = {}
@@ -475,21 +483,11 @@ class WordAlgebra:
     # -- PBW basis ------------------------------------------------------------
 
     def pbw_segment(self, i, j):
-        """<i,i> = f_i;  <i,j> = <i,j-2><j,j> - q <j,j><i,j-2>."""
+        """<i,i> = f_i;  <i,j> = <i,j-2><j,j> - q <j,j><i,j-2>: P~ of the lone
+        segment (`_pbw_parts`), both ends checked against the window."""
         self.check_index(i)
         self.check_index(j)
-        key = (i, j)
-        hit = self._pbw_seg.get(key)
-        if hit is not None:
-            return hit
-        if i == j:
-            vec = self.f(i)
-        else:
-            a = self.pbw_segment(i, j - 2)
-            b = self.f(j)
-            vec = self.mul(a, b) - self.mul(b, a).scale(RatFunc.q_power(1))
-        self._pbw_seg[key] = vec
-        return vec
+        return self._pbw_parts(_lone(Segment(i, j)))[1]
 
     def _pbw_parts(self, m):
         """(1/d(m), P~(m)) with P(m) = P~(m) / d(m): P~(m) is the ordered
@@ -499,12 +497,13 @@ class WordAlgebra:
         Built from the element one segment smaller: with s the PBW-smallest
         segment of m, a its multiplicity and m- = m - s,
         P~(m) = P~(m-) <s> and d(m) = d(m-) [a], so each new element costs
-        one product; P~(<s>) is the segment vector itself and P~(0) = 1.
-        d(m-) [a] = [a] / (1/d(m-)) is Laurent, so 1/d(m) is read as the
-        inverse of a Laurent value, with no gcd.  The chain down from m is
-        cached with it.  A translate by `shift` (`translation_shift`) takes
-        the parts of m shifted by -shift, every word shifted: the
-        construction is products and q-scalars only, so this is exact."""
+        one product; P~(0) = 1, P~(<i,i>) = f_i, and a lone segment is
+        <i,j> = <i,j-2> f_j - q f_j <i,j-2>.  d(m-) [a] = [a] / (1/d(m-)) is
+        Laurent, so 1/d(m) is read as the inverse of a Laurent value, with no
+        gcd.  The chain down from m is cached with it.  A translate by
+        `shift` (`translation_shift`) takes the parts of m shifted by
+        -shift, every word shifted: the construction is products and
+        q-scalars only, so this is exact."""
         hit = self._pbw_tilde.get(m)
         if hit is None:
             shift = self.translation_shift(m)
@@ -517,16 +516,20 @@ class WordAlgebra:
                     self.window))
             else:
                 seg = min(m.entries, key=Segment.pbw_key)
-                a = m.entries[seg]
-                piece = self.pbw_segment(seg.i, seg.j)
                 rest = m.remove(seg)
-                if not rest:
-                    hit = (RatFunc(1), piece)
-                else:
+                if rest:
                     inv_d, tilde = self._pbw_parts(rest)
+                    a = m.entries[seg]
                     if a > 1:
                         inv_d = RatFunc(1) / (RatFunc(qint(a)) / inv_d)
-                    hit = (inv_d, self.mul(tilde, piece))
+                    hit = (inv_d, self.mul(tilde, self._pbw_parts(_lone(seg))[1]))
+                elif seg.i == seg.j:
+                    hit = (RatFunc(1), self.f(seg.i))
+                else:
+                    fj = self.f(seg.j)
+                    prev = self._pbw_parts(_lone(Segment(seg.i, seg.j - 2)))[1]
+                    hit = (RatFunc(1), self.mul(prev, fj)
+                           - self.mul(fj, prev).scale(RatFunc.q_power(1)))
             self._pbw_tilde[m] = hit
         return hit
 
@@ -543,48 +546,36 @@ class WordAlgebra:
             return 0
         return low - win[0]
 
-    def _segment_row(self, i, j):
-        """The pairing row (<i,j>, .) of a segment, word -> value: (f_i, .)
-        is 1 on the word (i,), and <i,j> = <i,j-2> f_j - q f_j <i,j-2> gives
-        (<i,j>, .) by two shuffles (`_shuffle_into`).  Cached by (i, j)."""
-        key = (i, j)
-        hit = self._segment_rows.get(key)
-        if hit is None:
-            if i == j:
-                hit = {(i,): RatFunc(1)}
-            else:
-                prev, fj, pairs = self._segment_row(i, j - 2), {(j,): RatFunc(1)}, {}
-                _shuffle_into(pairs, prev, fj, RatFunc(1))
-                _shuffle_into(pairs, fj, prev, -RatFunc.q_power(1))
-                hit = _dot_row(pairs)
-            self._segment_rows[key] = hit
-        return hit
-
     def _row_tilde(self, m):
         """Phi~(m) = (P~(m), .) as a row word -> nonzero Laurent value, along
         the chain of `_pbw_parts`: Phi~(m) = Phi~(m-) shuffled with the row
-        of the PBW-smallest segment s (`_shuffle_into`); a lone segment's row
-        is its segment row and Phi~(0) is 1 on the empty word.  A translate
-        by `shift` (`translation_shift`) takes the row of m shifted by
-        -shift, every word shifted.  Cached by multisegment."""
+        of the lone PBW-smallest segment s (`_shuffle_into`), Phi~(0) is 1 on
+        the empty word and (f_i, .) is 1 on the word (i,); a lone segment
+        <i,j> = <i,j-2> f_j - q f_j <i,j-2> takes the same two shuffles.  A
+        translate by `shift` (`translation_shift`) takes the row of m
+        shifted by -shift, every word shifted.  Cached by multisegment."""
         hit = self._rows.get(m)
         if hit is None:
+            shift = self.translation_shift(m)
             if not m:
                 hit = {(): RatFunc(1)}
-            elif list(m.entries.values()) == [1]:
-                (seg,) = m.entries
-                hit = self._segment_row(seg.i, seg.j)
+            elif shift:
+                hit = {tuple(k + shift for k in w): c
+                       for w, c in self._row_tilde(m.shifted(-shift)).items()}
             else:
-                shift = self.translation_shift(m)
-                if shift:
-                    hit = {tuple(k + shift for k in w): c
-                           for w, c in self._row_tilde(m.shifted(-shift)).items()}
+                seg = min(m.entries, key=Segment.pbw_key)
+                rest, pairs = m.remove(seg), {}
+                if rest:
+                    _shuffle_into(pairs, self._row_tilde(rest),
+                                  self._row_tilde(_lone(seg)), RatFunc(1))
+                elif seg.i == seg.j:
+                    pairs[(seg.i,)] = [(RatFunc(1), RatFunc(1))]
                 else:
-                    seg = min(m.entries, key=Segment.pbw_key)
-                    pairs = {}
-                    _shuffle_into(pairs, self._row_tilde(m.remove(seg)),
-                                  self._segment_row(seg.i, seg.j), RatFunc(1))
-                    hit = _dot_row(pairs)
+                    prev = self._row_tilde(_lone(Segment(seg.i, seg.j - 2)))
+                    fj = {(seg.j,): RatFunc(1)}
+                    _shuffle_into(pairs, prev, fj, RatFunc(1))
+                    _shuffle_into(pairs, fj, prev, -RatFunc.q_power(1))
+                hit = _dot_row(pairs)
             self._rows[m] = hit
         return hit
 
@@ -644,13 +635,14 @@ class WordAlgebra:
         elements and their pairing rows Phi~(m) = (P~(m), .) (`_row_tilde`).
 
         G[m][n] = (P(m), P(n)) = (1/d(m))(1/d(n)) sum over the words v of
-        P~(n) of P~(n)_v Phi~(m)[v], the sum in Laurent arithmetic.
-        R = G^{-1} is used only after the exact check R G = I, as the
-        nonzero entries of its rows, each scaled by its column's 1/d: then
-        D_c[v] = R Phi[:, v] with Phi = Phi~ / d costs one product per
-        nonzero entry of its row of R (one, for the diagonal G of every
-        block).  D_c is kept on the words where some row is nonzero; the
-        column of any other word is zero.  Phi~ is read, not copied."""
+        P~(n) of P~(n)_v Phi~(m)[v], the sum in Laurent arithmetic.  The PBW
+        basis is orthogonal, so G must be diagonal with nonzero diagonal
+        entries, or ArithmeticError names the block and the row's basis
+        element; R = G^{-1} = diag(1/G[m][m]), and R G = I holds exactly.
+        Then D_c[v] = R Phi[:, v] with Phi = Phi~ / d is read straight off
+        the rows, D_c[v][m] = Phi~(m)[v] (1/d(m)) / G[m][m], one product per
+        nonzero entry of a row.  D_c is kept on the words where some row is
+        nonzero; the column of any other word is zero."""
         basis = self.basis_of_content(key)
         if not basis:
             raise ValueError(f"no PBW basis vectors for content {dict(key)}")
@@ -664,25 +656,16 @@ class WordAlgebra:
             ]
             for (inv_m, _), row in zip(parts, rows)
         ]
-        inverse = [
-            [(c, x * parts[c][0]) for c, x in enumerate(row) if x]
-            for row in inverse_rows(gram)
-        ]
-        zero, n = RatFunc.zero(), len(basis)
-        phi = {}
-        for r, row in enumerate(rows):
-            for v, c in row.items():
-                col = phi.get(v)
-                if col is None:
-                    col = phi[v] = [zero] * n
-                col[r] = c
         table = {}
-        for v, col in phi.items():
-            entries = table[v] = []
-            for m, row in enumerate(inverse):
-                d = dot([(x, col[c]) for c, x in row])
-                if d:
-                    entries.append((m, d))
+        for r, (m, g, (inv_d, _), row) in enumerate(zip(basis, gram, parts, rows)):
+            if not g[r] or any(x for c, x in enumerate(g) if c != r):
+                raise ArithmeticError(
+                    f"{self.block_label(key)}: Gram matrix is not an invertible "
+                    f"diagonal in the row of {m}"
+                )
+            scale = inv_d / g[r]
+            for v, c in row.items():
+                table.setdefault(v, []).append((r, c * scale))
         return gram, table
 
     def gram_matrix(self, content):

@@ -313,8 +313,9 @@ def test_balanced_split_solves_nothing(factory, make, monkeypatch):
 
 def test_typeA_blocks_are_inverted_without_elimination(monkeypatch):
     """The Gram matrix of every type-A block is diagonal, C unitriangular and
-    G C lower triangular, so the word tables, `global_upper` and
-    `lower_inverse` invert them all by substitution."""
+    G C lower triangular: the word tables read R = diag(1/G[m][m]) off the
+    checked diagonal, and `global_upper` and `lower_inverse` invert by
+    substitution, so no block is eliminated."""
     fresh = WordAlgebra(WIN)
     calls = []
     real_solve = linalg.solve

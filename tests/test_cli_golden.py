@@ -25,6 +25,7 @@ from symcrys import cli
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli_golden.json")
 
 W4 = "--window=-3,-1,1,3"
+W6 = "--window=-5,-3,-1,1,3,5"
 W2 = "--window=-1,1"
 
 ARGVS = [
@@ -40,6 +41,10 @@ ARGVS = [
     ["expand", W4, '[{"i":1,"j":3,"mult":1}]'],
     ["expand", W4, '[{"i":-1,"j":1,"mult":1},{"i":3,"j":3,"mult":2}]', "--format", "json"],
     ["expand", "--window", "1", '[{"i":1,"j":1,"mult":3}]', "--format", "json"],
+    ["expand", W6, '[{"i":-5,"j":-1,"mult":1}]'],
+    ["expand", W6, '[{"i":-1,"j":3,"mult":1}]'],
+    ["expand", W6, '[{"i":1,"j":5,"mult":1}]'],
+    ["expand", W6, '[{"i":3,"j":5,"mult":1},{"i":3,"j":3,"mult":1}]'],
     # coords
     ["coords", "--mode", "typeA", W4, "[3,1]"],
     ["coords", "--mode", "typeA", W4, "[-1,3,1]", "--format", "json"],
@@ -48,6 +53,8 @@ ARGVS = [
     ["coords", "--mode", "theta", W4, "[-3,1]", "--format", "json"],
     ["coords", "--mode", "theta", W2, "[1,-1,1]", "--format", "json"],
     ["coords", "--mode", "typeA", W4, "[3,1,3,1]", "--format", "json"],
+    ["coords", "--mode", "typeA", W6, "[5,3,1]"],
+    ["coords", "--mode", "typeA", W6, "[1,3,-1]", "--format", "json"],
     # bar-matrix
     ["bar-matrix", "--mode", "typeA", W4, '{"1":1,"3":1}'],
     ["bar-matrix", "--mode", "typeA", W4, '{"-1":1,"1":1,"3":1}', "--format", "json"],

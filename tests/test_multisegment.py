@@ -1,6 +1,7 @@
 import copy
 import functools
 import itertools
+import json
 import pickle
 
 import pytest
@@ -100,14 +101,14 @@ def test_content_and_degree():
 
 def test_json_round_trip():
     m = M((-1, 1, 2), (1, 1, 1))
-    assert Multisegment.from_json(m.to_json()) == m
-    assert Multisegment.from_json("[]") == Multisegment.empty()
+    assert Multisegment.from_json_obj(json.loads(m.to_json())) == m
+    assert Multisegment.from_json_obj(json.loads("[]")) == Multisegment.empty()
     for mult in ("1.5", "true", '"1"'):
         with pytest.raises(TypeError, match="not an integer"):
-            Multisegment.from_json('[{"i":1,"j":1,"mult":%s}]' % mult)
+            Multisegment.from_json_obj(json.loads('[{"i":1,"j":1,"mult":%s}]' % mult))
     for i, j in (("true", "true"), ("1.0", "1"), ("1", "3.0"), ('"1"', "1")):
         with pytest.raises(TypeError, match="endpoint .* not an integer"):
-            Multisegment.from_json('[{"i":%s,"j":%s,"mult":1}]' % (i, j))
+            Multisegment.from_json_obj(json.loads('[{"i":%s,"j":%s,"mult":1}]' % (i, j)))
 
 
 # -- crystal operators: frozen examples -------------------------------------

@@ -2,7 +2,8 @@
 share their records.
 
 A translate of a content block reuses its representative's word table,
-canonical data and PBW elements; a translate of a pair (i, key) reuses the
+canonical data, PBW elements and pairing rows, and a lone segment those of
+its translate at the window's start; a translate of a pair (i, key) reuses the
 e'_i / f_i block matrices and the multiplicity tables of its representative
 pair.  Each shared record must equal the one computed directly, in a fresh
 algebra whose window starts at the lowest letter of the block (for a pair:
@@ -22,7 +23,7 @@ from symcrys.canonical import (
     multiplicity_polys,
     typeA_block,
 )
-from symcrys.multisegment import Multisegment
+from symcrys.multisegment import Multisegment, window_segments
 from symcrys.thetamodule import ThetaModule
 from symcrys.wordalg import WordAlgebra, content_key, contents_up_to
 
@@ -43,6 +44,7 @@ def _block_records(alg, key):
         "upper_inv": ctx.upper_inv,
         "lower_inv": lower_inverse(ctx),
         "pbw": [(inv_d, tilde.terms) for inv_d, tilde in map(alg._pbw_parts, basis)],
+        "rows": [alg._row_tilde(m) for m in basis],
     }
 
 
@@ -89,6 +91,14 @@ def test_shared_records_equal_direct_ones(window, degree):
             assert _pair_records(shared, i, key) == _pair_records(direct(pair_low), i, key), (
                 i, key)
     assert translates > 0 and below > 0
+    # a lone segment translates like every multisegment: P~ and Phi~
+    for seg in window_segments(window):
+        lone = Multisegment({seg: 1})
+        assert direct(seg.i).translation_shift(lone) == 0
+        assert shared.translation_shift(lone) == seg.i - window[0]
+        records = [(alg._pbw_parts(lone)[1].terms, alg._row_tilde(lone))
+                   for alg in (shared, direct(seg.i))]
+        assert records[0] == records[1], seg
 
 
 def test_representatives():

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from symcrys.multisegment import Segment, enumerate_multisegments
+from symcrys.multisegment import Multisegment, Segment, enumerate_multisegments
 from symcrys.theta import enumerate_theta
 from symcrys.thetamodule import ThetaModule, sym_key_of_content
 from symcrys.ratfunc import RatFunc
@@ -163,26 +163,31 @@ def test_a_singular_block_is_a_failed_check():
 
 
 def test_a_gram_matrix_that_is_not_diagonal_is_a_failed_check(monkeypatch):
-    """The word-coordinate table inverts only a lower triangular Gram matrix,
-    so a pairing row of the segment <-3,-1> that pairs it with the other PBW
-    element of its block makes the table build fail, and the gram suite
-    reports it on that block.  Its translates, whose lone segments take
-    their own segment rows and so miss the fault, are then computed directly
-    and pass."""
-    real = WordAlgebra._segment_row
+    """The word-coordinate table needs a diagonal Gram matrix, so a pairing
+    row of the lone segment <-3,-1> that pairs it with the other PBW element
+    of its block makes the table build fail, and the gram suite reports it
+    on that block.  Lone segments translate like every multisegment, so the
+    faulty row also reaches <-1,1> and <1,3>: each translate, computed
+    directly after its representative fails, fails under its own label."""
+    real = WordAlgebra._row_tilde
+    lone = Multisegment({(-3, -1): 1})
 
-    def segment_row(self, i, j):
-        row = real(self, i, j)
-        if (i, j) != (-3, -1):
+    def row_tilde(self, m):
+        row = real(self, m)
+        if m != lone:
             return row
         row = dict(row)
         row[-1, -3] = row.get((-1, -3), RatFunc.zero()) + RatFunc.q_power(1)
         return row
 
-    monkeypatch.setattr(WordAlgebra, "_segment_row", segment_row)
+    monkeypatch.setattr(WordAlgebra, "_row_tilde", row_tilde)
     checked, fails = suite_gram("typeA", WIN, 2)
-    assert checked == 13
-    assert fails == ["content {-3: 1, -1: 1}: matrix is not lower triangular"]
+    assert checked == 11
+    assert fails == [
+        f"content {c}: Gram matrix is not an invertible diagonal in the row of {seg}"
+        for c, seg in [({-3: 1, -1: 1}, "<-3,-1>"), ({-1: 1, 1: 1}, "<-1,1>"),
+                       ({1: 1, 3: 1}, "<1,3>")]
+    ]
 
 
 @pytest.mark.parametrize("suite", ["bar-triangular", "global-basis"])

@@ -241,19 +241,36 @@ def test_stored_rows_make_no_further_solves(monkeypatch):
     content = {-1: 1, 1: 1, 3: 1}
     fresh.coord_vector(fresh.f(-1, 1, 3), content)  # stores the block's rows
     calls, inversions = [], []
-    real_solve, real_inverse_rows = linalg.solve, wordalg.inverse_rows
+    real_solve, real_inverse_rows = linalg.solve, linalg.inverse_rows
     monkeypatch.setattr(linalg, "solve", lambda *a: calls.append(a) or real_solve(*a))
     monkeypatch.setattr(
-        wordalg, "inverse_rows", lambda *a: inversions.append(a) or real_inverse_rows(*a)
+        linalg, "inverse_rows", lambda *a: inversions.append(a) or real_inverse_rows(*a)
     )
     for w in fresh.words_of_content(content):
         fresh.coord_vector(fresh.f(*w), content)
         fresh.pbw_coords(fresh.f(*w).bar())
     assert calls == [] and inversions == []
-    # a new block is inverted once, by substitution: its Gram matrix is diagonal
+    # a new block makes no inversion: its Gram matrix is checked diagonal and
+    # its table read straight off the pairing rows
     fresh.coord_vector(fresh.f(1, 1), {1: 2})
-    assert calls == []
-    assert len(inversions) == 1
+    assert calls == [] and inversions == []
+
+
+def test_a_gram_fault_below_the_diagonal_is_refused():
+    """The PBW basis is orthogonal, so a table build refuses any Gram matrix
+    that is not diagonal, a lower triangular one included: q added on the
+    word (-1,-3) of the row of <-1> + <-3> gives G = [[1-q^2, 0], [-q^2, q+1]],
+    and the block is refused under its label, naming that row."""
+    fresh = WordAlgebra(WIN)
+    key = wordalg.content_key({-3: 1, -1: 1})
+    m = Multisegment({(-1, -1): 1, (-3, -3): 1})
+    row = fresh._rows[m] = dict(fresh._row_tilde(m))
+    row[-1, -3] = row.get((-1, -3), RatFunc.zero()) + RatFunc.q_power(1)
+    with pytest.raises(ArithmeticError) as err:
+        fresh.coord_vector(fresh.f(-3, -1), key)
+    assert str(err.value) == (
+        "content {-3: 1, -1: 1}: Gram matrix is not an invertible diagonal "
+        "in the row of <-1> + <-3>")
 
 
 def test_gram_is_the_closed_form_diagonal(alg):
@@ -504,7 +521,7 @@ def test_each_segment_row_is_one_increasing_word():
             if i <= j:
                 word = tuple(range(i, j + 1, 2))
                 want = (RatFunc(1) - RatFunc.q_power(2)) ** (len(word) - 1)
-                assert fresh._segment_row(i, j) == {word: want}, (i, j)
+                assert fresh._row_tilde(Multisegment({(i, j): 1})) == {word: want}, (i, j)
 
 
 def test_a_table_build_makes_no_word_pair_call(monkeypatch):
