@@ -70,6 +70,9 @@ def mseg_from_arg(text):
             for key in ("i", "j", "mult"):
                 if key not in rec:
                     raise bad(f'segment {json.dumps(rec)} has no key "{key}"')
+            for key in rec:
+                if key not in ("i", "j", "mult"):
+                    raise bad(f'segment {json.dumps(rec)} has unknown key {json.dumps(key)}')
     try:
         return Multisegment.from_json_obj(obj)
     except (ValueError, TypeError) as e:

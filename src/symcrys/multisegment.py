@@ -5,7 +5,10 @@ implementations: the closed formulas (epsilon / etilde / ftilde) and the
 plus-minus signature algorithm (signature_ops); they must agree everywhere
 and the test suite cross-checks them exhaustively.  The two routes share no
 helper: the closed formulas edit the entries through `_edited`, the signature
-route through `swap`/`add`/`remove`.
+route through `swap`/`add`/`remove`.  The three closed formulas share one scan
+per (i, m): `_A_extremes` keeps its last result in a one-entry memo, so
+epsilon, etilde and ftilde asked back to back at one (i, m) scan it once.
+The signature route never reads the memo.
 
 Segments are interned per process: `Segment(i, j)` validates a pair the first
 time it is made and afterwards returns that same immutable instance, so
@@ -293,6 +296,9 @@ def cry_sort_key(m):
 # crystal operators, closed-formula route
 # ---------------------------------------------------------------------------
 
+_A_last = (None, None, None)  # (i, m, (eps, k_e, k_f)) of the last scan
+
+
 def _A_extremes(i, m):
     """(eps, k_e, k_f) for the values A_k = A_k^{(i)}(m) at odd k >= i.
 
@@ -301,7 +307,16 @@ def _A_extremes(i, m):
     and smallest k with A_k = eps.  One pass over the segments collects the
     differences; a suffix sum from the top of the support accumulates them.
     With no segment starting at i or i+2 every A_k is 0: (0, i+2, i).
+
+    `_A_last` keeps the last scan, so epsilon, etilde and ftilde called back
+    to back at one (i, m) scan it once.  It matches m by identity and holds
+    it, so no other multisegment can take m's id while it is the key; like
+    the cached hash, it relies on a multisegment never changing once made.
     """
+    global _A_last
+    last_i, last_m, last = _A_last
+    if last_m is m and last_i == i:
+        return last
     top = i
     i2 = i + 2
     diff = {}
@@ -317,17 +332,20 @@ def _A_extremes(i, m):
             continue
         if k > top:
             top = k
-    if not diff:
-        return 0, i2, i
-    eps = acc = 0
-    k_e = k_f = top + 2
-    for k in range(top, i - 1, -2):
-        acc += diff.get(k, 0)
-        if acc > eps:
-            eps, k_e, k_f = acc, k, k
-        elif acc == eps:
-            k_f = k
-    return eps, k_e, k_f
+    if diff:
+        eps = acc = 0
+        k_e = k_f = top + 2
+        for k in range(top, i - 1, -2):
+            acc += diff.get(k, 0)
+            if acc > eps:
+                eps, k_e, k_f = acc, k, k
+            elif acc == eps:
+                k_f = k
+        last = eps, k_e, k_f
+    else:
+        last = 0, i2, i
+    _A_last = i, m, last
+    return last
 
 
 def _edited(m, old, new):

@@ -8,9 +8,11 @@ index k are the ordinary type-A ones.
 
 The closed formulas read (eps, n_e, n_f) off one pass over the segments and
 apply their case's edit to one copy of the entries (`multisegment._edited`).
+Like the type-A scan, `_theta_extremes` keeps its last result in a one-entry
+memo, so the three operators asked back to back at one (k, m) scan it once.
 The signature route sorts the segments it reads, tagged in one pass, into
 the scanning order and edits through `swap`/`add`/`remove`; the two routes
-share no helper.
+share no helper, and the signature route never reads the memo.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ def symmetrized_content(m):
 # closed formulas (Def-style route)
 # ---------------------------------------------------------------------------
 
+_theta_last = (None, None, None)  # (k, m, (eps, n_e, n_f)) of the last scan
+
+
 def _theta_extremes(k, m):
     """(eps, n_e, n_f) for the values A_ell at index -k, taken in selection
     order, largest first: top, ..., k+2, k, -k+2, -k+4, ..., k-2.
@@ -61,7 +66,15 @@ def _theta_extremes(k, m):
     each part of the formula needs; running sums then give the values, each
     compared as it is made.  The first value, at ell = top beyond the
     support, is 0.
+
+    `_theta_last` keeps the last scan, so theta_epsilon, theta_Etilde and
+    theta_Ftilde called back to back at one (k, m) scan it once; it matches
+    and holds m as `multisegment._A_last` does.
     """
+    global _theta_last
+    last_k, last_m, last = _theta_last
+    if last_m is m and last_k == k:
+        return last
     if k <= 0 or k % 2 == 0:
         raise ValueError(f"index must be positive odd, got {k}")
     lo, lo2 = -k, 2 - k
@@ -116,7 +129,9 @@ def _theta_extremes(k, m):
             eps, n_e, n_f = acc, ell, ell
         elif acc == eps:
             n_f = ell
-    return eps, n_e, n_f
+    last = eps, n_e, n_f
+    _theta_last = k, m, last
+    return last
 
 
 def theta_epsilon(k, m):

@@ -269,6 +269,8 @@ def test_out_of_window_segment_named(capsys):
     (["expand", "--window=-1,1", '[{"i":1,"j":1,"mult":1.5}]'], "1.5"),
     (["expand", "--window=-1,1", '[{"i":true,"j":true,"mult":1}]'], "true"),
     (["expand", "--window=-1,1", '[{"i":1.0,"j":1,"mult":1}]'], "1.0"),
+    # a segment record has the keys i, j and mult, and no other
+    (["expand", "--window=1,3", '[{"i":1,"j":3,"mult":1,"x":2}]'], 'unknown key "x"'),
     # a window lists each index once
     (["verify", "--suite", "crystal-axioms", "--mode", "typeA", "--window", "1,1,3",
       "--max-degree", "2"], "repeats index 1"),

@@ -1,12 +1,24 @@
 """The one-copy closed formulas and the one-pass theta signature against
 private copies of the compositional operators they replace: the result of
-every operator, and the order of its entries, must be the same."""
+every operator, and the order of its entries, must be the same.  The
+closed formulas keep their last scan; interleaved calls must never read a
+stale one."""
 
 import pytest
 
 from symcrys import multisegment, theta
-from symcrys.multisegment import Segment, enumerate_multisegments, etilde, ftilde
+from symcrys.multisegment import (
+    Multisegment,
+    Segment,
+    enumerate_multisegments,
+    epsilon,
+    etilde,
+    ftilde,
+)
 from symcrys.theta import (
+    crystal_E,
+    crystal_eps,
+    crystal_F,
     enumerate_theta,
     theta_Etilde,
     theta_epsilon,
@@ -230,3 +242,70 @@ def test_the_one_copy_edit_raises_on_an_absent_segment():
         with pytest.raises(ValueError, match="removing absent segment"):
             multisegment._edited(m, old, (1, 1))
     assert multisegment._edited(m, (3, 3), (1, 3)) == m.swap(Segment(3, 3), Segment(1, 3))
+
+
+# -- the one-entry memo of the last scan -------------------------------------
+
+def fresh(m):
+    """An equal but distinct copy of m."""
+    return Multisegment(dict(m.entries))
+
+
+def plain(result):
+    """A result as a value that compares the order of the entries too."""
+    return list(result.entries.items()) if isinstance(result, Multisegment) else result
+
+
+def ref_epsilon(i, m):
+    return ref_A_extremes(i, m)[0]
+
+
+A_OPS = [(epsilon, ref_epsilon), (etilde, ref_etilde), (ftilde, ref_ftilde)]
+THETA_OPS = [(theta_epsilon, ref_theta_epsilon), (theta_Etilde, ref_theta_Etilde),
+             (theta_Ftilde, ref_theta_Ftilde)]
+
+
+@pytest.mark.parametrize("ops, msegs, indices", [(A_OPS, TYPE_A, WIN5),
+                                                 (THETA_OPS, THETA, THETA_K)])
+def test_consecutive_calls_sharing_only_the_index_read_no_stale_scan(ops, msegs, indices):
+    for i in indices:
+        for op, ref in ops:
+            got = [plain(op(i, m)) for m in msegs]
+            assert got == [plain(ref(i, m)) for m in msegs], (op.__name__, i)
+
+
+@pytest.mark.parametrize("ops, msegs, indices", [(A_OPS, TYPE_A, WIN5),
+                                                 (THETA_OPS, THETA, THETA_K)])
+def test_a_copy_made_and_dropped_for_each_call_reads_no_stale_scan(ops, msegs, indices):
+    """Each call gets its own copy, dropped when the call returns, so the
+    next call's copy may get its id.  Operator by operator, that copy is of
+    the next multisegment; multisegment by multisegment, an equal one."""
+    for i in indices:
+        want = [[plain(ref(i, m)) for m in msegs] for _, ref in ops]
+        got = [[plain(op(i, fresh(m))) for m in msegs] for op, _ in ops]
+        assert got == want, i
+        got = [[plain(op(i, fresh(m))) for op, _ in ops] for m in msegs]
+        assert got == [list(row) for row in zip(*want)], i
+
+
+def test_crystal_operators_switching_between_type_a_and_theta_read_no_stale_scan():
+    """crystal_eps / crystal_E / crystal_F at k and -k in turn, on m and on
+    fresh copies of it, go back and forth between the two memos."""
+    for m in THETA:
+        for k in THETA_K:
+            want = {k: [plain(ref(k, m)) for _, ref in A_OPS],
+                    -k: [plain(ref(k, m)) for _, ref in THETA_OPS]}
+            for n in (m, fresh(m), m):
+                for slot, op in enumerate((crystal_eps, crystal_E, crystal_F)):
+                    for i in (k, -k, k):
+                        assert plain(op(i, n)) == want[i][slot], (m, i, op.__name__)
+
+
+def test_the_signature_routes_read_no_closed_formula_helper_or_memo():
+    """The two crystal routes share no helper, so the signature rule checks
+    an independent computation; the memos belong to the closed formulas."""
+    closed = {"_A_extremes", "_theta_extremes", "_edited", "_A_last", "_theta_last",
+              "epsilon", "etilde", "ftilde", "a_epsilon", "a_etilde", "a_ftilde",
+              "theta_epsilon", "theta_Etilde", "theta_Ftilde"}
+    for fn in (multisegment.signature_ops, theta._theta_signature, theta.theta_signature_ops):
+        assert closed.isdisjoint(fn.__code__.co_names), fn.__name__

@@ -37,6 +37,23 @@ PROTOCOL = [
 ]
 
 
+def plant_fault(alg, key, gram_entry=None, word_factor=None):
+    """Plant a fault in the record of the type-A block `key`; the one place
+    in these tests that knows the record's shape.  `gram_entry` = (row,
+    column, value) overwrites that entry of its Gram matrix; `word_factor` =
+    (word, factor) multiplies that word's coordinate column by the factor."""
+    gram, table = alg._table(key)
+    if gram_entry is not None:
+        row, col, value = gram_entry
+        gram = [list(r) for r in gram]
+        gram[row][col] = value
+    if word_factor is not None:
+        word, factor = word_factor
+        table = dict(table)
+        table[word] = [(m, c * factor) for m, c in table[word]]
+    alg._tables[key] = (gram, table)
+
+
 @pytest.mark.parametrize("space", [WordAlgebra, ThetaModule])
 def test_both_spaces_define_the_block_protocol(space):
     assert [name for name in PROTOCOL if name not in space.__dict__] == []
@@ -95,10 +112,7 @@ def test_gram_suite_checks_the_closed_form_diagonal():
     form(P(m), P(n)) either, and the independent route fails it too."""
     spaces = {}
     alg = _space("typeA", WIN, spaces)
-    key = content_key({1: 1, 3: 1})
-    gram = [list(row) for row in alg.gram_matrix(dict(key))]
-    gram[0][1] = RatFunc.q_power(1)
-    alg._tables[key] = (gram, alg._tables[key][1])
+    plant_fault(alg, content_key({1: 1, 3: 1}), gram_entry=(0, 1, RatFunc.q_power(1)))
     checked, fails = suite_gram("typeA", WIN, 2, spaces)
     assert checked == 14
     assert fails == [
@@ -150,10 +164,7 @@ def test_a_singular_block_is_a_failed_check():
     own label."""
     spaces = {}
     alg = _space("typeA", WIN, spaces)
-    key = content_key({-3: 1, -1: 1})
-    gram = [list(row) for row in alg.gram_matrix(dict(key))]
-    gram[0][0] = RatFunc.zero()
-    alg._tables[key] = (gram, alg._tables[key][1])
+    plant_fault(alg, content_key({-3: 1, -1: 1}), gram_entry=(0, 0, RatFunc.zero()))
     checked, fails = SUITES["global-basis"]("typeA", WIN, 2, spaces)
     assert checked == 11
     assert fails == [
@@ -222,11 +233,7 @@ def test_a_fault_in_a_representative_is_reported_for_each_translate(suite):
     every one under its own label."""
     spaces = {}
     alg = _space("typeA", WIN, spaces)
-    key = content_key({-3: 1, -1: 1})
-    gram, table = alg._table(key)
-    table = dict(table)
-    table[-1, -3] = [(m, c * RatFunc(2)) for m, c in table[-1, -3]]
-    alg._tables[key] = (gram, table)
+    plant_fault(alg, content_key({-3: 1, -1: 1}), word_factor=((-1, -3), RatFunc(2)))
     checked, fails = SUITES[suite]("typeA", WIN, 2, spaces)
     assert checked == 11
     assert fails == [
