@@ -14,7 +14,9 @@ after the exact check R A = I on and below the diagonal, the only entries
 where a product can be nonzero.  The theta blocks read their coordinate
 rows off one elimination (`nullspace`).
 
-Every sum of products (matrix products, substitution steps) is one call of
+Matrix products multiply only nonzero entries, and a lone nonzero product
+is one `*` (`mat_vec`; `mat_mul` column by column).  Every longer sum of
+products (matrix entries, substitution steps) is one call of
 `ratfunc.dot`, which adds the Laurent products in one coefficient dict.
 """
 
@@ -191,13 +193,27 @@ def solve_rect(matrix, rhs):
     return x
 
 
-def mat_mul(A, B):
-    cols = list(zip(*B))
-    return [[dot(zip(row, col)) for col in cols] for row in A]
-
-
 def mat_vec(A, v):
-    return [dot(zip(row, v)) for row in A]
+    """A v, each row multiplied only at the nonzero entries of v and only
+    by its nonzero entries there.  With no nonzero v_k every entry is the
+    shared zero; with one, each entry is the single product A[r][k] * v_k.
+    Only with more is an entry a `dot`."""
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    if not nonzero:
+        return [RatFunc.zero()] * len(A)
+    if len(nonzero) == 1:
+        (k, x), = nonzero
+        return [row[k] * x for row in A]
+    return [dot([(row[k], x) for k, x in nonzero if row[k]]) for row in A]
+
+
+_mat_vec = mat_vec  # mat_mul's columns, unseen by a tracer of `mat_vec`
+
+
+def mat_mul(A, B):
+    """A B, column by column: A times each column of B as in `mat_vec`."""
+    cols = [_mat_vec(A, col) for col in zip(*B)]
+    return [[col[r] for col in cols] for r in range(len(A))]
 
 
 def identity(n):

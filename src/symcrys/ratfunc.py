@@ -29,8 +29,11 @@ gcd route gives.  Products and sums of two fractions take the gcd route.
 
 A product with a factor 0 or 1 hands back an operand (both classes are
 immutable), and a LaurentPoly times an integer monomial c q^e is one pass
-that shifts and scales.  `dot(pairs)`, the sum of x * y over RatFunc pairs,
-is the one kernel for sums of products: it skips zero factors, accumulates
+that shifts and scales.  `RatFunc.zero()` is one shared zero.  A lone
+nonzero product is one `*`: the matrix products of `linalg` multiply only
+nonzero entries, and `dot` takes a list of one pair as x * y.
+`dot(pairs)`, the sum of x * y over RatFunc pairs, is the kernel for longer
+sums of products: it skips zero factors, accumulates
 every Laurent x Laurent product straight into one coefficient dict, settled
 once (zeros dropped, integral Fractions made ints), and sends only the pairs
 with a fraction through RatFunc arithmetic, adding their sum to the Laurent
@@ -428,13 +431,16 @@ def _laurent_times(p, x):
 def dot(pairs):
     """The RatFunc sum of x * y over an iterable of (RatFunc, RatFunc) pairs.
 
-    Pairs with a zero factor are skipped.  Every product of two Laurent
-    values is accumulated straight into one coefficient dict, which is
-    settled once at the end.  A pair with a fraction is multiplied as
-    RatFuncs; a Laurent product joins the dict and the fractions are added
-    together and then, once, to the Laurent sum.  The result is the normal
-    form the sum of the products has.
+    A list of one pair is x * y.  Otherwise pairs with a zero factor are
+    skipped, and every product of two Laurent values is accumulated straight
+    into one coefficient dict, settled once at the end.  A pair with a
+    fraction is multiplied as RatFuncs; a Laurent product joins the dict
+    and the fractions are added together and then, once, to the Laurent
+    sum.  The result is the normal form the sum of the products has.
     """
+    if pairs.__class__ is list and len(pairs) == 1:
+        (x, y), = pairs
+        return x * y
     d = {}
     get = d.get
     fracs = []
@@ -504,7 +510,7 @@ class RatFunc:
 
     @staticmethod
     def zero():
-        return _laurent(_ZERO)
+        return _RZERO
 
     @staticmethod
     def q_power(n):

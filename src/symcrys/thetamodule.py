@@ -252,15 +252,24 @@ class ThetaModule:
 
     def _ideal_rows(self, sym_key, block):
         """Fibre rows spanning the ideal: the fibre vectors of
-        P(m)(f_k - f_{-k}) over the PBW bases of the contents of sym_key - k,
-        for every letter k > 0."""
-        alg = self.alg
+        P(m)(f_k - f_{-k}) over the PBW bases of the contents ck of
+        sym_key - k, for every letter k > 0.  Such a row is zero outside the
+        slices of ck + alpha_k and ck + alpha_{-k}, which hold the coordinates
+        of P(m) f_k and of -P(m) f_{-k}: the words of P(m) with the letter k,
+        or -k, appended."""
+        alg, offsets = self.alg, block["offsets"]
         rows = []
         for k, _ in sym_key:
-            gen = alg.f(k) - alg.f(-k)
             for ck in self.fiber_contents(shift_key(sym_key, k, -1)):
+                plus, minus = shift_key(ck, k, 1), shift_key(ck, -k, 1)
                 for m in alg.basis_of_content(ck):
-                    rows.append(self._fiber_vector(alg.mul(alg.pbw_element(m), gen), block))
+                    terms = alg.pbw_element(m).terms
+                    row = [RatFunc.zero()] * block["dim"]
+                    for key, part in ((plus, {w + (k,): c for w, c in terms.items()}),
+                                      (minus, {w + (-k,): -c for w, c in terms.items()})):
+                        col = alg.coord_vector(WordVector(part, self.window), key)
+                        row[offsets[key]:offsets[key] + len(col)] = col
+                    rows.append(row)
         return rows
 
     def block(self, sym_key):

@@ -54,8 +54,8 @@ by d(m) and d(n) once, and each row's 1/d(m) / G[m][m] is taken once, so
 D_c costs no division per word.  Every sum of
 products in this module (products of word vectors, e'_i and e*_i,
 shuffles, the memoized word pairings, the tables, coordinates and
-`from_coords`) is one `ratfunc.dot`.  Block keys of words are read off a
-plain letter count.
+`from_coords`) is one `ratfunc.dot`; a coordinate with no product is the
+shared zero.  Block keys of words are read off a plain letter count.
 
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)), the
 row Phi~(m) and P(m) by multisegment (lone segments included), the word
@@ -694,7 +694,7 @@ class WordAlgebra:
         for v, c in x.terms.items():
             for m, d in table.get(v, ()):
                 pairs[m].append((c, d))
-        return [dot(p) for p in pairs]
+        return [dot(p) if p else RatFunc.zero() for p in pairs]
 
     def from_coords(self, coords):
         pairs = {}

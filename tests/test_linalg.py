@@ -488,3 +488,96 @@ def test_pivot_has_fewest_terms_then_fewest_nonzero_entries():
     rows, pivots = echelon_form(A)
     assert pivots == [(2, 0), (0, 1)]
     assert rows == [[R("0"), R("1")], [R("0"), R("0")], [R("1"), R("0")]]
+
+
+# -- matrix products against the dense one-liners --------------------------------
+#
+# The products as they were before they skipped zero entries: every entry of
+# a row paired with the vector, or with a column, in one `dot`.  Kept as the
+# reference that `mat_vec` and `mat_mul` must match value for value, built
+# alike.
+
+def _dense_mat_vec(A, v):
+    return [dot(zip(row, v)) for row in A]
+
+
+def _dense_mat_mul(A, B):
+    cols = list(zip(*B))
+    return [[dot(zip(row, col)) for col in cols] for row in A]
+
+
+def sparse_vector(rng, n, nonzero):
+    """A seeded vector of length n with `nonzero` nonzero entries."""
+    v = [RatFunc.zero()] * n
+    for k in rng.sample(range(n), nonzero):
+        v[k] = R(rng.choice(ENTRIES[3:]))
+    return v
+
+
+def product_matrices(rng):
+    """Seeded factors: mixed matrices, some with a zero row and a zero
+    column, identities and diagonal matrices."""
+    out = []
+    for n, m in [(1, 1), (3, 3), (4, 2), (2, 5), (5, 5)]:
+        A = mixed_matrix(rng, n, m, "zero")
+        A[rng.randrange(n)] = [RatFunc.zero()] * m
+        out += [mixed_matrix(rng, n, m, "random"), A]
+    for n in (1, 3, 4):
+        out.append(identity(n))
+        out.append([[R(rng.choice(ENTRIES[3:])) if i == j else RatFunc.zero()
+                     for j in range(n)] for i in range(n)])
+    return out
+
+
+def right_factors(rng, m):
+    """Seeded m-row factors: columns with 0, 1 and more nonzero entries, and
+    every square matrix of `product_matrices` with m rows."""
+    cols = [sparse_vector(rng, m, k) for k in range(m + 1) for _ in range(2)]
+    return [[list(row) for row in zip(*cols)]] + [
+        B for B in product_matrices(rng) if len(B) == m == len(B[0])]
+
+
+def test_products_match_the_dense_reference():
+    rng = random.Random("products")
+    for A in product_matrices(rng):
+        m = len(A[0])
+        for k in range(m + 1):
+            for _ in range(3):
+                v = sparse_vector(rng, m, k)
+                assert structure(mat_vec(A, v)) == structure(_dense_mat_vec(A, v))
+        for B in right_factors(rng, m):
+            assert structure(mat_mul(A, B)) == structure(_dense_mat_mul(A, B))
+        for B in ([[] for _ in range(m)], identity(m)):
+            assert structure(mat_mul(A, B)) == structure(_dense_mat_mul(A, B))
+    # an empty A, a B with no columns, and a product over zero columns
+    for A, B in [([], [[R("q")]]), ([], []), ([[R("q")], [R("0")]], [[]]), ([[], []], [])]:
+        assert mat_mul(A, B) == _dense_mat_mul(A, B)
+    for A, v in [([], []), ([], [R("q")]), ([[], []], [])]:
+        assert mat_vec(A, v) == _dense_mat_vec(A, v)
+
+
+def test_products_pass_dot_only_nonzero_pairs(monkeypatch):
+    """`dot` gets no pair with a zero factor, and no call at all for a
+    vector or column with at most one nonzero entry."""
+    calls = []
+    real_dot = linalg.dot
+
+    def counting(pairs):
+        pairs = list(pairs)
+        calls.append(pairs)
+        return real_dot(pairs)
+
+    monkeypatch.setattr(linalg, "dot", counting)
+    rng = random.Random("traffic")
+    for A in product_matrices(rng):
+        m = len(A[0])
+        for k in range(m + 1):
+            v = sparse_vector(rng, m, k)
+            before = len(calls)
+            mat_vec(A, v)
+            B = [list(row) for row in zip(v, sparse_vector(rng, m, min(k, 1)))]
+            mat_mul(A, B)
+            if k <= 1:
+                assert len(calls) == before
+    assert calls
+    assert all(x and y for pairs in calls for x, y in pairs)

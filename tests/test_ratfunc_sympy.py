@@ -324,15 +324,21 @@ def test_laurent_products_match_the_double_loop(a, b):
         assert stored_exactly(got)
 
 
-@given(st.lists(st.tuples(dot_factors, dot_factors), max_size=6))
+@given(st.lists(st.tuples(dot_factors, dot_factors), max_size=6), dot_factors, dot_factors)
 @settings(max_examples=150, deadline=None)
-def test_dot_is_the_generic_sum_of_products(pairs):
+def test_dot_is_the_generic_sum_of_products(pairs, x, y):
     assert_structurally_equal(ratfunc.dot(pairs), generic_dot(pairs))
     assert_structurally_equal(ratfunc.dot(iter(pairs)), generic_dot(pairs))
+    # a list of one pair is the product
+    assert_structurally_equal(ratfunc.dot([(x, y)]), generic_dot([(x, y)]))
 
 
 @pytest.mark.parametrize("pairs, want", [
     ([], "0"),
+    ([("q + 2*q^-1", "(1/2)*q - 3")], "(1/2)*q^2 - 3*q + 1 - 6*q^-1"),
+    ([("(1 + q)/(2 - q)", "(2 - q)/(1 - q^2)")], "1/(1 - q)"),
+    ([("0", "1/(2 - q)")], "0"),
+    ([("1", "(1 + q)/(2 - q^3)")], "(1 + q)/(2 - q^3)"),
     ([("q", "1 + q"), ("-q - q^2", "1")], "0"),
     ([("q/(1 + q^2)", "1 + q"), ("q + q^2", "-1/(1 + q^2)")], "0"),
     ([("(1/2)*q", "2"), ("3", "(1/3)*q^-1")], "q + q^-1"),
