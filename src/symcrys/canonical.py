@@ -300,7 +300,9 @@ def balanced_split(ctx, coords):
     pos, neg = [], []
     for a in g:
         if not a.in_A():
-            raise ArithmeticError("coordinate vector is not A-integral in the G basis")
+            raise ArithmeticError(
+                f"{ctx.label}: coordinate vector is not A-integral in the G basis"
+            )
         p = a.positive_part() + RatFunc(a.laurent().coeffs.get(0, 0))
         pos.append(p)
         neg.append(a - p)
@@ -387,7 +389,8 @@ def _multiplicity_polys(i, ctx, side):
     for (b, bp), c in direct.items():
         if not c.in_A():
             raise ArithmeticError(
-                f"multiplicity {c} at ({b}, {bp}) is not a Laurent polynomial"
+                f"{ctx.label}, side {side}, index {i}: multiplicity {c} at ({b}, {bp}) "
+                "is not a Laurent polynomial"
             )
     return direct
 

@@ -22,11 +22,10 @@ from .canonical import (
     multiplicity_polys,
     q1_specialization,
 )
-from .multisegment import Multisegment, cry_sort_key, ftilde as a_ftilde
+from .multisegment import Multisegment, cry_sort_key
 from .ratfunc import RatFunc
-from .theta import crystal_F
 from .thetamodule import ThetaModule
-from .verify import CRYSTAL_SUITES, FIXED_MODES, SUITES, UsageError, require_symmetric
+from .verify import CRYSTAL_SUITES, FIXED_MODES, SUITES, UsageError, crystal_ops, require_symmetric
 from .wordalg import WordAlgebra
 
 
@@ -123,11 +122,7 @@ def build_graph(mode, window, max_degree):
     """The crystal graph from the empty multisegment up to max_degree, by
     breadth-first search.  Each F adds one letter, so a search level is a
     degree; nodes are ordered by (degree, decreasing crystal order)."""
-    if mode == "theta":
-        require_symmetric(window)
-        F = crystal_F
-    else:
-        F = a_ftilde
+    F = crystal_ops(mode, window)[2]
     levels = [[Multisegment.empty()]]  # levels[d]: the nodes of degree d
     nodes = set(levels[0])
     edges = set()

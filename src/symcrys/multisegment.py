@@ -267,14 +267,10 @@ class Multisegment:
 
 
 def cmp_cry_multiseg_raw(m1, m2):
-    """Lexicographic crystal comparison, scanning segments in decreasing
-    crystal order; no content precondition (used for theta blocks)."""
-    segs = sorted(set(m1.entries) | set(m2.entries), key=Segment.cry_key, reverse=True)
-    for seg in segs:
-        a, b = m1.entries.get(seg, 0), m2.entries.get(seg, 0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
+    """Lexicographic crystal comparison: -1, 0 or 1 as `cry_sort_key` orders
+    m1 and m2; no content precondition (used for theta blocks)."""
+    a, b = cry_sort_key(m1), cry_sort_key(m2)
+    return (a > b) - (a < b)
 
 
 def cmp_cry_multiseg(m1, m2):
@@ -285,7 +281,7 @@ def cmp_cry_multiseg(m1, m2):
 
 
 def cry_sort_key(m):
-    """Sort key for the order of `cmp_cry_multiseg_raw`: the (segment crystal
+    """Sort key of the crystal order on multisegments: the (segment crystal
     key, count) pairs of m in decreasing crystal order.  Two such tuples first
     differ at the largest segment whose counts differ, where the larger count,
     or the segment present in only one of them, wins."""

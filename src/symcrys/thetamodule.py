@@ -220,9 +220,6 @@ class ThetaModule:
     def ideal_generators(self, sym_key):
         """Word-vector generators w (f_k - f_{-k}) spanning the ideal in the fiber."""
         gens = []
-        total = sum(n for _, n in sym_key)
-        if total == 0:
-            return gens
         for k in self.window:
             if k <= 0:
                 continue
@@ -394,13 +391,13 @@ class ThetaModule:
     def E_matrix(self, i, sym_key):
         """Matrix of E_i from the block to the block with one |i| letter fewer."""
         return operator_matrix(
-            self, "E", i, sym_key, -1, lambda m: self.E_op(i, self.ptheta_vector(m))
+            self, i, sym_key, -1, lambda m: self.E_op(i, self.ptheta_vector(m))
         )
 
     def F_matrix(self, i, sym_key):
         """Matrix of F_i from the block to the block with one |i| letter more."""
         return operator_matrix(
-            self, "F", i, sym_key, +1, lambda m: self.F_op(i, self.ptheta_vector(m))
+            self, i, sym_key, +1, lambda m: self.F_op(i, self.ptheta_vector(m))
         )
 
     def T_scalar(self, i, sym_key):

@@ -81,12 +81,38 @@ def _contexts(mode, window, max_degree, spaces):
     return [block_context(space, key) for key in space.block_keys(max_degree)]
 
 
+def crystal_ops(mode, window):
+    """(epsilon, Etilde, Ftilde) of the mode's crystal: the theta crystal,
+    which needs a negation-symmetric window, or the type-A one."""
+    if mode == "theta":
+        require_symmetric(window)
+        return crystal_eps, crystal_E, crystal_F
+    return a_epsilon, a_etilde, a_ftilde
+
+
 def _block_failure(ctx, error):
     """The failure message of an error raised on a block, which names the
     block once: `canonical` names it in its own errors, the layers below
     it do not."""
     message = str(error)
     return message if message.startswith(f"{ctx.label}: ") else f"{ctx.label}: {message}"
+
+
+def _each_block(mode, window, max_degree, spaces, check):
+    """(checked, fails) of `check(ctx)`, a generator of failure messages, run
+    on the context of every block of degree <= max_degree.  A block counts
+    once its check returns; an ArithmeticError it raises is one more
+    failure (`_block_failure`), after the messages it yielded before."""
+    checked = 0
+    fails = []
+    for ctx in _contexts(mode, window, max_degree, spaces):
+        try:
+            for message in check(ctx):
+                fails.append(message)
+            checked += 1
+        except ArithmeticError as e:
+            fails.append(_block_failure(ctx, e))
+    return checked, fails
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +122,9 @@ def _block_failure(ctx, error):
 def suite_crystal_axioms(mode, window, max_degree, spaces=None):
     checked = 0
     fails = []
-    if mode == "theta":
-        require_symmetric(window)
-        msegs = enumerate_theta(window, max_degree)
-        eps_f, E_f, F_f = crystal_eps, crystal_E, crystal_F
-    else:
-        msegs = enumerate_multisegments(window, max_degree)
-        eps_f, E_f, F_f = a_epsilon, a_etilde, a_ftilde
-    for m in msegs:
+    eps_f, E_f, F_f = crystal_ops(mode, window)
+    enumerate_fn = enumerate_theta if mode == "theta" else enumerate_multisegments
+    for m in enumerate_fn(window, max_degree):
         for i in window:
             eps = eps_f(i, m)
             e = E_f(i, m)
@@ -180,26 +201,21 @@ def suite_gram(mode, window, max_degree, spaces=None):
         norm, name = closed_form_norm_theta, "N_theta(m)"
     else:
         norm, name = closed_form_norm, "N_A(m)"
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree, spaces):
-        try:
-            g = ctx.gram()
-        except ArithmeticError as e:  # a type-A block that cannot be inverted
-            fails.append(_block_failure(ctx, e))
-            continue
-        checked += 1
+
+    def check(ctx):
+        g = ctx.gram()  # raises on a type-A block that cannot be inverted
         want = [
             [norm(m) if r == c else RatFunc.zero() for c in range(len(g))]
             for r, m in enumerate(ctx.basis())
         ]
         if g != want:
-            fails.append(f"Gram matrix on {ctx.label} is not diag({name})")
+            yield f"Gram matrix on {ctx.label} is not diag({name})"
         if mode != "theta":
             space, pbw = ctx.space, [ctx.space.pbw_element(m) for m in ctx.basis()]
             if g != [[space.form(x, y) for y in pbw] for x in pbw]:
-                fails.append(f"Gram matrix on {ctx.label} is not form(P(m), P(n))")
-    return checked, fails
+                yield f"Gram matrix on {ctx.label} is not form(P(m), P(n))"
+
+    return _each_block(mode, window, max_degree, spaces, check)
 
 
 def suite_theta_dims(mode, window, max_degree, spaces=None):
@@ -219,7 +235,7 @@ def suite_pbw_crystal_compat(mode, window, max_degree, spaces=None):
     """The modified ftilde_i of each PBW basis vector P(m) of degree <=
     max_degree is P(F_i m) modulo q times the PBW lattice."""
     space = _space(mode, window, spaces)
-    crystal_f = crystal_F if mode == "theta" else a_ftilde
+    crystal_f = crystal_ops(mode, window)[2]
     checked = 0
     fails = []
     for key in [()] + space.block_keys(max_degree):
@@ -243,37 +259,28 @@ def suite_pbw_crystal_compat(mode, window, max_degree, spaces=None):
 
 
 def suite_bar_triangular(mode, window, max_degree, spaces=None):
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree, spaces):
-        try:
-            bar_matrix(ctx)
-            checked += 1
-        except ArithmeticError as e:
-            fails.append(_block_failure(ctx, e))
-    return checked, fails
+    def check(ctx):
+        bar_matrix(ctx)
+        return ()
+
+    return _each_block(mode, window, max_degree, spaces, check)
 
 
 def suite_global_basis(mode, window, max_degree, spaces=None):
-    checked = 0
-    fails = []
-    for ctx in _contexts(mode, window, max_degree, spaces):
-        try:
-            C = global_lower(ctx)
-            for c in range(len(C.basis)):
-                for r in range(len(C.basis)):
-                    x = C.entries[r][c]
-                    if r == c:
-                        ok = x == RatFunc(1)
-                    else:
-                        ok = x.is_zero() or x.in_qZq()
-                    if not ok:
-                        fails.append(f"{ctx.label}: C entry {x} at ({r},{c})")
-            global_upper(ctx)
-            checked += 1
-        except ArithmeticError as e:
-            fails.append(_block_failure(ctx, e))
-    return checked, fails
+    def check(ctx):
+        C = global_lower(ctx)
+        for c in range(len(C.basis)):
+            for r in range(len(C.basis)):
+                x = C.entries[r][c]
+                if r == c:
+                    ok = x == RatFunc(1)
+                else:
+                    ok = x.is_zero() or x.in_qZq()
+                if not ok:
+                    yield f"{ctx.label}: C entry {x} at ({r},{c})"
+        global_upper(ctx)
+
+    return _each_block(mode, window, max_degree, spaces, check)
 
 
 def _commutation_holds(lhs, rhs, qc, delta, rows, n):

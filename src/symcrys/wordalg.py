@@ -59,13 +59,14 @@ shared zero.  Block keys of words are read off a plain letter count.
 
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)), the
 row Phi~(m) and P(m) by multisegment (lone segments included), the word
-pairings of `form`, the window's segments with their letter weights (from
-the first basis request), and per content block the basis, the record
-(G, D_c), the e'_i and f_i-left multiplication block matrices (in the one
-cache of `operator_matrix`) and (through `_contexts`, filled by
-`symcrys.canonical`) the block's bar matrix, global bases and multiplicity
-tables.  A fresh
-algebra starts cold.  Cached word vectors and matrices are shared between
+pairings of `form`, e'_i of single words (which e*_i reads too, on the
+reversed word: e*_i(w) = rev e'_i(rev w)), the window's segments with
+their letter weights (from the first basis request), and per content block
+the basis, the record (G, D_c), the e'_i and f_i-left multiplication block
+matrices (in the one cache of `operator_matrix`, by step, index and block)
+and (through `_contexts`, filled by `symcrys.canonical`) the block's bar
+matrix, global bases and multiplicity tables.  A fresh algebra starts
+cold.  Cached word vectors and matrices are shared between
 callers, who must not mutate them.
 
 Blocks, and (index, block) pairs, that differ by a shift of the window are
@@ -403,12 +404,7 @@ class WordAlgebra:
         for p, letter in enumerate(w):
             if letter == i:
                 rest = w[:p] + w[p + 1:]
-                c = RatFunc.q_power(twist)
-                s = out.get(rest, RatFunc.zero()) + c
-                if s.is_zero():
-                    out.pop(rest, None)
-                else:
-                    out[rest] = s
+                out[rest] = out.get(rest, RatFunc.zero()) + RatFunc.q_power(twist)
             twist -= cartan(i, letter)
         vec = WordVector(out, self.window)
         self._eprime_word[key] = vec
@@ -423,15 +419,12 @@ class WordAlgebra:
         return dot_vector(pairs, self.window)
 
     def estar(self, i, x):
-        """The right derivation e*_i."""
+        """The right derivation e*_i: e'_i read from the other end of each
+        word, e*_i(w) = rev e'_i(rev w)."""
         pairs = {}
         for w, c in x.terms.items():
-            twist = 0
-            for p in range(len(w) - 1, -1, -1):
-                if w[p] == i:
-                    rest = w[:p] + w[p + 1:]
-                    pairs.setdefault(rest, []).append((c, RatFunc.q_power(twist)))
-                twist -= cartan(i, w[p])
+            for rest, t in self._eprime_on_word(i, w[::-1]).terms.items():
+                pairs.setdefault(rest[::-1], []).append((c, t))
         return dot_vector(pairs, self.window)
 
     # -- the bilinear form --------------------------------------------------
@@ -708,15 +701,13 @@ class WordAlgebra:
     def eprime_matrix(self, i, content):
         """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
         return operator_matrix(
-            self, "eprime", i, content_key(content), -1,
-            lambda m: self.eprime(i, self.pbw_element(m)),
+            self, i, content_key(content), -1, lambda m: self.eprime(i, self.pbw_element(m))
         )
 
     def fmul_matrix(self, i, content):
         """Matrix of left multiplication by f_i, content block -> content + alpha_i."""
         return operator_matrix(
-            self, "fmul", i, content_key(content), +1,
-            lambda m: self.mul(self.f(i), self.pbw_element(m)),
+            self, i, content_key(content), +1, lambda m: self.mul(self.f(i), self.pbw_element(m))
         )
 
     # -- modified root operators -------------------------------------------------
@@ -824,15 +815,16 @@ def from_representative(space, key, shared, i=None, step=0):
         return None
 
 
-def operator_matrix(space, name, i, key, step, image):
-    """The matrix, in block coordinates, of the operator `name` along index i
-    from block `key` to the block `step` letters i away; `image(m)` is the
-    image of the basis vector of m.  The one block-matrix cache of both
-    spaces, by (name, i, key): a translate pair (i, key) by `shift` takes
-    the matrix of its representative pair (i - shift, key - shift) from the
-    space's `lower_matrix` (step -1) or `raise_matrix` (step +1), through
-    `from_representative`; any other pair's is built from the images."""
-    cache_key = (name, i, key)
+def operator_matrix(space, i, key, step, image):
+    """The matrix, in block coordinates, of the space's lowering (step -1)
+    or raising (step +1) operator along index i from block `key` to the
+    block `step` letters i away; `image(m)` is the image of the basis vector
+    of m.  The one block-matrix cache of both spaces, by (step, i, key): a
+    translate pair (i, key) by `shift` takes the matrix of its
+    representative pair (i - shift, key - shift) from the space's
+    `lower_matrix` or `raise_matrix`, through `from_representative`; any
+    other pair's is built from the images."""
+    cache_key = (step, i, key)
     hit = space._operator_mats.get(cache_key)
     if hit is None:
         op = space.lower_matrix if step < 0 else space.raise_matrix

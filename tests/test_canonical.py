@@ -16,11 +16,12 @@ from symcrys.canonical import (
     theta_block,
     typeA_block,
 )
-from symcrys import linalg
+from symcrys import canonical, linalg
 from symcrys.linalg import identity, inverse, mat_mul
 from symcrys.multisegment import Multisegment, Segment
 from symcrys.ratfunc import RatFunc, parse_ratfunc
 from symcrys.thetamodule import ThetaModule
+from symcrys.verify import SUITES, _space
 from symcrys.wordalg import WordAlgebra
 
 WIN = (-3, -1, 1, 3)
@@ -430,3 +431,91 @@ def test_transition_matrix_keeps_the_dataclass_contract():
         "basis": [m.to_json_obj(), n.to_json_obj()],
         "entries": [["1", "0"], ["q", "1"]],
     }
+
+
+# -- planted faults: each self-check names the block ---------------------------
+
+REP = {-3: 1, -1: 1}  # a representative block of WIN with a 2-element basis
+
+
+def _plant_bar_entry(monkeypatch, row, col, value):
+    """Make `bar_column` put `value` at (row, col) of the bar matrix of REP."""
+    real = WordAlgebra.bar_column
+
+    def bar_column(self, m, key):
+        out = real(self, m, key)
+        if dict(key) == REP and m == self.basis_of_content(key)[col]:
+            out = list(out)
+            out[row] = value
+        return out
+
+    monkeypatch.setattr(WordAlgebra, "bar_column", bar_column)
+
+
+def test_a_bar_component_on_a_crystal_larger_element_is_refused(monkeypatch):
+    _plant_bar_entry(monkeypatch, 0, 1, RatFunc(1))
+    ctx = typeA_block(WordAlgebra(WIN), REP)
+    big, small = ctx.basis()
+    with pytest.raises(TriangularityError, match=re.escape(
+            f"content {REP}: bar({small}) has a component on the crystal-larger {big}")):
+        bar_matrix(ctx)
+
+
+def test_a_non_laurent_bar_entry_is_refused(monkeypatch):
+    x = RatFunc(1) / R("1 + q")
+    _plant_bar_entry(monkeypatch, 1, 0, x)
+    ctx = typeA_block(WordAlgebra(WIN), REP)
+    big, small = ctx.basis()
+    with pytest.raises(TriangularityError, match=re.escape(
+            f"content {REP}: bar entry {x} at ({small}, {big}) is not a Laurent polynomial")):
+        bar_matrix(ctx)
+
+
+@pytest.mark.parametrize("entry, why", [
+    (RatFunc(1) / R("1 + q"), "is not a Laurent polynomial"),
+    (R("q"), "is not bar-antisymmetric"),
+])
+def test_a_correction_term_that_cannot_be_split_fails_its_block(entry, why):
+    """The lower basis splits each correction term r = c - bar(c); a stored
+    bar matrix whose entry below the diagonal is not Laurent, or not
+    bar-antisymmetric, makes that split fail, and the global-basis suite
+    reports it on the block.  Its translates share its bar matrix, and each
+    fails under its own label."""
+    spaces = {}
+    ctx = typeA_block(_space("typeA", WIN, spaces), REP)
+    B = bar_matrix(ctx)
+    entries = [list(row) for row in B.entries]
+    entries[1][0] = entry
+    ctx.bar = TransitionMatrix(B.label, B.basis, entries)
+    checked, fails = SUITES["global-basis"]("typeA", WIN, 2, spaces)
+    assert checked == 11
+    assert fails == [f"content {c}: correction term {entry} {why}"
+                     for c in (REP, {-1: 1, 1: 1}, {1: 1, 3: 1})]
+
+
+def test_a_lower_basis_that_is_not_bar_invariant_is_refused(monkeypatch):
+    real = canonical._split_antisymmetric
+    monkeypatch.setattr(canonical, "_split_antisymmetric", lambda r: real(r) + R("q"))
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"content {REP}: lower global basis is not bar-invariant")):
+        global_lower(typeA_block(WordAlgebra(WIN), REP))
+
+
+def test_balanced_split_refuses_a_vector_that_is_not_A_integral():
+    ctx = typeA_block(WordAlgebra(WIN), REP)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"content {REP}: coordinate vector is not A-integral in the G basis")):
+        balanced_split(ctx, [RatFunc(1) / R("1 + q"), RatFunc.zero()])
+
+
+def test_a_non_laurent_multiplicity_is_refused(monkeypatch):
+    """Scaling every e'_i and f_i block matrix by 1/(1 + q) scales both
+    routes alike, so they agree, and the table is refused as not Laurent."""
+    scale = RatFunc(1) / R("1 + q")
+    for name in ("lower_matrix", "raise_matrix"):
+        real = getattr(WordAlgebra, name)
+        monkeypatch.setattr(WordAlgebra, name, lambda self, i, key, real=real: [
+            [scale * c for c in row] for row in real(self, i, key)])
+    with pytest.raises(ArithmeticError, match=r"^content \{-3: 1\}, side F, index -1: "
+                       r"multiplicity .* is not a Laurent polynomial$"):
+        multiplicity_polys(-1, typeA_block(WordAlgebra(WIN), {-3: 1}), "F")

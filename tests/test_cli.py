@@ -8,7 +8,8 @@ import pytest
 
 from symcrys import cli, verify
 from symcrys.cli import build_parser, main
-from symcrys.multisegment import Multisegment, cry_sort_key
+from symcrys.multisegment import Multisegment, cry_sort_key, ftilde
+from symcrys.theta import crystal_F
 
 
 def run(capsys, *argv):
@@ -101,9 +102,9 @@ def reference_build_graph(mode, window, max_degree):
     degree, kept as the reference for `cli.build_graph`."""
     if mode == "theta":
         cli.require_symmetric(window)
-        F = cli.crystal_F
+        F = crystal_F
     else:
-        F = cli.a_ftilde
+        F = ftilde
     start = Multisegment.empty()
     nodes = {start}
     frontier = [start]

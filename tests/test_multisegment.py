@@ -367,3 +367,28 @@ def test_swap_is_remove_then_add():
     assert M((1, 1, 1)).swap(a, a) == M((1, 1, 1))
     with pytest.raises(ValueError, match="absent"):
         M((3, 3, 1)).swap(a, b)
+
+
+def _ref_cmp_cry_multiseg_raw(m1, m2):
+    """The crystal comparison by a scan of the segments of m1 and m2 in
+    decreasing crystal order: the first segment whose counts differ decides."""
+    segs = sorted(set(m1.entries) | set(m2.entries), key=Segment.cry_key, reverse=True)
+    for seg in segs:
+        a, b = m1.entries.get(seg, 0), m2.entries.get(seg, 0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
+
+
+def test_cry_comparator_is_the_segment_scan():
+    ms = enumerate_multisegments((-3, -1, 1, 3), 4)
+    assert len(ms) == 132
+    results = set()
+    for m1 in ms:
+        for m2 in ms:
+            got = cmp_cry_multiseg_raw(m1, m2)
+            assert got == _ref_cmp_cry_multiseg_raw(m1, m2), (m1, m2)
+            results.add(got)
+        assert cmp_cry_multiseg_raw(m1, m1) == 0
+        assert cmp_cry_multiseg_raw(m1, Multisegment(dict(m1.entries))) == 0
+    assert results == {-1, 0, 1}

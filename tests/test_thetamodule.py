@@ -135,6 +135,7 @@ def test_block_dimensions(mod):
 
 
 def test_E_op_well_defined_on_ideal(mod):
+    assert mod.ideal_generators(()) == []  # the ideal has no degree-0 part
     for sym in [{1: 1}, {1: 2}, {3: 1}, {1: 1, 3: 1}, {1: 3}]:
         for gen in mod.ideal_generators(content_key(sym)):
             for i in WIN:

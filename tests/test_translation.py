@@ -128,7 +128,7 @@ def test_a_translate_reuses_the_records_of_its_representative():
     # the pair (-1, key) shifts by 2, less than the block: it shares the
     # matrix of (-3, {-1: 1, 1: 1}); the pair (-3, key) is its own
     assert alg.fmul_matrix(-1, key) is alg.fmul_matrix(-3, content_key({-1: 1, 1: 1}))
-    assert ("fmul", -7, rep) not in alg._operator_mats
+    assert (+1, -7, rep) not in alg._operator_mats
     assert len(alg.fmul_matrix(-3, key)) == len(alg.basis_of_content({-3: 1, 1: 1, 3: 1}))
     C = global_lower(typeA_block(alg, key))
     assert C.entries is global_lower(typeA_block(alg, rep)).entries
@@ -283,10 +283,10 @@ def test_a_translate_of_a_failing_representative_pair_is_computed_directly(monke
     real_build = wordalg.operator_matrix
     real_mult = canonical._multiplicity_polys
 
-    def build(space, name, i, key, *rest):
+    def build(space, i, key, *rest):
         if (i, key) == (-3, rep):
             raise ArithmeticError("broken representative pair")
-        return real_build(space, name, i, key, *rest)
+        return real_build(space, i, key, *rest)
 
     def mult(i, ctx, side):
         if (i, ctx.key) == (-3, rep):

@@ -7,6 +7,7 @@ from symcrys.theta import enumerate_theta
 from symcrys.thetamodule import ThetaModule, sym_key_of_content
 from symcrys.ratfunc import RatFunc
 from symcrys import verify
+from symcrys.canonical import TransitionMatrix
 from symcrys.verify import SUITES, _space, suite_gram
 from symcrys.wordalg import WordAlgebra, content_key
 
@@ -252,7 +253,7 @@ def test_a_fault_in_a_representative_pair_is_reported_for_each_translate_pair():
     alg = _space("typeA", WIN, spaces)
     key = content_key({-3: 1})
     matrix = alg.fmul_matrix(-1, key)
-    alg._operator_mats["fmul", -1, key] = [[c * RatFunc(2) for c in row] for row in matrix]
+    alg._operator_mats[+1, -1, key] = [[c * RatFunc(2) for c in row] for row in matrix]
     checked, fails = SUITES["multiplicity-consistency"]("typeA", WIN, 2, spaces)
     assert checked == 76 - 6  # the suite checks 76 tables on WIN at degree <= 2
     assert fails == [
@@ -332,3 +333,100 @@ def test_a_multiplicity_mismatch_names_its_block_once(monkeypatch, capsys):
         0, "content {-1: 1}, index -1, side E: multiplicity 1/q at (<1>, 0) "
            "is not a Laurent polynomial",
     )
+
+
+# -- failure branches of the crystal and per-block suites ----------------------
+
+CRYSTALS = {"typeA": ("a_epsilon", "a_etilde", "a_ftilde"),
+            "theta": ("crystal_eps", "crystal_E", "crystal_F")}
+
+
+@pytest.mark.parametrize("mode", sorted(CRYSTALS))
+def test_crystal_axioms_report_an_epsilon_that_is_not_the_E_string(monkeypatch, mode):
+    """An epsilon that is 1 on the empty multisegment, where no E applies,
+    disagrees with Etilde and with the nilpotency degree there."""
+    name = CRYSTALS[mode][0]
+    real = getattr(verify, name)
+    empty = Multisegment.empty()
+    monkeypatch.setattr(verify, name,
+                        lambda i, m: real(i, m) + (m == empty and i == WIN[0]))
+    checked, fails = verify.suite_crystal_axioms(mode, WIN, 3)
+    assert checked == COUNTS[mode]["crystal-axioms"]
+    assert fails == [f"epsilon/Etilde mismatch at 0, index {WIN[0]}",
+                     f"epsilon != nilpotency degree at 0, index {WIN[0]}"]
+
+
+@pytest.mark.parametrize("mode", sorted(CRYSTALS))
+def test_crystal_axioms_report_an_F_that_does_not_undo_E(monkeypatch, mode):
+    """An F that sends the empty multisegment two steps up along index 1:
+    F(E(m)) != m at the one m with E(m) empty, and E(F(m)) != m at the
+    empty multisegment."""
+    name = CRYSTALS[mode][2]
+    real = getattr(verify, name)
+    empty = Multisegment.empty()
+
+    def broken(i, m):
+        return real(i, real(i, m)) if (i, m) == (1, empty) else real(i, m)
+
+    monkeypatch.setattr(verify, name, broken)
+    checked, fails = verify.suite_crystal_axioms(mode, WIN, 3)
+    assert checked == COUNTS[mode]["crystal-axioms"]
+    assert sorted(fails) == [
+        "E(F(m)) != m at 0, index 1",
+        f"F(E(m)) != m at {real(1, empty)}, index 1",
+    ]
+
+
+@pytest.mark.parametrize("mode", sorted(CRYSTALS))
+def test_pbw_crystal_compat_reports_a_wrong_crystal_target(monkeypatch, mode):
+    """A crystal F whose target lies outside the block of the modified
+    ftilde fails the one (m, i) it is wrong at."""
+    name = CRYSTALS[mode][2]
+    real = getattr(verify, name)
+    empty = Multisegment.empty()
+    monkeypatch.setattr(verify, name, lambda i, m: (
+        real(i, real(i, m)) if (i, m) == (1, empty) else real(i, m)))
+    checked, fails = SUITES["pbw-crystal-compat"](mode, WIN, 3)
+    assert checked == COUNTS[mode]["pbw-crystal-compat"]
+    assert fails == ["modified ftilde incompatible with the crystal at 0, index 1"]
+
+
+def _plant_C_entry(monkeypatch, key, value):
+    """Make the suite read `value` at entry (1, 0) of the lower basis of the
+    block `key`; the stored matrix is left as it is."""
+    real = verify.global_lower
+
+    def global_lower(ctx):
+        C = real(ctx)
+        if ctx.key != key:
+            return C
+        entries = [list(row) for row in C.entries]
+        entries[1][0] = value
+        return TransitionMatrix(C.label, C.basis, entries)
+
+    monkeypatch.setattr(verify, "global_lower", global_lower)
+
+
+def test_global_basis_reports_a_C_entry_outside_qZq(monkeypatch):
+    key = content_key({-3: 1, -1: 1})
+    _plant_C_entry(monkeypatch, key, RatFunc.q_power(-1))
+    checked, fails = SUITES["global-basis"]("typeA", WIN, 2)
+    assert checked == 14
+    assert fails == [f"content {{-3: 1, -1: 1}}: C entry {RatFunc.q_power(-1)} at (1,0)"]
+
+
+def test_a_block_keeps_its_C_entry_failure_when_duality_then_fails(monkeypatch):
+    """A C-entry failure found before `global_upper` raises stays in the
+    report, before the block's duality failure; the translates, which
+    share the faulty Gram matrix, fail duality under their own labels."""
+    spaces = {}
+    alg = _space("typeA", WIN, spaces)
+    key = content_key({-3: 1, -1: 1})
+    plant_fault(alg, key, gram_entry=(0, 0, RatFunc.zero()))
+    _plant_C_entry(monkeypatch, key, RatFunc(2))
+    checked, fails = SUITES["global-basis"]("typeA", WIN, 2, spaces)
+    assert checked == 11
+    assert fails == ["content {-3: 1, -1: 1}: C entry 2 at (1,0)"] + [
+        f"content {c}: upper/lower duality failed"
+        for c in ({-3: 1, -1: 1}, {-1: 1, 1: 1}, {1: 1, 3: 1})
+    ]

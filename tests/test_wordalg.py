@@ -549,3 +549,34 @@ def test_the_shift_read_off_a_multisegment_is_the_representative_shift():
         assert fresh.translation_shift(m) == want, m
         shifts.add(want)
     assert shifts == {0, 2, 4, 6}
+
+
+# A private copy of e*_i as its own right-to-left loop, each position of the
+# letter i contributing q^twist with twist = -sum (alpha_i, alpha_b) over the
+# letters b to its right.
+
+def _ref_estar(alg, i, x):
+    pairs = {}
+    for w, c in x.terms.items():
+        twist = 0
+        for p in range(len(w) - 1, -1, -1):
+            if w[p] == i:
+                rest = w[:p] + w[p + 1:]
+                pairs.setdefault(rest, []).append((c, RatFunc.q_power(twist)))
+            twist -= wordalg.cartan(i, w[p])
+    return wordalg.dot_vector(pairs, alg.window)
+
+
+def test_estar_is_eprime_on_the_reversed_word():
+    """e*_i read as e'_i on the reversed word gives the right-to-left loop's
+    terms and coefficients structurally, on every word of degree <= 5."""
+    fresh = WordAlgebra(WIN)
+    words = [w for d in range(6) for w in itertools.product(WIN, repeat=d)]
+    assert len(words) == 1365
+    for w in words:
+        for i in WIN:
+            got = fresh.estar(i, fresh.f(*w))
+            assert _shape(got) == _shape(_ref_estar(fresh, i, fresh.f(*w))), (i, w)
+    x = fresh.f(1, 1, 3) - fresh.f(1, 3, 1).scale(R("q + 1/q")) + fresh.f(3, 1, 1)
+    for i in WIN:
+        assert _shape(fresh.estar(i, x)) == _shape(_ref_estar(fresh, i, x)), i
