@@ -214,7 +214,8 @@ def _bar_matrix(ctx):
 
 
 def _split_antisymmetric(r):
-    """The unique c in q.Q[q] with c - bar(c) = r, for bar-antisymmetric Laurent r."""
+    """The unique c in q.Q[q] with c - bar(c) = r, for bar-antisymmetric Laurent r;
+    ArithmeticError otherwise, which `_global_lower` prefixes with the label."""
     if not r.in_A():
         raise ArithmeticError(f"correction term {r} is not a Laurent polynomial")
     if (r.bar() + r) != RatFunc(0):
@@ -248,7 +249,10 @@ def _global_lower(ctx):
         for m in range(col + 1, n):
             row = M[m]
             rho = dot([(row[k], c[k].bar()) for k in range(col, m) if c[k]])
-            c[m] = _split_antisymmetric(rho)
+            try:
+                c[m] = _split_antisymmetric(rho)
+            except ArithmeticError as e:
+                raise ArithmeticError(f"{ctx.label}: {e}") from None
         for m in range(n):
             C[m][col] = c[m]
     # exact bar-invariance: B . bar(C) = C

@@ -197,14 +197,17 @@ def mat_vec(A, v):
     """A v, each row multiplied only at the nonzero entries of v and only
     by its nonzero entries there.  With no nonzero v_k every entry is the
     shared zero; with one, each entry is the single product A[r][k] * v_k.
-    Only with more is an entry a `dot`."""
+    Only with more is an entry a `dot`, and only for a row with a nonzero
+    factor there: any other row's entry is the shared zero."""
     nonzero = [(k, x) for k, x in enumerate(v) if x]
     if not nonzero:
         return [RatFunc.zero()] * len(A)
     if len(nonzero) == 1:
         (k, x), = nonzero
         return [row[k] * x for row in A]
-    return [dot([(row[k], x) for k, x in nonzero if row[k]]) for row in A]
+    zero = RatFunc.zero()
+    return [dot(p) if p else zero
+            for p in ([(row[k], x) for k, x in nonzero if row[k]] for row in A)]
 
 
 _mat_vec = mat_vec  # mat_mul's columns, unseen by a tracer of `mat_vec`

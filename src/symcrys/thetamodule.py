@@ -2,8 +2,13 @@
 
 Class vectors are represented by word vectors; the grading that survives on
 the quotient is the symmetrized content (multiset of absolute letter
-indices).  A symmetrized block is built in PBW coordinates on its fibre, the
-direct sum of the type-A content blocks of its genuine contents:
+indices).  A class made by `ptheta_vector` or `from_coords` also keeps its
+exact P_theta coordinates, and `coord_vector` returns them for the block
+that holds them; any other class (a sum, a scaling, bar_theta, E_op, F_op,
+T_op) keeps none, and its coordinates are read through the fibre.
+
+A symmetrized block is built in PBW coordinates on its fibre, the direct
+sum of the type-A content blocks of its genuine contents:
 
 - P_theta(m) = s(m) P(m), where s(m) is the product over the symmetric
   segments <-j,j> of multiplicity a of [a]! / prod_{nu<=a} [2 nu], so the
@@ -16,10 +21,11 @@ direct sum of the type-A content blocks of its genuine contents:
 A block's coordinate rows are the kernel vectors of its ideal rows, each
 divided by s(m), found in one elimination with the theta positions as the
 last (free) columns and stored after the exact check that they give [I | 0]
-on [P_theta columns | ideal rows].  A class's fibre vector is read through
-the type-A word-coordinate tables, so class membership and canonical
-coordinates are one matrix-vector product.  `ideal_generators` keeps the
-word-level generators w (f_k - f_{-k}) for tests.
+on [P_theta columns | ideal rows] (the theta part of each kernel vector
+compared with its unit vector entry by entry).  A class's fibre vector is
+read through the type-A word-coordinate tables, so class membership and
+canonical coordinates are one matrix-vector product.  `ideal_generators`
+keeps the word-level generators w (f_k - f_{-k}) for tests.
 
 The theta form pairs a class u with a word w = w_1 ... w_n as the ()
 coefficient of E_{w_n} ... E_{w_1} u.  A block's Gram matrix is built one
@@ -38,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .linalg import RatFunc, identity, mat_vec, nullspace
+from .linalg import RatFunc, mat_vec, nullspace
 from .multisegment import cartan, cry_sort_key
 from .ratfunc import dot, qfact, qint
 from .theta import theta_of_symmetrized_content
@@ -53,6 +59,9 @@ from .wordalg import (
     operator_matrix,
     shift_key,
 )
+
+
+_ONE = RatFunc(1)  # shared: the coordinate of m in P_theta(m)phi
 
 
 def sym_key_of_content(content):
@@ -90,13 +99,16 @@ def closed_form_norm_theta(m):
 
 
 class ThetaClassVector:
-    """A class in V_theta(0), held as a word-vector representative."""
+    """A class in V_theta(0), held as a word-vector representative; `coords`
+    is None or the class's exact P_theta coordinates {m: c}, which only
+    `ThetaModule.ptheta_vector` and `ThetaModule.from_coords` set."""
 
-    __slots__ = ("rep", "module")
+    __slots__ = ("rep", "module", "coords")
 
-    def __init__(self, rep, module):
+    def __init__(self, rep, module, coords=None):
         self.rep = rep
         self.module = module
+        self.coords = coords
 
     def is_zero(self):
         return self.module.is_zero_class(self)
@@ -194,7 +206,7 @@ class ThetaModule:
                 if not seg.is_theta_restricted():
                     raise ValueError(f"{seg} is not theta-restricted")
             hit = self._ptheta_cache[m] = self.alg.pbw_element(m).scale(theta_scale(m))
-        return ThetaClassVector(hit, self)
+        return ThetaClassVector(hit, self, {m: _ONE})
 
     # -- block machinery -------------------------------------------------------
 
@@ -300,9 +312,11 @@ class ThetaModule:
             for v, inv in zip(kernel, [RatFunc(1) / theta_scale(m) for m in theta_basis])
         ]
         t = len(theta_basis)
-        if [v[dim - t:] for v in kernel] != identity(t) or any(
-            x for row in rows for x in mat_vec(gen_rows, row)
-        ):
+        if len(kernel) != t or any(
+            x != _ONE if c == r else x
+            for r, v in enumerate(kernel)
+            for c, x in enumerate(v[dim - t:])
+        ) or any(x for row in rows for x in mat_vec(gen_rows, row)):
             raise ArithmeticError(
                 f"block {dict(sym_key)}: {t} theta multisegments are not a basis "
                 f"of the quotient (ideal rank {dim - len(kernel)}, ambient dim {dim})"
@@ -326,8 +340,13 @@ class ThetaModule:
 
     def coord_vector(self, v, sym_key):
         """Coordinates of a class of the block on its P_theta basis, as a dense
-        column: the block's stored inverse rows applied to the fibre vector."""
+        column: the coordinates v carries when each of their multisegments is
+        in the block's basis, else the block's stored inverse rows applied to
+        the fibre vector."""
         block = self.block(sym_key)
+        coords, basis = v.coords, block["theta_basis"]
+        if coords is not None and len(coords) == sum(m in coords for m in basis):
+            return [coords.get(m, RatFunc.zero()) for m in basis]
         return mat_vec(block["coord_rows"], self._fiber_vector(v.rep, block))
 
     def from_coords(self, coords):
@@ -335,7 +354,7 @@ class ThetaModule:
         for m, c in coords.items():
             for w, p in self.ptheta_vector(m).rep.terms.items():
                 pairs.setdefault(w, []).append((c, p))
-        return ThetaClassVector(dot_vector(pairs, self.alg.window), self)
+        return ThetaClassVector(dot_vector(pairs, self.alg.window), self, dict(coords))
 
     def is_zero_class(self, v):
         """True iff every symmetrized-content part of v has zero coordinates."""
@@ -381,9 +400,11 @@ class ThetaModule:
                     walk(y, sub, depth + 1)
 
         walk(u, list({w for v in vecs for w in v.rep.terms}), 0)
+        zero = RatFunc.zero()
         return [
-            dot([(c, pairing[w]) for w, c in v.rep.terms.items() if w in pairing])
-            for v in vecs
+            dot(p) if p else zero
+            for p in ([(c, pairing[w]) for w, c in v.rep.terms.items() if w in pairing]
+                      for v in vecs)
         ]
 
     # -- block matrices of E_i and F_i ----------------------------------------------

@@ -7,7 +7,9 @@ build the type-A algebra (`WordAlgebra`) or, in theta mode, the symmetric
 module (`ThetaModule`) and run over its blocks through the graded-block
 protocol the two classes share, so each check is written once for both
 modes.  Only `serre` (always type A) and `theta-dims` (always theta) ignore
-the mode.
+the mode.  `pbw-crystal-compat` works in block coordinates throughout: it
+runs the modified ftilde_i on the unit column of each basis vector
+(`wordalg.modified_root_column`) and reads the result's column directly.
 
 Every suite also takes an optional `spaces` dict.  Suites given the same
 dict share one algebra and one module per run, filled on first use, so a run
@@ -48,7 +50,7 @@ from .theta import (
     theta_signature_ops,
 )
 from .thetamodule import ThetaModule, closed_form_norm_theta
-from .wordalg import WordAlgebra, closed_form_norm, modified_root_op
+from .wordalg import WordAlgebra, closed_form_norm, modified_root_column
 
 
 class UsageError(Exception):
@@ -233,17 +235,20 @@ def suite_theta_dims(mode, window, max_degree, spaces=None):
 
 def suite_pbw_crystal_compat(mode, window, max_degree, spaces=None):
     """The modified ftilde_i of each PBW basis vector P(m) of degree <=
-    max_degree is P(F_i m) modulo q times the PBW lattice."""
+    max_degree is P(F_i m) modulo q times the PBW lattice.  The operator
+    runs in block coordinates (`modified_root_column`) on the unit column
+    of m, so no vector is built from coordinates or read back."""
     space = _space(mode, window, spaces)
     crystal_f = crystal_ops(mode, window)[2]
     checked = 0
     fails = []
     for key in [()] + space.block_keys(max_degree):
-        for m in space.basis_of_content(key):
-            pbw = space.from_coords({m: RatFunc(1)})
+        basis = space.basis_of_content(key)
+        for r, m in enumerate(basis):
+            unit = [RatFunc(1) if c == r else RatFunc.zero() for c in range(len(basis))]
             for i in window:
                 tgt = space.shifted_key(key, i, +1)
-                col = space.coord_vector(modified_root_op(space, i, pbw, key, +1), tgt)
+                col = modified_root_column(space, i, key, unit, +1)
                 target = crystal_f(i, m)
                 checked += 1
                 ok = target in space.basis_of_content(tgt)

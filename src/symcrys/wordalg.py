@@ -36,10 +36,11 @@ block methods of `WordAlgebra` also take a count map.  This module also
 holds the code written once over the protocol: the one construction and
 cache of the block matrices of both spaces (`operator_matrix`), the q-boson
 split (`qboson_split`), read off from the top through the cached lowering
-and raising block matrices, and the modified root operators
-(`modified_root_op`), which raise each part in block coordinates
-(`raise_divided`) and build the result once from the space's own basis
-vectors.
+and raising block matrices, and the modified root operators: the column
+kernel `modified_root_column`, which splits a coordinate column and raises
+each part in block coordinates (`raise_divided`), and its wrapper
+`modified_root_op`, which reads a vector's column and builds the result
+once from the space's own basis vectors (`from_coords`).
 
 Each PBW element is kept as (1/d(m), P~(m)): P~(m) is the product of the
 segment powers, whose coefficients are Laurent, d(m) = prod [a]! over the
@@ -54,8 +55,9 @@ by d(m) and d(n) once, and each row's 1/d(m) / G[m][m] is taken once, so
 D_c costs no division per word.  Every sum of
 products in this module (products of word vectors, e'_i and e*_i,
 shuffles, the memoized word pairings, the tables, coordinates and
-`from_coords`) is one `ratfunc.dot`; a coordinate with no product is the
-shared zero.  Block keys of words are read off a plain letter count.
+`from_coords`) is one `ratfunc.dot`; a Gram entry or coordinate with no
+product is the shared zero, with no `dot` call.  Block keys of words are
+read off a plain letter count.
 
 Results are cached on the algebra instance: the pair (1/d(m), P~(m)), the
 row Phi~(m) and P(m) by multisegment (lone segments included), the word
@@ -641,14 +643,13 @@ class WordAlgebra:
             raise ValueError(f"no PBW basis vectors for content {dict(key)}")
         parts = [self._pbw_parts(m) for m in basis]
         rows = [self._row_tilde(m) for m in basis]
-        gram = [
-            [
-                (dot([(c, row[v]) for v, c in tilde.terms.items() if v in row])
-                 * inv_m) * inv_n
-                for inv_n, tilde in parts
-            ]
-            for (inv_m, _), row in zip(parts, rows)
-        ]
+        gram = []
+        for (inv_m, _), row in zip(parts, rows):
+            g = []
+            for inv_n, tilde in parts:
+                pairs = [(c, row[v]) for v, c in tilde.terms.items() if v in row]
+                g.append((dot(pairs) * inv_m) * inv_n if pairs else RatFunc.zero())
+            gram.append(g)
         table = {}
         for r, (m, g, (inv_d, _), row) in enumerate(zip(basis, gram, parts, rows)):
             if not g[r] or any(x for c, x in enumerate(g) if c != r):
@@ -886,21 +887,32 @@ def qboson_split(space, i, key, column):
     return parts[::-1]
 
 
-def modified_root_op(space, i, x, key, step):
-    """The modified root operator etilde_i (step -1) or ftilde_i (step +1).
+def modified_root_column(space, i, key, column, step):
+    """The modified root operator etilde_i (step -1) or ftilde_i (step +1)
+    in block coordinates.
 
-    x is a vector of block `key` of `space`.  With the q-boson split
-    x = sum_n F_i^(n) u_n, the result is the sum of F_i^(n+step) u_n over
-    n + step >= 0, summed in block coordinates and built once from the
-    space's own basis vectors (`from_coords`).
+    `column` is the coordinate column of a vector x of block `key` of
+    `space`.  With the q-boson split x = sum_n F_i^(n) u_n, the result is
+    the sum of F_i^(n+step) u_n over n + step >= 0: its column on the block
+    `step` letters i away, or None when no part survives (the result is 0).
     """
     cols = [
         raise_divided(space, i, sub, u, n + step)
-        for n, sub, u in qboson_split(space, i, key, space.coord_vector(x, key))
+        for n, sub, u in qboson_split(space, i, key, column)
         if n + step >= 0
     ]
     if not cols:
+        return None
+    return [sum(c, RatFunc.zero()) for c in zip(*cols)]
+
+
+def modified_root_op(space, i, x, key, step):
+    """The modified root operator etilde_i (step -1) or ftilde_i (step +1)
+    of the vector x of block `key` of `space`: `modified_root_column` on
+    x's coordinate column, built once from the space's own basis vectors
+    (`from_coords`)."""
+    total = modified_root_column(space, i, key, space.coord_vector(x, key), step)
+    if total is None:
         return space.from_coords({})
     basis = space.basis_of_content(space.shifted_key(key, i, step))
-    total = [sum(c, RatFunc.zero()) for c in zip(*cols)]
     return space.from_coords({m: c for m, c in zip(basis, total) if c})

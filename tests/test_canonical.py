@@ -16,7 +16,7 @@ from symcrys.canonical import (
     theta_block,
     typeA_block,
 )
-from symcrys import canonical, linalg
+from symcrys import canonical, cli, linalg
 from symcrys.linalg import identity, inverse, mat_mul
 from symcrys.multisegment import Multisegment, Segment
 from symcrys.ratfunc import RatFunc, parse_ratfunc
@@ -491,6 +491,33 @@ def test_a_correction_term_that_cannot_be_split_fails_its_block(entry, why):
     assert checked == 11
     assert fails == [f"content {c}: correction term {entry} {why}"
                      for c in (REP, {-1: 1, 1: 1}, {1: 1, 3: 1})]
+
+
+@pytest.mark.parametrize("entry, why", [
+    (RatFunc(1) / R("1 + q"), "is not a Laurent polynomial"),
+    (R("q"), "is not bar-antisymmetric"),
+])
+def test_a_correction_term_that_cannot_be_split_names_its_block(entry, why):
+    """`global_lower` itself names the block in a split failure, once."""
+    ctx = typeA_block(WordAlgebra(WIN), REP)
+    B = bar_matrix(ctx)
+    entries = [list(row) for row in B.entries]
+    entries[1][0] = entry
+    ctx.bar = TransitionMatrix(B.label, B.basis, entries)
+    message = f"content {REP}: correction term {entry} {why}"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        global_lower(ctx)
+
+
+def test_global_basis_prints_the_block_of_a_split_failure(monkeypatch, capsys):
+    """`symcrys global-basis` prints the split failure with the block's label:
+    a bar entry q below the diagonal passes the triangularity check and
+    is not bar-antisymmetric."""
+    _plant_bar_entry(monkeypatch, 1, 0, R("q"))
+    code = cli.main(["global-basis", "--mode", "typeA", "--window=-3,-1,1,3",
+                     '{"-3":1,"-1":1}'])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: content {REP}: correction term q is not bar-antisymmetric\n")
 
 
 def test_a_lower_basis_that_is_not_bar_invariant_is_refused(monkeypatch):

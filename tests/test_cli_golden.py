@@ -97,6 +97,8 @@ ARGVS = [
     ["verify", "--mode", "theta", W2, "--max-degree", "4",
      "--suite", "multiplicity-consistency"],
     ["verify", "--mode", "typeA", "--window", "1,3", "--max-degree", "4", "--suite", "serre"],
+    ["verify", "--mode", "typeA", W4, "--max-degree", "4", "--suite", "pbw-crystal-compat"],
+    ["verify", "--mode", "theta", W4, "--max-degree", "4", "--suite", "pbw-crystal-compat"],
     # malformed requests: exit 2 with a message naming the bad input
     ["bar-matrix", "--window", "1,3", '{"5":1}'],
     ["bar-matrix", "--window", "1,3", '{"1":-1}'],

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symcrys import linalg
+from symcrys import linalg, thetamodule, wordalg
 from symcrys.linalg import (
     SingularMatrixError,
     echelon_form,
@@ -19,6 +19,8 @@ from symcrys.linalg import (
     solve_vector,
 )
 from symcrys.ratfunc import LaurentPoly, RatFunc, dot, parse_ratfunc, poly_gcd
+from symcrys.thetamodule import ThetaModule
+from symcrys.wordalg import WordAlgebra
 
 
 def R(text):
@@ -556,9 +558,8 @@ def test_products_match_the_dense_reference():
         assert mat_vec(A, v) == _dense_mat_vec(A, v)
 
 
-def test_products_pass_dot_only_nonzero_pairs(monkeypatch):
-    """`dot` gets no pair with a zero factor, and no call at all for a
-    vector or column with at most one nonzero entry."""
+def record_dot(monkeypatch, modules):
+    """The list of pair lists `dot` is given, as called from the modules."""
     calls = []
     real_dot = linalg.dot
 
@@ -567,7 +568,16 @@ def test_products_pass_dot_only_nonzero_pairs(monkeypatch):
         calls.append(pairs)
         return real_dot(pairs)
 
-    monkeypatch.setattr(linalg, "dot", counting)
+    for module in modules:
+        monkeypatch.setattr(module, "dot", counting)
+    return calls
+
+
+def test_products_pass_dot_only_nonzero_pairs(monkeypatch):
+    """`dot` gets no pair with a zero factor, no empty list (a row with no
+    nonzero factor at the vector's nonzero entries is the shared zero), and
+    no call at all for a vector or column with at most one nonzero entry."""
+    calls = record_dot(monkeypatch, [linalg])
     rng = random.Random("traffic")
     for A in product_matrices(rng):
         m = len(A[0])
@@ -580,4 +590,22 @@ def test_products_pass_dot_only_nonzero_pairs(monkeypatch):
             if k <= 1:
                 assert len(calls) == before
     assert calls
+    assert all(calls)
     assert all(x and y for pairs in calls for x, y in pairs)
+
+
+def test_block_builds_pass_dot_no_empty_list(monkeypatch):
+    """Building the blocks of degree <= 2 on -3..3 in both modes, with their
+    lowering, raising and Gram matrices, calls `dot` in linalg, wordalg and
+    thetamodule with no empty list of pairs."""
+    calls = record_dot(monkeypatch, [linalg, wordalg, thetamodule])
+    alg = WordAlgebra((-3, -1, 1, 3))
+    for space in (alg, ThetaModule(alg.window, alg)):
+        for key in space.block_keys(2):
+            space.gram_matrix(key)
+            for i in alg.window:
+                space.raise_matrix(i, key)
+                if dict(key).get(space.letter(i)):
+                    space.lower_matrix(i, key)
+    assert calls
+    assert [pairs for pairs in calls if not pairs] == []
