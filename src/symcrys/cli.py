@@ -179,7 +179,7 @@ def cmd_expand(args):
     window = algebra_window(args.window, "typeA")
     alg = WordAlgebra(window)
     m = mseg_from_arg(args.multisegment)
-    for seg in m.entries:
+    for seg, _ in m:
         for k in seg.indices():
             if k not in window:
                 raise UsageError(f"index {k} of segment {seg} outside window {list(window)}")

@@ -118,7 +118,8 @@ def inverse_rows(matrix):
     only after checking exactly that R A = I on and below the diagonal,
     entry by entry from the same column lists plus the diagonal: above it
     every product has a zero factor, as row i of R is zero right of i and A
-    is zero right of its diagonal.  Raises ArithmeticError when A has a
+    is zero right of its diagonal.  A sum with no nonzero product is the
+    shared zero, with no `dot` call.  Raises ArithmeticError when A has a
     nonzero entry above its diagonal or the check fails, and
     SingularMatrixError when its diagonal has a zero."""
     n = len(matrix)
@@ -135,16 +136,18 @@ def inverse_rows(matrix):
         x = [zero] * n
         x[i] = one / diag[i]
         for j in range(i - 1, -1, -1):
-            acc = dot([(x[l], a) for l, a in below[j] if x[l]])
-            if acc:
-                x[j] = -acc / diag[j]
+            pairs = [(x[l], a) for l, a in below[j] if x[l]]
+            if pairs:
+                acc = dot(pairs)
+                if acc:
+                    x[j] = -acc / diag[j]
         rows.append(x)
     for i, x in enumerate(rows):
         for k in range(i + 1):
             pairs = [(x[l], a) for l, a in below[k] if x[l]]
             if x[k]:
                 pairs.append((x[k], diag[k]))
-            if dot(pairs) != (one if k == i else zero):
+            if (dot(pairs) if pairs else zero) != (one if k == i else zero):
                 raise ArithmeticError("inverse rows do not invert the matrix")
     return rows
 

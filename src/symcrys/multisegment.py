@@ -12,12 +12,21 @@ The signature route never reads the memo.
 
 Segments are interned per process: `Segment(i, j)` validates a pair the first
 time it is made and afterwards returns that same immutable instance, so
-segments compare by identity and carry a stored hash.  A multisegment's hash
-is computed on first use.  Results of `add`/`remove`, the enumerators and the
-crystal operators are built from segments already known to be valid and are
-not re-validated; the public `Multisegment(...)` constructor checks its input.
+segments compare by identity and carry a stored hash.  Each also carries its
+interned key, one exact (i, j) int tuple (`Segment.key`).  A multisegment's
+`entries` dict maps these keys, not the Segment objects, to positive int
+counts: a dict of ints and untracked tuples is left alone by the cyclic
+collector, and so is every copy of it, and a lookup hashes two ints in C.
+(A key tuple itself is untracked by the first collection after its segment
+is made.)
+Only interned keys are ever stored, since a fresh tuple would make the dict
+tracked again.  Iterating a multisegment yields (Segment, count) pairs in
+insertion order.  A multisegment's hash is computed on first use.  Results
+of `add`/`remove`, the enumerators and the crystal operators are built from
+segments already known to be valid and are not re-validated; the public
+`Multisegment(...)` constructor checks its input.
 A closed-formula result is one copy of the input's entries, edited in place
-with the interned segments.  Content enumeration searches only the segments
+with the interned keys.  Content enumeration searches only the segments
 that fit the content.
 """
 
@@ -36,37 +45,44 @@ def cartan(i, j):
     return 0
 
 
-_SEGMENTS = {}  # (i, j) -> the interned Segment; holds only valid pairs
+def _integral(x):
+    """Whether x equals an int (an integral float or a bool does)."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+_SEGMENTS = {}  # interned (i, j) key -> the interned Segment; holds only valid pairs
 
 
 class Segment:
     """The interval of odd integers from i to j, denoted <i,j>.
 
-    One immutable instance per (i, j), validated when first made.
+    One immutable instance per (i, j), validated when first made; `key` is
+    the interned (i, j) tuple that multisegment entries are keyed by.
     """
 
-    __slots__ = ("i", "j", "_hash")
+    __slots__ = ("i", "j", "key", "_hash")
 
     def __new__(cls, i, j):
         seg = _SEGMENTS.get((i, j))
         if seg is not None:
             return seg
-        try:
-            integral = int(i) == i and int(j) == j
-        except (TypeError, ValueError, OverflowError):
-            integral = False
-        if not integral:
+        if not (_integral(i) and _integral(j)):
             raise TypeError(f"segment endpoints must be integers: <{i!r},{j!r}>")
         i, j = int(i), int(j)  # an integral float is stored as the int it equals
         if i % 2 == 0 or j % 2 == 0:
             raise ValueError(f"segment endpoints must be odd: <{i},{j}>")
         if i > j:
             raise ValueError(f"segment needs i <= j: <{i},{j}>")
+        key = (i, j)
         seg = object.__new__(cls)
         object.__setattr__(seg, "i", i)
         object.__setattr__(seg, "j", j)
-        object.__setattr__(seg, "_hash", hash((i, j)))
-        _SEGMENTS[i, j] = seg
+        object.__setattr__(seg, "key", key)
+        object.__setattr__(seg, "_hash", hash(key))
+        _SEGMENTS[key] = seg
         return seg
 
     def __setattr__(self, name, value):
@@ -105,6 +121,11 @@ class Segment:
         return f"Segment(i={self.i!r}, j={self.j!r})"
 
 
+def _segment(seg):
+    """seg itself, or the interned Segment of an (i, j) pair."""
+    return seg if seg.__class__ is Segment else Segment(*seg)
+
+
 def cmp_pbw(s1, s2):
     """PBW ordering: -1, 0 or 1."""
     a, b = s1.pbw_key(), s2.pbw_key()
@@ -118,7 +139,13 @@ def cmp_cry(s1, s2):
 
 
 class Multisegment:
-    """A finite multiset of segments (immutable)."""
+    """A finite multiset of segments (immutable).
+
+    `entries` maps each segment's interned key (`Segment.key`) to its
+    positive count; iteration yields (Segment, count) pairs.  The public
+    constructor takes a dict or pairs keyed by Segments or (i, j) pairs and
+    integral counts (an integral value is stored as the int it equals).
+    """
 
     __slots__ = ("entries", "_hash")
 
@@ -127,18 +154,22 @@ class Multisegment:
         if entries is not None:
             items = entries.items() if isinstance(entries, dict) else entries
             for seg, mult in items:
-                if not isinstance(seg, Segment):
-                    seg = Segment(*seg)
+                seg = _segment(seg)
+                if not _integral(mult):
+                    raise TypeError(f"multiplicity {mult!r} of {seg} is not an integer")
+                mult = int(mult)  # an integral float or bool is stored as the int it equals
                 if mult < 0:
                     raise ValueError(f"negative multiplicity for {seg}")
                 if mult:
-                    d[seg] = d.get(seg, 0) + mult
+                    key = seg.key
+                    d[key] = d.get(key, 0) + mult
         self.entries = d
         self._hash = None
 
     @classmethod
     def _trusted(cls, entries):
-        """Wrap a dict of valid segments to positive counts; no checks, no copy."""
+        """Wrap a dict of interned segment keys to positive int counts; no
+        checks, no copy."""
         m = object.__new__(cls)
         m.entries = entries
         m._hash = None
@@ -163,72 +194,82 @@ class Multisegment:
         return bool(self.entries)
 
     def __iter__(self):
-        return iter(self.entries.items())
+        """(Segment, count) pairs in insertion order."""
+        segs = _SEGMENTS
+        return ((segs[key], n) for key, n in self.entries.items())
+
+    def __reduce__(self):
+        # rebuilt through the constructor, which re-interns the keys
+        return Multisegment, (list(self.entries.items()),)
 
     def mult(self, i, j=None):
         """Multiplicity of <i,j>; 0 for formally invalid index pairs."""
-        seg = _SEGMENTS.get((i, i if j is None else j))
-        return 0 if seg is None else self.entries.get(seg, 0)
+        return self.entries.get((i, i if j is None else j), 0)
 
     def add(self, seg, n=1):
-        if seg.__class__ is not Segment:
-            seg = Segment(*seg)
+        """m with n more copies of seg (a Segment or an (i, j) pair)."""
+        seg = _segment(seg)
+        key = seg.key
         d = dict(self.entries)
-        c = d.get(seg, 0) + n
+        c = d.get(key, 0) + n
         if c < 0:
             raise ValueError(f"removing absent segment {seg}")
         if c:
-            d[seg] = c
+            d[key] = c
         else:
-            d.pop(seg, None)
+            d.pop(key, None)
         return Multisegment._trusted(d)
 
     def remove(self, seg, n=1):
         return self.add(seg, -n)
 
     def swap(self, old, new):
-        """remove(old).add(new) with one copy of the entries; `old` must be present."""
+        """remove(old).add(new) with one copy of the entries; `old` must be
+        present.  Each is a Segment or an (i, j) pair."""
+        old, new = _segment(old), _segment(new)
         d = dict(self.entries)
-        c = d.get(old, 0) - 1
+        key = old.key
+        c = d.get(key, 0) - 1
         if c < 0:
             raise ValueError(f"removing absent segment {old}")
         if c:
-            d[old] = c
+            d[key] = c
         else:
-            del d[old]
-        d[new] = d.get(new, 0) + 1
+            del d[key]
+        key = new.key
+        d[key] = d.get(key, 0) + 1
         return Multisegment._trusted(d)
 
     def content(self):
         """Letter count per index: <i,j> contributes 1 to each of i, i+2, ..., j."""
         c = Counter()
-        for seg, mult in self.entries.items():
-            for k in seg.indices():
+        for (i, j), mult in self.entries.items():
+            for k in range(i, j + 1, 2):
                 c[k] += mult
         return c
 
     def degree(self):
-        return sum(seg.length() * mult for seg, mult in self.entries.items())
+        return sum(((j - i) // 2 + 1) * mult for (i, j), mult in self.entries.items())
 
     def shifted(self, step):
         """The translate of m: each segment <i,j> becomes <i+step,j+step>
         (step even)."""
         return Multisegment._trusted(
-            {Segment(seg.i + step, seg.j + step): n for seg, n in self.entries.items()}
+            {Segment(i + step, j + step).key: n for (i, j), n in self.entries.items()}
         )
 
     def segments_desc_pbw(self):
-        return sorted(self.entries, key=Segment.pbw_key, reverse=True)
+        return sorted((seg for seg, _ in self), key=Segment.pbw_key, reverse=True)
 
     def is_theta_restricted(self):
-        return all(seg.is_theta_restricted() for seg in self.entries)
+        return all(-j <= i for i, j in self.entries)
 
     def __str__(self):
         if not self.entries:
             return "0"
         parts = []
         for seg in self.segments_desc_pbw():
-            m = self.entries[seg]
+            m = self.entries[seg.key]
             parts.append(str(seg) if m == 1 else f"{m}{seg}")
         return " + ".join(parts)
 
@@ -240,7 +281,7 @@ class Multisegment:
     def to_json_obj(self):
         return [
             {"i": seg.i, "j": seg.j, "mult": mult}
-            for seg, mult in sorted(self.entries.items(), key=lambda kv: kv[0].pbw_key(), reverse=True)
+            for seg, mult in sorted(self, key=lambda kv: kv[0].pbw_key(), reverse=True)
         ]
 
     def to_json(self):
@@ -285,7 +326,7 @@ def cry_sort_key(m):
     key, count) pairs of m in decreasing crystal order.  Two such tuples first
     differ at the largest segment whose counts differ, where the larger count,
     or the segment present in only one of them, wins."""
-    return tuple(sorted(((seg.cry_key(), n) for seg, n in m.entries.items()), reverse=True))
+    return tuple(sorted((((j, -i), n) for (i, j), n in m.entries.items()), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +357,12 @@ def _A_extremes(i, m):
     top = i
     i2 = i + 2
     diff = {}
-    for seg, n in m.entries.items():
-        a = seg.i
+    for (a, b), n in m.entries.items():
         if a == i:
-            k = seg.j
+            k = b
             diff[k] = diff.get(k, 0) + n
         elif a == i2:
-            k = seg.j - 2
+            k = b - 2
             diff[k] = diff.get(k, 0) - n
         else:
             continue
@@ -347,21 +387,21 @@ def _A_extremes(i, m):
 def _edited(m, old, new):
     """m with one copy of the segment <old> taken out, then one copy of <new>
     put in, on one copy of the entries; `old` and `new` are (i, j) pairs or
-    None.  The entries keep the order that remove(old) then add(new) gives.
-    Taking out an absent segment raises ValueError."""
+    None.  The entries keep the order that remove(old) then add(new) gives;
+    a stored key is always the segment's interned one.  Taking out an absent
+    segment raises ValueError."""
     d = dict(m.entries)
     if old is not None:
-        seg = _SEGMENTS.get(old)
-        c = d.get(seg, 0) - 1
+        c = d.get(old, 0) - 1
         if c < 0:
             raise ValueError(f"removing absent segment {Segment(*old)}")
         if c:
-            d[seg] = c
+            d[_SEGMENTS[old].key] = c
         else:
-            del d[seg]
+            del d[old]
     if new is not None:
-        seg = _SEGMENTS.get(new) or Segment(*new)
-        d[seg] = d.get(seg, 0) + 1
+        key = (_SEGMENTS.get(new) or Segment(*new)).key
+        d[key] = d.get(key, 0) + 1
     return Multisegment._trusted(d)
 
 
@@ -394,14 +434,15 @@ def signature_ops(i, m):
 
     Scans the segments <i,j> (sign -) and <i+2,j> (sign +) in decreasing
     crystal order and cancels +- pairs.  Equal signs of one segment are kept
-    as one run [segment, copies]; the reduced signature is -...- +...+.
+    as one run [segment key, copies]; the reduced signature is -...- +...+.
     """
     relevant = []
-    for seg, n in m.entries.items():
-        if seg.i == i:
-            relevant.append((seg.cry_key(), "-", seg, n))
-        elif seg.i == i + 2:
-            relevant.append((seg.cry_key(), "+", seg, n))
+    for seg, n in m.entries.items():  # seg: the key (a, b) of <a,b>
+        a, b = seg
+        if a == i:
+            relevant.append(((b, -a), "-", seg, n))
+        elif a == i + 2:
+            relevant.append(((b, -a), "+", seg, n))
     relevant.sort(reverse=True)
     minus = []  # runs of uncancelled -, left to right
     plus = []   # runs of uncancelled +, left to right
@@ -422,15 +463,15 @@ def signature_ops(i, m):
 
     if minus:
         seg = minus[-1][0]  # rightmost -
-        e_out = m.swap(seg, Segment(i + 2, seg.j)) if seg.j != i else m.remove(seg)
+        e_out = m.swap(seg, (i + 2, seg[1])) if seg[1] != i else m.remove(seg)
     else:
         e_out = None
 
     if plus:
         seg = plus[0][0]  # leftmost +
-        f_out = m.swap(seg, Segment(i, seg.j))
+        f_out = m.swap(seg, (i, seg[1]))
     else:
-        f_out = m.add(Segment(i, i))
+        f_out = m.add((i, i))
     return eps, e_out, f_out
 
 
@@ -462,14 +503,14 @@ def enumerate_multisegments(window, max_degree, segments=None):
             out.append(Multisegment._trusted(dict(acc)))
             return
         seg = segs[idx]
-        size = seg.length()
+        key, size = seg.key, seg.length()
         n = 0
         while n * size <= remaining:
             if n:
-                acc[seg] = n
+                acc[key] = n
             rec(idx + 1, remaining - n * size, acc)
             n += 1
-        acc.pop(seg, None)
+        acc.pop(key, None)
 
     rec(0, max_degree, {})
     return out
@@ -491,7 +532,7 @@ def of_weighted_content(segs, weights, content):
     need = {k: v for k, v in content.items() if v}
     if any(v < 0 for v in need.values()):
         return []
-    fit = [(seg, w) for seg, w in zip(segs, weights)
+    fit = [(seg.key, w) for seg, w in zip(segs, weights)
            if all(need.get(key, 0) >= c for key, c in w.items())]
     last = {}
     for t, (_, w) in enumerate(fit):
@@ -510,19 +551,19 @@ def of_weighted_content(segs, weights, content):
         if t == len(fit):
             out.append(Multisegment._trusted(dict(acc)))
             return
-        (seg, w), done = fit[t], closes[t]
+        (pair, w), done = fit[t], closes[t]  # pair: the segment's interned key
         w = w.items()
         top = min(remaining[key] // c for key, c in w)
         for n in range(top + 1):
             if n:
-                acc[seg] = n
+                acc[pair] = n
                 for key, c in w:
                     remaining[key] -= c
             if not any(remaining[key] for key in done):
                 rec(t + 1)
         for key, c in w:
             remaining[key] += top * c
-        acc.pop(seg, None)
+        acc.pop(pair, None)
 
     rec(0)
     return out

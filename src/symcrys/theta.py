@@ -6,6 +6,10 @@ index -k follow the four-case closed formulas; the plus-minus signature
 algorithm is implemented independently as an oracle.  Operators at positive
 index k are the ordinary type-A ones.
 
+A multisegment's entries are keyed by interned (i, j) pairs
+(`multisegment.Segment.key`), so the scans below read each segment as the
+pair (a, b) of its endpoints, and both routes store only interned pairs.
+
 The closed formulas read (eps, n_e, n_f) off one pass over the segments and
 apply their case's edit to one copy of the entries (`multisegment._edited`).
 Like the type-A scan, `_theta_extremes` keeps its last result in a one-entry
@@ -34,11 +38,9 @@ from .multisegment import (
 
 def check_theta_restricted(m):
     """Raise ValueError naming the first offending segment, if any."""
-    for seg in m.entries:
-        if seg.i < -seg.j:
-            raise ValueError(
-                f"segment <{seg.i},{seg.j}> violates the theta restriction -j <= i"
-            )
+    for a, b in m.entries:
+        if a < -b:
+            raise ValueError(f"segment <{a},{b}> violates the theta restriction -j <= i")
     return m
 
 
@@ -83,8 +85,7 @@ def _theta_extremes(k, m):
     tail = 0     # sum over ell > k of mult<-k,ell> - mult<-k+2,ell>
     center = odd = dbl = 0  # mult<-k,k>, mult<-k+2,k>, mult<-k+2,k-2>
     step = {}    # j in [-k+2, k-2]: mult<j+2,k> - mult<j,k-2> (the latter for j > -k+2)
-    for seg, n in m.entries.items():
-        a, b = seg.i, seg.j
+    for (a, b), n in m.entries.items():
         if b + 2 > top:
             top = b + 2
         if 2 - a > top:
@@ -175,7 +176,7 @@ def theta_Etilde(k, m):
 
 def _theta_signature(k, m):
     """The reduced sign sequence -...- +...+ as two lists of runs
-    [segment, copies], minus and plus, each left to right.
+    [segment key (a, b), copies], minus and plus, each left to right.
 
     The scan reads, left to right: for each j > k from the top down, <-k,j>
     (sign -) and <-k+2,j> (+); then <-k,k> twice (-); one -+ pair for an
@@ -187,7 +188,7 @@ def _theta_signature(k, m):
     lo, lo2 = -k, 2 - k
     seq = []
     for seg, n in m.entries.items():
-        a, b = seg.i, seg.j
+        a, b = seg
         if a == lo:
             if b > k:
                 seq.append((0, -b, 0, seg, n))
@@ -233,29 +234,31 @@ def theta_signature_ops(k, m):
 
     if minus:
         seg = minus[-1][0]  # rightmost -
-        if seg.i == -k:
-            e_out = m.swap(seg, Segment(-k + 2, seg.j))
-        elif seg == Segment(-k + 2, k):
+        a, b = seg
+        if a == -k:
+            e_out = m.swap(seg, (-k + 2, b))
+        elif seg == (-k + 2, k):
             e_out = m.remove(seg)
             if k != 1:
-                e_out = e_out.add(Segment(-k + 2, k - 2))
+                e_out = e_out.add((-k + 2, k - 2))
         else:  # <j,k> with j > -k+2; drop to <j,k-2> when that is a segment
             e_out = m.remove(seg)
-            if seg.i <= k - 2:
-                e_out = e_out.add(Segment(seg.i, k - 2))
+            if a <= k - 2:
+                e_out = e_out.add((a, k - 2))
     else:
         e_out = None
 
     if plus:
         seg = plus[0][0]  # leftmost +
-        if seg.j > k:  # <-k+2, j>
-            f_out = m.swap(seg, Segment(-k, seg.j))
-        elif seg.j == k:  # the + of the odd <-k+2,k> pair
-            f_out = m.swap(seg, Segment(-k, k))
+        a, b = seg
+        if b > k:  # <-k+2, j>
+            f_out = m.swap(seg, (-k, b))
+        elif b == k:  # the + of the odd <-k+2,k> pair
+            f_out = m.swap(seg, (-k, k))
         else:  # <j, k-2>, including the ++ segment
-            f_out = m.swap(seg, Segment(seg.i, k))
+            f_out = m.swap(seg, (a, k))
     else:
-        f_out = m.add(Segment(k, k))
+        f_out = m.add((k, k))
     if e_out is not None:
         check_theta_restricted(e_out)
     return eps, e_out, check_theta_restricted(f_out)

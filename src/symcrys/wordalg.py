@@ -238,7 +238,7 @@ def _dot_row(pairs):
 
 def _lone(seg):
     """The multisegment of one copy of the segment seg."""
-    return Multisegment._trusted({seg: 1})
+    return Multisegment._trusted({seg.key: 1})
 
 
 class WordVector:
@@ -510,11 +510,11 @@ class WordAlgebra:
                     {tuple(k + shift for k in w): c for w, c in tilde.terms.items()},
                     self.window))
             else:
-                seg = min(m.entries, key=Segment.pbw_key)
+                seg = min((seg for seg, _ in m), key=Segment.pbw_key)
                 rest = m.remove(seg)
                 if rest:
                     inv_d, tilde = self._pbw_parts(rest)
-                    a = m.entries[seg]
+                    a = m.entries[seg.key]
                     if a > 1:
                         inv_d = RatFunc(1) / (RatFunc(qint(a)) / inv_d)
                     hit = (inv_d, self.mul(tilde, self._pbw_parts(_lone(seg))[1]))
@@ -536,8 +536,8 @@ class WordAlgebra:
         if not m:
             return 0
         win = self.window
-        low = min(seg.i for seg in m.entries)
-        if low < win[0] or max(seg.j for seg in m.entries) > win[-1]:
+        low = min(i for i, _ in m.entries)
+        if low < win[0] or max(j for _, j in m.entries) > win[-1]:
             return 0
         return low - win[0]
 
@@ -558,7 +558,7 @@ class WordAlgebra:
                 hit = {tuple(k + shift for k in w): c
                        for w, c in self._row_tilde(m.shifted(-shift)).items()}
             else:
-                seg = min(m.entries, key=Segment.pbw_key)
+                seg = min((seg for seg, _ in m), key=Segment.pbw_key)
                 rest, pairs = m.remove(seg), {}
                 if rest:
                     _shuffle_into(pairs, self._row_tilde(rest),

@@ -33,6 +33,7 @@ ARGVS = [
     ["crystal-graph", "--mode", "theta", W2, "--max-degree", "3"],
     ["crystal-graph", "--mode", "theta", W2, "--max-degree", "3", "--format", "json"],
     ["crystal-graph", "--mode", "theta", W4, "--max-degree", "2", "--format", "dot"],
+    ["crystal-graph", "--mode", "theta", W4, "--max-degree", "4"],
     ["crystal-graph", "--mode", "typeA", "--window", "1,3", "--max-degree", "3"],
     ["crystal-graph", "--mode", "typeA", W4, "--max-degree", "2", "--format", "json"],
     ["crystal-graph", "--mode", "typeA", "--window", "1,3", "--max-degree", "2",
@@ -99,6 +100,9 @@ ARGVS = [
     ["verify", "--mode", "typeA", "--window", "1,3", "--max-degree", "4", "--suite", "serre"],
     ["verify", "--mode", "typeA", W4, "--max-degree", "4", "--suite", "pbw-crystal-compat"],
     ["verify", "--mode", "theta", W4, "--max-degree", "4", "--suite", "pbw-crystal-compat"],
+    ["verify", "--mode", "typeA", W4, "--max-degree", "4", "--suite", "oracle-cross-check"],
+    ["verify", "--mode", "theta", W4, "--max-degree", "4", "--suite", "oracle-cross-check"],
+    ["verify", "--mode", "typeA", W4, "--max-degree", "4", "--suite", "crystal-axioms"],
     # malformed requests: exit 2 with a message naming the bad input
     ["bar-matrix", "--window", "1,3", '{"5":1}'],
     ["bar-matrix", "--window", "1,3", '{"1":-1}'],

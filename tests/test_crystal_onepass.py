@@ -37,7 +37,7 @@ THETA_K = [k for k in WIN5 if k > 0]
 def ref_A_extremes(i, m):
     top = i
     diff = {}
-    for seg, n in m.entries.items():
+    for seg, n in m:
         if seg.i == i:
             k = seg.j
             diff[k] = diff.get(k, 0) + n
@@ -81,7 +81,7 @@ def ref_theta_A_values(k, m):
     top = k
     diff, step = {}, {}
     tail = center = odd = dbl = 0
-    for seg, n in m.entries.items():
+    for seg, n in m:
         a, b = seg.i, seg.j
         top = max(top, b + 2, 2 - a)
         if a == lo:
@@ -156,7 +156,7 @@ def ref_theta_Etilde(k, m):
 # -- theta signature: one mult() lookup per candidate segment ------------------
 
 def ref_theta_signature(k, m):
-    top = max([k] + [seg.j for seg in m.entries])
+    top = max([k] + [seg.j for seg, _ in m])
     mult = m.mult
     seq = []
     for j in range(top, k, -2):
@@ -177,7 +177,7 @@ def ref_theta_signature(k, m):
         if not n:
             continue
         if sign == "+":
-            plus.append([Segment(i, j), n])
+            plus.append([Segment(i, j).key, n])
             continue
         while n and plus:
             run = plus[-1]
@@ -187,7 +187,7 @@ def ref_theta_signature(k, m):
             if not run[1]:
                 plus.pop()
         if n:
-            minus.append([Segment(i, j), n])
+            minus.append([Segment(i, j).key, n])
     return minus, plus
 
 

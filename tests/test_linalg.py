@@ -248,6 +248,19 @@ def test_inverse_rows_multiply_only_nonzero_factors(shape, monkeypatch):
         assert len(pairs) == sum(len(A) for A in cases)
 
 
+def test_inverse_rows_pass_dot_no_empty_list(monkeypatch):
+    """A substitution sum or a check entry with no nonzero product is the
+    shared zero, with no `dot` call: a diagonal matrix has such a sum at
+    every entry below the diagonal of R."""
+    calls = record_dot(monkeypatch, [linalg])
+    rng = random.Random("empty sums")
+    cases = [triangular_matrix(rng, n, shape)
+             for shape in ("diagonal", "unitriangular", "lower") for n in (1, 3, 6)]
+    assert [inverse_rows(A) for A in cases] == [inverse(A) for A in cases]
+    assert calls
+    assert [pairs for pairs in calls if not pairs] == []
+
+
 def test_nullspace():
     A = [[R("1"), R("q"), R("0")], [R("0"), R("0"), R("1")]]
     basis = nullspace(A, ncols=3)

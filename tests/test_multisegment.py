@@ -1,8 +1,10 @@
 import copy
 import functools
+import gc
 import itertools
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,15 @@ from symcrys.multisegment import (
     signature_ops,
     window_segments,
 )
-from symcrys.theta import enumerate_theta
+from symcrys.theta import (
+    crystal_E,
+    crystal_F,
+    enumerate_theta,
+    theta_Etilde,
+    theta_Ftilde,
+    theta_of_symmetrized_content,
+    theta_signature_ops,
+)
 
 
 def M(*pairs):
@@ -359,6 +369,23 @@ def test_multisegment_checks_stay_on_the_public_paths():
     assert M((1, 1, 1)).add((1, 1)) == M((1, 1, 2))
 
 
+@pytest.mark.parametrize("mult", [1.5, "1", None, float("nan"), float("inf"), 1j])
+def test_a_non_integer_multiplicity_is_refused_naming_the_segment(mult):
+    for entries in ({Segment(1, 3): mult}, [((1, 3), mult)]):
+        with pytest.raises(TypeError, match=r"multiplicity .* of <1,3> is not an integer"):
+            Multisegment(entries)
+
+
+@pytest.mark.parametrize("mult, want", [(True, 1), (False, 0), (2.0, 2), (3, 3)])
+def test_an_integral_multiplicity_is_stored_as_the_int_it_equals(mult, want):
+    m = Multisegment({Segment(1, 1): mult})
+    assert [type(n) for _, n in m] == [int] * bool(want)
+    assert m.mult(1) == want and m.degree() == want
+    assert m == M((1, 1, want))
+    with pytest.raises(ValueError, match="negative multiplicity"):
+        Multisegment({Segment(1, 1): -2.0})
+
+
 def test_swap_is_remove_then_add():
     a, b = Segment(1, 1), Segment(-1, 1)
     for m in (M((1, 1, 1)), M((1, 1, 2), (-1, 1, 1)), M((1, 1, 1), (3, 3, 1))):
@@ -372,9 +399,10 @@ def test_swap_is_remove_then_add():
 def _ref_cmp_cry_multiseg_raw(m1, m2):
     """The crystal comparison by a scan of the segments of m1 and m2 in
     decreasing crystal order: the first segment whose counts differ decides."""
-    segs = sorted(set(m1.entries) | set(m2.entries), key=Segment.cry_key, reverse=True)
+    segs = sorted({seg for seg, _ in m1} | {seg for seg, _ in m2},
+                  key=Segment.cry_key, reverse=True)
     for seg in segs:
-        a, b = m1.entries.get(seg, 0), m2.entries.get(seg, 0)
+        a, b = m1.mult(seg.i, seg.j), m2.mult(seg.i, seg.j)
         if a != b:
             return 1 if a > b else -1
     return 0
@@ -392,3 +420,49 @@ def test_cry_comparator_is_the_segment_scan():
         assert cmp_cry_multiseg_raw(m1, m1) == 0
         assert cmp_cry_multiseg_raw(m1, Multisegment(dict(m1.entries))) == 0
     assert results == {-1, 0, 1}
+
+
+# -- entries the cyclic collector never tracks --------------------------------
+
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="dict tracking by the cyclic collector is a CPython detail")
+def test_entries_are_never_tracked_by_the_collector():
+    """Every way a multisegment is made keys its entries by interned (i, j)
+    int tuples, so CPython leaves the dict untracked; iteration still yields
+    the interned Segments.  Segments first made here are made, and the
+    collector run once so their key tuples are untracked, before any
+    result is built."""
+    W = (-5, -3, -1, 1, 3, 5)
+    theta_ms = enumerate_theta(W, 4)
+    type_a = enumerate_multisegments(W, 3)
+    for m in type_a + theta_ms:  # every segment of the shifts below
+        m.shifted(2), m.shifted(-4)
+    gc.collect()
+    made = []
+    for m in type_a + theta_ms:
+        for i in W:
+            made += [etilde(i, m), ftilde(i, m), *signature_ops(i, m)[1:]]
+        made += [m.add(Segment(1, 3)), m.add((3, 3), 2), m.shifted(2), m.shifted(-4)]
+        for seg, n in m:
+            made += [m.remove(seg, n), m.swap(seg, (1, 1))]
+    for m in theta_ms:
+        made += [op(i, m) for i in W for op in (crystal_E, crystal_F)]
+        for k in (1, 3, 5):
+            made += [theta_Etilde(k, m), theta_Ftilde(k, m), *theta_signature_ops(k, m)[1:]]
+    made += type_a + theta_ms
+    made += multisegments_of_content(W, {-1: 1, 1: 2, 3: 1})
+    made += theta_of_symmetrized_content(W, {1: 2, 3: 1, 5: 1})
+    made += [Multisegment({Segment(-1, 3): 2}), Multisegment([((1, 5), 1), ((-3, -3), True)])]
+    made.append(Multisegment.from_json_obj([{"i": -3, "j": 1, "mult": 2}]))
+    m = M((-3, 5, 2), (1, 1, 1))
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert [(seg, n) for seg, n in copied] == [(seg, n) for seg, n in m]
+        assert all(s is t for (s, _), (t, _) in zip(copied, m))
+        made.append(copied)
+    made = [m for m in made if m is not None]
+    assert len(made) > 5000
+    assert [m for m in made if gc.is_tracked(m.entries)] == []
+    for m in made:
+        for seg, n in m:
+            assert seg.__class__ is Segment and seg is Segment(seg.i, seg.j)
+            assert type(n) is int and n > 0

@@ -89,7 +89,7 @@ def reference_ptheta(alg, m):
     [a]!, or by prod_{nu<=a} [2 nu] for a symmetric segment <-j,j>."""
     out = alg.one()
     for seg in m.segments_desc_pbw():
-        mult = m.entries[seg]
+        mult = m.mult(seg.i, seg.j)
         piece = alg.pbw_segment(seg.i, seg.j)
         for _ in range(mult):
             out = alg.mul(out, piece)

@@ -310,7 +310,7 @@ def _ref_mul(x, y):
 def _ref_pbw_element(alg, m):
     out = alg.one()
     for seg in m.segments_desc_pbw():
-        mult = m.entries[seg]
+        mult = m.mult(seg.i, seg.j)
         piece = alg.pbw_segment(seg.i, seg.j)
         for _ in range(mult):
             out = _ref_mul(out, piece)
@@ -407,7 +407,7 @@ def _fold_pbw_parts(alg, m):
     out = alg.one()
     d = RatFunc(1)
     for seg in m.segments_desc_pbw():
-        mult = m.entries[seg]
+        mult = m.mult(seg.i, seg.j)
         piece = alg.pbw_segment(seg.i, seg.j)
         for _ in range(mult):
             out = alg.mul(out, piece)
@@ -483,8 +483,8 @@ def test_pbw_parts_take_no_gcd(monkeypatch, window, degree):
     assert calls == []
     fractions = 0
     for m in filter(None, ms):
-        seg = min(m.entries, key=Segment.pbw_key)
-        a, rest = m.entries[seg], m.remove(seg)
+        seg = min((seg for seg, _ in m), key=Segment.pbw_key)
+        a, rest = m.mult(seg.i, seg.j), m.remove(seg)
         inv_d = fresh._pbw_parts(rest)[0]
         if a > 1 and not inv_d.in_A():
             fractions += 1
