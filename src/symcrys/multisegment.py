@@ -53,6 +53,13 @@ def _integral(x):
         return False
 
 
+def _count(n, seg):
+    """The int an integral count n of seg equals; TypeError otherwise."""
+    if not _integral(n):
+        raise TypeError(f"count {n!r} of {seg} is not an integer")
+    return int(n)
+
+
 _SEGMENTS = {}  # interned (i, j) key -> the interned Segment; holds only valid pairs
 
 
@@ -207,8 +214,11 @@ class Multisegment:
         return self.entries.get((i, i if j is None else j), 0)
 
     def add(self, seg, n=1):
-        """m with n more copies of seg (a Segment or an (i, j) pair)."""
+        """m with n more copies of seg (a Segment or an (i, j) pair); n must
+        be integral, as in the constructor."""
         seg = _segment(seg)
+        if n.__class__ is not int:
+            n = _count(n, seg)
         key = seg.key
         d = dict(self.entries)
         c = d.get(key, 0) + n
@@ -221,6 +231,9 @@ class Multisegment:
         return Multisegment._trusted(d)
 
     def remove(self, seg, n=1):
+        """m with n fewer copies of seg; n must be integral."""
+        if n.__class__ is not int:
+            n = _count(n, _segment(seg))
         return self.add(seg, -n)
 
     def swap(self, old, new):

@@ -35,8 +35,24 @@ edge, zero branches cut, the () coefficient read at each leaf.
 `theta_form` runs the same walk.
 `ThetaModule` implements the graded-block protocol of `symcrys.wordalg`
 with E_i/F_i as lowering/raising operators, whose block matrices
-`wordalg.operator_matrix` builds and caches, and its modified root
-operators run the q-boson split defined there.
+`wordalg.operator_matrix` caches, and its modified root operators run the
+q-boson split defined there.  No E_i or F_i matrix builds its larger
+block:
+
+- F_k and E_k for k > 0 come from the type-A local formula on the P_theta
+  bases (`wordalg.local_matrix`): f_k adds or extends no symmetric
+  segment, so s(m) and the theta factor of the norm cancel;
+- E_{-k} stays on the word route (`wordalg._image_matrix` over
+  `E_op`), which reads only its smaller target block;
+- F_{-k}[n][m] = E_{-k}[m][n] N_theta(m) / N_theta(n) by adjointness
+  under the theta form (`_adjoint_matrix`), with each N_theta computed
+  once per multisegment (`norm`).
+
+The bases are enumerated and cached apart from the blocks
+(`basis_of_content`), and `coord_vector` builds a block only for a class
+that carries no coordinates of it, so the block-dimension check and a
+fault in a block's elimination are met at its first coordinate read (and
+by the `theta-dims` suite), not by the matrices into it.
 """
 
 from __future__ import annotations
@@ -51,10 +67,12 @@ from .theta import theta_of_symmetrized_content
 from .wordalg import (
     WordAlgebra,
     WordVector,
+    _image_matrix,
     closed_form_norm,
     content_key,
     contents_up_to,
     dot_vector,
+    local_matrix,
     modified_root_op,
     operator_matrix,
     shift_key,
@@ -87,15 +105,26 @@ def theta_scale(m):
 
 def closed_form_norm_theta(m):
     """N_theta(m) = N_A(m) times, for each symmetric segment <-j,j> of
-    multiplicity a, prod_{nu=1}^{a} 1 / (1 + q^{2 nu}).  The `gram` suite
-    checks that each theta Gram matrix is diag(N_theta(m)).  The form was
-    fitted on computed blocks; it is not a theorem cited here."""
-    out = closed_form_norm(m)
-    for seg, a in m:
-        if seg.i == -seg.j:
-            for nu in range(1, a + 1):
-                out = out / (RatFunc(1) + RatFunc.q_power(2 * nu))
-    return out
+    multiplicity a, prod_{nu=1}^{a} 1 / (1 + q^{2 nu})
+    (`wordalg.closed_form_norm` with `theta`).  The `gram` suite checks
+    that each theta Gram matrix is diag(N_theta(m)).  The form was fitted on
+    computed blocks; it is not a theorem cited here."""
+    return closed_form_norm(m, theta=True)
+
+
+def _adjoint_matrix(module, i, key, step):
+    """F_i for i < 0 from block `key` by adjointness with E_i under the
+    theta form, whose Gram matrices are diag(N_theta) (the `gram` suite):
+    F[n][m] = E[m][n] N_theta(m) / N_theta(n), with E the E_i matrix of the
+    larger block, which reads only `key`'s block.  The norms are the
+    module's cached `norm`s."""
+    up = module.shifted_key(key, i, step)
+    lower = module.E_matrix(i, up)
+    src = [module.norm(m) for m in module.basis_of_content(key)]
+    dst = [module.norm(n) for n in module.basis_of_content(up)]
+    zero = RatFunc.zero()
+    return [[lower[c][r] * (src[c] / dst[r]) if lower[c][r] else zero for c in range(len(src))]
+            for r in range(len(dst))]
 
 
 class ThetaClassVector:
@@ -158,6 +187,8 @@ class ThetaModule:
             raise ValueError(f"algebra window {alg.window} is not {win}")
         self.alg = WordAlgebra(win) if alg is None else alg
         self.window = self.alg.window
+        self._bases = {}
+        self._norms = {}
         self._blocks = {}
         self._ptheta_cache = {}
         self._operator_mats = {}
@@ -207,6 +238,14 @@ class ThetaModule:
                     raise ValueError(f"{seg} is not theta-restricted")
             hit = self._ptheta_cache[m] = self.alg.pbw_element(m).scale(theta_scale(m))
         return ThetaClassVector(hit, self, {m: _ONE})
+
+    def norm(self, m):
+        """N_theta(m) = (P_theta(m)phi, P_theta(m)phi) by its closed form
+        (`closed_form_norm_theta`), computed once per multisegment."""
+        hit = self._norms.get(m)
+        if hit is None:
+            hit = self._norms[m] = closed_form_norm_theta(m)
+        return hit
 
     # -- block machinery -------------------------------------------------------
 
@@ -288,18 +327,13 @@ class ThetaModule:
         hit = self._blocks.get(sym_key)
         if hit is not None:
             return hit
+        theta_basis = self.basis_of_content(sym_key)
         offsets = {}
         dim = 0
         for ck in self.fiber_contents(sym_key):
             offsets[ck] = dim
             dim += len(self.alg.basis_of_content(ck))
-        block = {"offsets": offsets, "dim": dim}
-        theta_basis = sorted(
-            theta_of_symmetrized_content(self.window, dict(sym_key)),
-            key=cry_sort_key,
-            reverse=True,
-        )
-        block["theta_basis"] = theta_basis
+        block = {"offsets": offsets, "dim": dim, "theta_basis": theta_basis}
         theta_cols = []
         for m in theta_basis:
             ck = content_key(m.content())
@@ -343,10 +377,10 @@ class ThetaModule:
         column: the coordinates v carries when each of their multisegments is
         in the block's basis, else the block's stored inverse rows applied to
         the fibre vector."""
-        block = self.block(sym_key)
-        coords, basis = v.coords, block["theta_basis"]
+        coords, basis = v.coords, self.basis_of_content(sym_key)
         if coords is not None and len(coords) == sum(m in coords for m in basis):
             return [coords.get(m, RatFunc.zero()) for m in basis]
+        block = self.block(sym_key)
         return mat_vec(block["coord_rows"], self._fiber_vector(v.rep, block))
 
     def from_coords(self, coords):
@@ -410,16 +444,22 @@ class ThetaModule:
     # -- block matrices of E_i and F_i ----------------------------------------------
 
     def E_matrix(self, i, sym_key):
-        """Matrix of E_i from the block to the block with one |i| letter fewer."""
-        return operator_matrix(
-            self, i, sym_key, -1, lambda m: self.E_op(i, self.ptheta_vector(m))
-        )
+        """Matrix of E_i from the block to the block with one |i| letter
+        fewer: by the local formula for i > 0 (`wordalg.local_matrix`), on
+        the word route for i < 0, which reads only the smaller target block."""
+        return operator_matrix(self, i, sym_key, -1, local_matrix if i > 0 else _image_matrix)
 
     def F_matrix(self, i, sym_key):
-        """Matrix of F_i from the block to the block with one |i| letter more."""
-        return operator_matrix(
-            self, i, sym_key, +1, lambda m: self.F_op(i, self.ptheta_vector(m))
-        )
+        """Matrix of F_i from the block to the block with one |i| letter
+        more: by the local formula for i > 0, by adjointness with E_i for
+        i < 0 (`_adjoint_matrix`), so the larger target block is not built."""
+        return operator_matrix(self, i, sym_key, +1, local_matrix if i > 0 else _adjoint_matrix)
+
+    def word_image(self, i, m, step):
+        """The class E_i P_theta(m)phi (step -1) or F_i P_theta(m)phi (step
+        +1): the image of a basis vector on the word route (`_image_matrix`)."""
+        op = self.E_op if step < 0 else self.F_op
+        return op(i, self.ptheta_vector(m))
 
     def T_scalar(self, i, sym_key):
         """T_i eigenvalue on the block: q^{-(alpha_i + alpha_{-i}, beta)}."""
@@ -467,8 +507,16 @@ class ThetaModule:
 
     def basis_of_content(self, key):
         """The block's P_theta basis: its theta-restricted multisegments,
-        ordered descending in the crystal order."""
-        return self.block(key)["theta_basis"]
+        ordered descending in the crystal order.  Enumerated without the
+        block and cached apart from it."""
+        hit = self._bases.get(key)
+        if hit is None:
+            hit = self._bases[key] = sorted(
+                theta_of_symmetrized_content(self.window, dict(key)),
+                key=cry_sort_key,
+                reverse=True,
+            )
+        return hit
 
     def lower_matrix(self, i, key):
         return self.E_matrix(i, key)

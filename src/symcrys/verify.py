@@ -10,6 +10,9 @@ modes.  Only `serre` (always type A) and `theta-dims` (always theta) ignore
 the mode.  `pbw-crystal-compat` works in block coordinates throughout: it
 runs the modified ftilde_i on the unit column of each basis vector
 (`wordalg.modified_root_column`) and reads the result's column directly.
+`pbw-action` is the independent check of each lowering and raising block
+matrix, which the spaces build by a local formula: it compares each with
+the matrix of its word images (`wordalg._image_matrix`).
 
 Every suite also takes an optional `spaces` dict.  Suites given the same
 dict share one algebra and one module per run, filled on first use, so a run
@@ -50,7 +53,7 @@ from .theta import (
     theta_signature_ops,
 )
 from .thetamodule import ThetaModule, closed_form_norm_theta
-from .wordalg import WordAlgebra, closed_form_norm, modified_root_column
+from .wordalg import WordAlgebra, _image_matrix, closed_form_norm, modified_root_column
 
 
 class UsageError(Exception):
@@ -263,6 +266,40 @@ def suite_pbw_crystal_compat(mode, window, max_degree, spaces=None):
     return checked, fails
 
 
+def suite_pbw_action(mode, window, max_degree, spaces=None):
+    """Every lowering and raising block matrix between blocks of degree <=
+    max_degree, as the space builds it (by the local formula of
+    `wordalg.action_terms`; in theta mode E_i for i < 0 on the word route
+    and F_i for i < 0 by adjointness), equals the matrix of its word images
+    (`wordalg._image_matrix`: e'_i P(m) and f_i P(m) in type A, E_i and F_i
+    of P_theta(m)phi in theta mode), matrix for matrix.  A failure names
+    the block, the index, the side and the first entry that differs."""
+    space = _space(mode, window, spaces)
+    checked = 0
+    fails = []
+    for key in [()] + space.block_keys(max_degree):
+        letters, top = dict(key), sum(n for _, n in key) == max_degree
+        for i in window:
+            for side, step, op in (("E", -1, space.lower_matrix), ("F", +1, space.raise_matrix)):
+                if (step < 0 and not letters.get(space.letter(i))) or (step > 0 and top):
+                    continue
+                where = f"{space.block_label(key)}, index {i}, side {side}"
+                try:
+                    built, words = op(i, key), _image_matrix(space, i, key, step)
+                except ArithmeticError as e:
+                    fails.append(f"{where}: {e}")
+                    continue
+                checked += 1
+                if built != words:
+                    src = space.basis_of_content(key)
+                    dst = space.basis_of_content(space.shifted_key(key, i, step))
+                    r, c = next((r, c) for r, row in enumerate(built)
+                                for c, x in enumerate(row) if x != words[r][c])
+                    fails.append(f"{where}: block matrix entry at ({dst[r]}, {src[c]}) is "
+                                 f"{built[r][c]}, the word route gives {words[r][c]}")
+    return checked, fails
+
+
 def suite_bar_triangular(mode, window, max_degree, spaces=None):
     def check(ctx):
         bar_matrix(ctx)
@@ -359,6 +396,7 @@ SUITES = {
     "oracle-cross-check": suite_oracle_cross_check,
     "serre": suite_serre,
     "gram": suite_gram,
+    "pbw-action": suite_pbw_action,
     "pbw-crystal-compat": suite_pbw_crystal_compat,
     "bar-triangular": suite_bar_triangular,
     "global-basis": suite_global_basis,

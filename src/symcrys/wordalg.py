@@ -28,15 +28,26 @@ memoized word pairings (w, v) of the recursion (f_i a, b) = (a, e'_i b)
 serve only `form`: `is_zero_in_uq` and the `gram` suite's independent
 check of G.
 
+The e'_i and f_i block matrices are built by a local formula, with no
+word and no table (`local_matrix`): each term n of
+f_i P(m) = sum q^e [c] P(n) adds <i,i> to m or extends a <i+2,b> of m to
+<i,b> (`action_terms`), and the e'_i entry of the same term is its f_i
+entry times N_A(n) / N_A(m), a Laurent value read off the term.  The
+formula was fitted on the word route and is not a theorem cited here; the
+word route (`_image_matrix`: the word images e'_i P(m) and f_i P(m),
+`word_image`, read through the target block's table) stays as the
+independent side of the `pbw-action` verify suite.
+
 `WordAlgebra` and `symcrys.thetamodule.ThetaModule` implement one
 graded-block protocol as their own methods (`basis_of_content`,
-`coord_vector`, `gram_matrix`, `lower_matrix` / `raise_matrix`, ...) on one
-block key type, the sorted (letter, count) pairs of `content_key`; the
-block methods of `WordAlgebra` also take a count map.  This module also
-holds the code written once over the protocol: the one construction and
-cache of the block matrices of both spaces (`operator_matrix`), the q-boson
-split (`qboson_split`), read off from the top through the cached lowering
-and raising block matrices, and the modified root operators: the column
+`coord_vector`, `gram_matrix`, `lower_matrix` / `raise_matrix`,
+`word_image`, ...) on one block key type, the sorted (letter, count) pairs
+of `content_key`; the block methods of `WordAlgebra` also take a count map.
+This module also holds the code written once over the protocol: the one
+cache of the block matrices of both spaces (`operator_matrix`), their
+local-formula and word-route builds (`local_matrix`, `_image_matrix`), the
+q-boson split (`qboson_split`), read off from the top through the cached
+lowering and raising block matrices, and the modified root operators: the column
 kernel `modified_root_column`, which splits a coordinate column and raises
 each part in block coordinates (`raise_divided`), and its wrapper
 `modified_root_op`, which reads a vector's column and builds the result
@@ -105,7 +116,7 @@ from .multisegment import (
     of_weighted_content,
     window_segments,
 )
-from .ratfunc import RatFunc, dot, qfact, qint
+from .ratfunc import LaurentPoly, RatFunc, dot, qfact, qint
 
 
 def content_key(content):
@@ -143,21 +154,25 @@ def contents_up_to(letters, max_degree):
     )
 
 
-def closed_form_norm(m):
+def closed_form_norm(m, theta=False):
     """N_A(m) = (P(m), P(m)), in closed form: the product over the segments s
     of m, of multiplicity a and length l, of
     (1 - q^2)^{(l - 1) a} prod_{k=1}^{a} (1 - q^2) / (1 - q^{2k}).
     With Lusztig's orthogonality of PBW bases (Introduction to Quantum
-    Groups, ch. 38) the Gram matrix of a content block is diag(N_A(m))."""
-    one_minus = lambda k: RatFunc(1) - RatFunc.q_power(2 * k)
-    out = RatFunc(1)
+    Groups, ch. 38) the Gram matrix of a content block is diag(N_A(m)).
+    With `theta`, each symmetric segment <-j,j> of multiplicity a also
+    divides by prod_{nu=1}^{a} (1 + q^{2 nu}): N_theta(m)
+    (`thetamodule.closed_form_norm_theta`).  The Laurent numerator and
+    denominator are multiplied out first, and divided once."""
+    num = den = LaurentPoly.one()
     for seg, a in m:
-        length = (seg.j - seg.i) // 2 + 1
-        for _ in range((length - 1) * a):
-            out = out * one_minus(1)
+        for _ in range(seg.length() * a):
+            num = num * LaurentPoly({0: 1, 2: -1})
         for k in range(1, a + 1):
-            out = out * one_minus(1) / one_minus(k)
-    return out
+            den = den * LaurentPoly({0: 1, 2 * k: -1})
+            if theta and seg.i == -seg.j:
+                den = den * LaurentPoly({0: 1, 2 * k: 1})
+    return RatFunc(num, den)
 
 
 def multiset_permutations(items):
@@ -700,16 +715,21 @@ class WordAlgebra:
     # -- block matrices of e'_i and of left multiplication by f_i -----------------
 
     def eprime_matrix(self, i, content):
-        """Matrix of e'_i from the content block to content - alpha_i, PBW coords."""
-        return operator_matrix(
-            self, i, content_key(content), -1, lambda m: self.eprime(i, self.pbw_element(m))
-        )
+        """Matrix of e'_i from the content block to content - alpha_i, PBW
+        coords, by the local formula (`local_matrix`)."""
+        return operator_matrix(self, i, content_key(content), -1, local_matrix)
 
     def fmul_matrix(self, i, content):
-        """Matrix of left multiplication by f_i, content block -> content + alpha_i."""
-        return operator_matrix(
-            self, i, content_key(content), +1, lambda m: self.mul(self.f(i), self.pbw_element(m))
-        )
+        """Matrix of left multiplication by f_i, content block -> content +
+        alpha_i, PBW coords, by the local formula (`local_matrix`)."""
+        return operator_matrix(self, i, content_key(content), +1, local_matrix)
+
+    def word_image(self, i, m, step):
+        """The word vector e'_i P(m) (step -1) or f_i P(m) (step +1): the
+        image of a basis vector on the word route (`_image_matrix`)."""
+        if step < 0:
+            return self.eprime(i, self.pbw_element(m))
+        return self.mul(self.f(i), self.pbw_element(m))
 
     # -- modified root operators -------------------------------------------------
 
@@ -816,31 +836,88 @@ def from_representative(space, key, shared, i=None, step=0):
         return None
 
 
-def operator_matrix(space, i, key, step, image):
+def operator_matrix(space, i, key, step, build):
     """The matrix, in block coordinates, of the space's lowering (step -1)
     or raising (step +1) operator along index i from block `key` to the
-    block `step` letters i away; `image(m)` is the image of the basis vector
-    of m.  The one block-matrix cache of both spaces, by (step, i, key): a
-    translate pair (i, key) by `shift` takes the matrix of its
-    representative pair (i - shift, key - shift) from the space's
+    block `step` letters i away.  The one block-matrix cache of both spaces,
+    by (step, i, key): a translate pair (i, key) by `shift` takes the matrix
+    of its representative pair (i - shift, key - shift) from the space's
     `lower_matrix` or `raise_matrix`, through `from_representative`; any
-    other pair's is built from the images."""
+    other pair's is `build(space, i, key, step)`."""
     cache_key = (step, i, key)
     hit = space._operator_mats.get(cache_key)
     if hit is None:
         op = space.lower_matrix if step < 0 else space.raise_matrix
         hit = from_representative(space, key, lambda rep, shift: op(i - shift, rep), i, step)
         if hit is None:
-            hit = _image_matrix(space, i, key, step, image)
+            hit = build(space, i, key, step)
         space._operator_mats[cache_key] = hit
     return hit
 
 
-def _image_matrix(space, i, key, step, image):
-    """The block matrix whose columns are the target-block coordinates of
-    `image(m)` over the basis of block `key`."""
+def action_terms(i, m):
+    """The terms of f_i P(m) = sum q^e [c] P(n), as (n, f_i entry, e'_i
+    entry) triples, the entries Laurent values.
+
+    n adds <i,i> to m (b = i), or extends one copy of a distinct <i+2,b> of
+    m to <i,b>; e = #{<i+2,j> in m : j > b} - #{<i,j> in m : j > b}, counted
+    with multiplicity, and c is the multiplicity of <i,b> in n.  The e'_i
+    entry is the coefficient of P(m) in e'_i P(n), F[n][m] N_A(n) / N_A(m)
+    by adjointness with `closed_form_norm`: q^(e+1-c) (1 - q^(2a)) when the
+    term extends a <i+2,b> of multiplicity a in m, q^(e+1-c) when it adds
+    <i,i>.  The formula was fitted on the word route, which the `pbw-action`
+    suite compares with it matrix for matrix."""
+    up, at = {}, {}
+    for (a, b), n in m.entries.items():
+        if a == i + 2:
+            up[b] = n
+        elif a == i:
+            at[b] = n
+    out = []
+    for b in [i, *up]:
+        e = (sum(n for j, n in up.items() if j > b)
+             - sum(n for j, n in at.items() if j > b))
+        c = at.get(b, 0) + 1
+        x = e + 1 - c
+        if b == i:
+            n, eprime = m.add(Segment(i, i)), {x: 1}
+        else:
+            n, eprime = m.swap(Segment(i + 2, b), Segment(i, b)), {x: 1, x + 2 * up[b]: -1}
+        f = LaurentPoly({e + c - 1 - 2 * nu: 1 for nu in range(c)})
+        out.append((n, RatFunc(f), RatFunc(LaurentPoly(eprime))))
+    return out
+
+
+def local_matrix(space, i, key, step):
+    """The f_i (step +1) or e'_i (step -1) block matrix from block `key`,
+    read off `action_terms` with no word: the f_i matrix from the terms of
+    each source basis vector, the e'_i matrix from the terms of each target
+    basis vector.  Serves the type-A blocks and the theta blocks at an index
+    i > 0, whose P_theta bases the formula maps the same way."""
     tgt = space.shifted_key(key, i, step)
-    cols = [space.coord_vector(image(m), tgt) for m in space.basis_of_content(key)]
+    src, dst = space.basis_of_content(key), space.basis_of_content(tgt)
+    zero = RatFunc.zero()
+    out = [[zero] * len(src) for _ in dst]
+    if step > 0:
+        row = {n: r for r, n in enumerate(dst)}
+        for c, m in enumerate(src):
+            for n, f, _ in action_terms(i, m):
+                out[row[n]][c] = f
+    else:
+        col = {n: c for c, n in enumerate(src)}
+        for r, m in enumerate(dst):
+            for n, _, eprime in action_terms(i, m):
+                out[r][col[n]] = eprime
+    return out
+
+
+def _image_matrix(space, i, key, step):
+    """The block matrix whose columns are the target-block coordinates of
+    the word images `space.word_image(i, m, step)` over the basis of block
+    `key`: the word route, which builds the target block."""
+    tgt = space.shifted_key(key, i, step)
+    cols = [space.coord_vector(space.word_image(i, m, step), tgt)
+            for m in space.basis_of_content(key)]
     return [[col[r] for col in cols] for r in range(len(space.basis_of_content(tgt)))]
 
 

@@ -376,6 +376,25 @@ def test_a_non_integer_multiplicity_is_refused_naming_the_segment(mult):
             Multisegment(entries)
 
 
+@pytest.mark.parametrize("n", [1.5, "1", None, float("nan"), float("inf"), 1j])
+def test_add_and_remove_refuse_a_non_integer_count_by_the_constructors_rule(n):
+    m = M((1, 1, 2))
+    for op in (m.add, m.remove):
+        with pytest.raises(TypeError, match=r"count .* of <1> is not an integer"):
+            op(Segment(1, 1), n)
+    with pytest.raises(TypeError, match=r"count .* of <1,3> is not an integer"):
+        m.add((1, 3), n)
+
+
+def test_add_and_remove_store_an_integral_count_as_the_int_it_equals():
+    m = M((1, 1, 1))
+    for got in (m.add(Segment(1, 1), 2.0), m.add((1, 1), True).add((1, 1), 1.0),
+                M((1, 1, 4)).remove(Segment(1, 1), 1.0)):
+        assert got == M((1, 1, 3)) and got.degree() == 3
+        assert [type(n) for _, n in got] == [int]
+    assert m.remove((1, 1), True) == Multisegment.empty()
+
+
 @pytest.mark.parametrize("mult, want", [(True, 1), (False, 0), (2.0, 2), (3, 3)])
 def test_an_integral_multiplicity_is_stored_as_the_int_it_equals(mult, want):
     m = Multisegment({Segment(1, 1): mult})

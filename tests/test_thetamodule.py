@@ -452,6 +452,43 @@ def test_block_check_fires_on_a_wrong_theta_basis(monkeypatch, wrong):
     assert len(fails) == 1 and fails[0].startswith("block {1: 2}: "), fails
 
 
+def test_a_dropped_kernel_vector_fails_the_block_not_the_matrices_into_it(monkeypatch):
+    """A `nullspace` that drops one kernel vector of the block {1: 1, 3: 1}:
+    the F_i matrices, and the E_i matrices at i > 0, into that block come
+    out without building it, yet theta-dims reports the block and its first
+    coordinate read raises, naming it."""
+    key = content_key({1: 1, 3: 1})
+    building = []
+    real_block, real_nullspace = ThetaModule.block, thetamodule.nullspace
+
+    def block(self, sym_key):
+        building.append(sym_key)
+        try:
+            return real_block(self, sym_key)
+        finally:
+            building.pop()
+
+    def nullspace(rows, n):
+        kernel = real_nullspace(rows, n)
+        return kernel[:-1] if building[-1] == key else kernel
+
+    monkeypatch.setattr(ThetaModule, "block", block)
+    monkeypatch.setattr(thetamodule, "nullspace", nullspace)
+    fresh = ThetaModule(WIN)
+    for i in WIN:
+        for sub in (content_key({1: 1}), content_key({3: 1})):
+            fresh.F_matrix(i, sub)
+        if i > 0:
+            for sup in (content_key({1: 2, 3: 1}), content_key({1: 1, 3: 2})):
+                fresh.E_matrix(i, sup)
+    assert key not in fresh._blocks
+    with pytest.raises(ArithmeticError, match=r"^block \{1: 1, 3: 1\}: "):
+        fresh.theta_coords(fresh.F_op(1, fresh.ptheta_vector(M((3, 3, 1)))))
+    checked, fails = suite_theta_dims("theta", WIN, 2)
+    assert checked == len(fresh.block_keys(2)) - 1
+    assert len(fails) == 1 and fails[0].startswith("block {1: 1, 3: 1}: "), fails
+
+
 def test_is_zero_class_matches_the_block_solve(mod):
     rng = random.Random(31)
     for key in mod.block_keys(3):

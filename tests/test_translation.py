@@ -146,12 +146,12 @@ def test_a_sweep_computes_and_checks_each_pair_class_once(monkeypatch):
     class's representative, and 30 f_i matrices are built for 40 pairs."""
     computed, built = [], []
     real_mult = canonical._multiplicity_polys
-    real_build = wordalg._image_matrix
+    real_build = wordalg.local_matrix
     monkeypatch.setattr(canonical, "_multiplicity_polys", lambda i, ctx, side: (
         computed.append((i, ctx.key, side)) or real_mult(i, ctx, side)))
     # the direct build of a block matrix, below the cache of `operator_matrix`
-    monkeypatch.setattr(wordalg, "_image_matrix", lambda space, i, key, step, image: (
-        built.append((step, i, key)) or real_build(space, i, key, step, image)))
+    monkeypatch.setattr(wordalg, "local_matrix", lambda space, i, key, step: (
+        built.append((step, i, key)) or real_build(space, i, key, step)))
     alg = WordAlgebra(WIN)
     requests = 0
     for key in [()] + contents_up_to(WIN, 3):

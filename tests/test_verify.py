@@ -6,7 +6,7 @@ from symcrys.multisegment import Multisegment, Segment, enumerate_multisegments
 from symcrys.theta import enumerate_theta
 from symcrys.thetamodule import ThetaModule, sym_key_of_content
 from symcrys.ratfunc import RatFunc
-from symcrys import verify
+from symcrys import verify, wordalg
 from symcrys.canonical import TransitionMatrix
 from symcrys.verify import SUITES, _space, suite_gram
 from symcrys.wordalg import WordAlgebra, content_key
@@ -17,24 +17,25 @@ WIN = (-3, -1, 1, 3)
 COUNTS = {
     "typeA": {
         "bar-triangular": 34, "crystal-axioms": 832, "global-basis": 34, "gram": 34,
-        "multiplicity-consistency": 196, "oracle-cross-check": 208,
+        "multiplicity-consistency": 196, "oracle-cross-check": 208, "pbw-action": 120,
         "pbw-crystal-compat": 208, "qboson-relations": 560, "serre": 12, "theta-dims": 9,
     },
     "theta": {
         "bar-triangular": 9, "crystal-axioms": 272, "global-basis": 9, "gram": 9,
-        "multiplicity-consistency": 60, "oracle-cross-check": 34,
+        "multiplicity-consistency": 60, "oracle-cross-check": 34, "pbw-action": 48,
         "pbw-crystal-compat": 68, "qboson-relations": 160, "serre": 12, "theta-dims": 9,
     },
 }
 
 
 # the graded-block protocol: the methods that the code written once over both
-# spaces (`wordalg.operator_matrix`, `qboson_split`, `modified_root_op`,
-# `canonical.BlockContext` and the suites) calls on a space
+# spaces (`wordalg.operator_matrix`, `local_matrix`, `_image_matrix`,
+# `qboson_split`, `modified_root_op`, `canonical.BlockContext` and the
+# suites) calls on a space
 PROTOCOL = [
     "basis_of_content", "coord_vector", "gram_matrix", "bar_column", "lower_matrix",
     "raise_matrix", "from_coords", "letter", "shifted_key", "block_keys",
-    "block_label", "relation_scalar", "representative",
+    "block_label", "relation_scalar", "representative", "word_image",
 ]
 
 
@@ -82,6 +83,45 @@ def test_crystal_axioms_check_E_of_F_on_top_degree_inputs(monkeypatch, mode, nam
     checked, fails = verify.suite_crystal_axioms(mode, WIN, 3)
     assert checked == COUNTS[mode]["crystal-axioms"]
     assert fails and all(f.startswith("E(F(m)) != m at ") for f in fails)
+
+
+@pytest.mark.parametrize("mode, checked", [("typeA", 560), ("theta", 120)])
+def test_pbw_action_matches_the_word_route_to_degree_5(mode, checked):
+    """Every e'_i and f_i matrix (E_i and F_i in theta mode) between blocks
+    of degree <= 5 on -3..3 equals the matrix of its word images."""
+    assert verify.suite_pbw_action(mode, WIN, 5) == (checked, [])
+
+
+@pytest.mark.parametrize("mode, i, m, failures", [
+    # type A: the pair and its two translates share the planted matrices
+    ("typeA", -3, Multisegment({(-1, -1): 1}), [
+        ("content {-3: 1, -1: 1}", -3, "E"), ("content {-1: 1}", -3, "F"),
+        ("content {-1: 1, 1: 1}", -1, "E"), ("content {1: 1}", -1, "F"),
+        ("content {1: 1, 3: 1}", 1, "E"), ("content {3: 1}", 1, "F"),
+    ]),
+    ("theta", 1, Multisegment({(3, 3): 1}), [
+        ("symmetrized content {1: 1, 3: 1}", 1, "E"), ("symmetrized content {3: 1}", 1, "F"),
+    ]),
+])
+def test_pbw_action_reports_a_planted_wrong_exponent(monkeypatch, mode, i, m, failures):
+    """One more power of q in the f_i and e'_i entries of the terms of
+    f_i P(m) is reported on each matrix it reaches, naming the block, the
+    index, the side and the entry."""
+    real = wordalg.action_terms
+
+    def planted(j, n):
+        terms = real(j, n)
+        if (j, n) != (i, m):
+            return terms
+        q = RatFunc.q_power(1)
+        return [(t, f * q, e * q) for t, f, e in terms]
+
+    monkeypatch.setattr(wordalg, "action_terms", planted)
+    checked, fails = verify.suite_pbw_action(mode, WIN, 3)
+    assert checked == COUNTS[mode]["pbw-action"]
+    assert [f.split(": block matrix entry at ")[0] for f in fails] == [
+        f"{label}, index {j}, side {side}" for label, j, side in failures]
+    assert all(" the word route gives " in f for f in fails)
 
 
 def test_suites_of_one_run_share_its_space(monkeypatch):
